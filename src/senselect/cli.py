@@ -232,13 +232,14 @@ def cmd_holder_diagnose(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    sample = sio.load_sample(args.sample)
     result = {"command": "evaluate", "sample_path": args.sample}
     if args.losses:
         table = sio.load_losses(args.losses)
+        sample = sio.load_sample(args.sample, n=len(table))
         result["delta"] = delta_error(table, sample)
     elif args.data:
         inst = _load_regression(args)
+        sample = sio.load_sample(args.sample, n=inst.n)
         x = solve_least_squares(inst.A[sample.indices],
                                 inst.b[sample.indices],
                                 weights=sample.weights)

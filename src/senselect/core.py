@@ -24,6 +24,10 @@ class OracleProtocolError(RuntimeError):
     """Raised when an external oracle process misbehaves (bad reply, early exit)."""
 
 
+#: seconds ``close()`` waits for an oracle process to exit after end of input
+CLOSE_TIMEOUT_S = 10.0
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable n x d matrix of float64 embeddings; the row index is the identity
@@ -129,6 +133,9 @@ class LossOracle:
     consume budget; ``queries_used`` therefore equals the number of distinct
     indices queried so far.  Updates are serialized with a lock so concurrent
     callers see a consistent counter.
+
+    ``fetch(i)`` returns the loss of row i; a ``fetch`` object with a
+    ``fetch_many(indices)`` method is handed whole batches instead.
     """
 
     def __init__(self, fetch, n: int, budget: float | None = None):
@@ -155,23 +162,60 @@ class LossOracle:
     def queries_used(self) -> int:
         return len(self.cache)
 
-    def query(self, i: int) -> float:
+    def _check_index(self, i) -> int:
         i = int(i)
         if not 0 <= i < self.n:
             raise IndexError(f"index {i} out of range for n={self.n}")
+        return i
+
+    def query(self, i: int) -> float:
+        i = self._check_index(i)
         with self._lock:
-            if i in self.cache:
-                return self.cache[i]
-            if self.queries_used + 1 > self.budget:
-                raise BudgetExceededError(
-                    f"loss-oracle budget {self.budget} exhausted "
-                    f"({self.queries_used} distinct queries made)")
-            value = float(self._fetch(i))
+            if i not in self.cache:
+                self._fetch_misses([i])
+            return self.cache[i]
+
+    def query_many(self, indices) -> np.ndarray:
+        """Losses of ``indices`` in order, with every uncached index fetched
+        in one batch.
+
+        All-or-nothing: every index is range-checked and the budget is
+        checked for all distinct misses before anything is fetched, and the
+        fetched values are all validated before any is cached.  A failed
+        call leaves the cache and ``queries_used`` as they were.  Backends
+        with a ``fetch_many`` method get the misses, deduplicated in
+        first-occurrence order, in one call; others get them one at a time.
+        """
+        indices = [self._check_index(i) for i in indices]
+        with self._lock:
+            misses = list(dict.fromkeys(i for i in indices
+                                        if i not in self.cache))
+            if misses:
+                self._fetch_misses(misses)
+        # all cache hits now; going through query() keeps per-query hooks
+        return np.array([self.query(i) for i in indices], dtype=np.float64)
+
+    def _fetch_misses(self, misses: list[int]):
+        """Fetch, validate and cache distinct uncached indices; the caller
+        holds the lock."""
+        if self.queries_used + len(misses) > self.budget:
+            raise BudgetExceededError(
+                f"loss-oracle budget {self.budget} exhausted "
+                f"({self.queries_used} distinct queries made, "
+                f"{len(misses)} more requested)")
+        fetch_many = getattr(self._fetch, "fetch_many", None)
+        if fetch_many is not None:
+            values = [float(v) for v in fetch_many(misses)]
+            if len(values) != len(misses):
+                raise OracleProtocolError(
+                    f"oracle answered {len(values)} of {len(misses)} queries")
+        else:
+            values = [float(self._fetch(i)) for i in misses]
+        for i, value in zip(misses, values):
             if not np.isfinite(value) or value < 0:
                 raise OracleProtocolError(
                     f"oracle returned invalid loss {value!r} for index {i}")
-            self.cache[i] = value
-            return value
+        self.cache.update(zip(misses, values))
 
     def close(self):
         backend = getattr(self, "_backend", None)
@@ -188,7 +232,12 @@ class LossOracle:
 
 class _ProcessBackend:
     """Line-oriented child process protocol: write "<index>\\n", read one
-    decimal real per query.  The child must answer queries in order."""
+    decimal real per query.  The child must answer queries in order.
+
+    A batch is pipelined: a writer thread sends every index while the
+    replies are read, so a batch larger than the pipe buffers cannot
+    deadlock.  A failed batch kills the child; the next batch starts a new
+    one."""
 
     def __init__(self, command: str):
         self.command = command
@@ -201,23 +250,30 @@ class _ProcessBackend:
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         return self._proc
 
-    def __call__(self, i: int) -> float:
+    def fetch_many(self, indices) -> list[float]:
         proc = self._ensure()
+        payload = "".join(f"{i}\n" for i in indices)
+
+        def send():
+            try:
+                proc.stdin.write(payload)
+                proc.stdin.flush()
+            except OSError:
+                pass  # the child went away; the reader reports it
+
+        writer = threading.Thread(target=send, daemon=True)
+        writer.start()
         try:
-            proc.stdin.write(f"{i}\n")
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise OracleProtocolError(f"oracle process died: {exc}") from exc
-        if line == "":
-            code = proc.poll()
-            raise OracleProtocolError(
-                f"oracle process closed stdout (exit code {code})")
-        try:
-            return float(line.strip())
-        except ValueError as exc:
-            raise OracleProtocolError(
-                f"unparsable oracle reply {line!r}") from exc
+            values = [_read_reply(proc) for _ in indices]
+        except BaseException:
+            proc.kill()  # also unblocks a writer stuck on a full pipe
+            writer.join()
+            self._proc = None
+            proc.wait()
+            _close_pipes(proc)
+            raise
+        writer.join()
+        return values
 
     def close(self):
         if self._proc is not None:
@@ -226,4 +282,32 @@ class _ProcessBackend:
                 proc.stdin.close()
             except OSError:
                 pass
-            proc.wait(timeout=10)
+            try:
+                proc.wait(timeout=CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+                raise OracleProtocolError(
+                    f"oracle process still running {CLOSE_TIMEOUT_S} s after "
+                    "end of input; killed it") from None
+            finally:
+                _close_pipes(proc)
+
+
+def _read_reply(proc) -> float:
+    line = proc.stdout.readline()
+    if line == "":
+        raise OracleProtocolError(
+            f"oracle process closed stdout (exit code {proc.poll()})")
+    try:
+        return float(line)
+    except ValueError as exc:
+        raise OracleProtocolError(f"unparsable oracle reply {line!r}") from exc
+
+
+def _close_pipes(proc):
+    for pipe in (proc.stdin, proc.stdout):
+        try:
+            pipe.close()
+        except OSError:
+            pass

@@ -76,7 +76,7 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
     Per cluster: query the center loss, draw t member points uniformly
     (without replacement when the cluster is large enough), take the max
     observed ratio, and scale by ln(n).  Spends at most t queries per cluster
-    plus one per center.
+    plus one per center, all in one oracle batch.
 
     With ``robust=True`` the top ceil(m/k) sampled ratios are discarded
     before the max, tolerating a small fraction of outliers.
@@ -86,21 +86,25 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
     g = as_generator(rng)
     idx = _require_row_centers(clustering)
     dist = _center_distances(data, clustering)
-    log_n = math.log(data.n)
-    lam = np.zeros(clustering.k)
+    picks = []
     for i in range(clustering.k):
         members = np.flatnonzero(clustering.assignment == i)
         if members.size == 0:
             raise ValueError(f"cluster {i} is empty")
-        center_loss = oracle.query(int(idx[i]))
-        replace = t > members.size
-        picked = g.choice(members, size=t, replace=replace)
-        ratios = []
-        for j in picked:
-            if dist[j] == 0:
-                continue  # the center itself (or a duplicate of it)
-            ratios.append(abs(oracle.query(int(j)) - center_loss)
-                          / dist[j] ** clustering.z)
+        picked = g.choice(members, size=t, replace=t > members.size)
+        # skip the center itself (or a duplicate of it)
+        picks.append(picked[dist[picked] > 0])
+    # one oracle batch: every center, then every pick
+    losses = oracle.query_many(np.concatenate([idx, *picks]))
+    offset = clustering.k
+    log_n = math.log(data.n)
+    lam = np.zeros(clustering.k)
+    for i, picked in enumerate(picks):
+        picked_losses = losses[offset:offset + picked.size]
+        offset += picked.size
+        # scalar powers: numpy's vectorized power can differ in the last bit
+        ratios = [abs(loss - losses[i]) / dist[j] ** clustering.z
+                  for j, loss in zip(picked, picked_losses)]
         if robust and ratios:
             drop = int(math.ceil(len(ratios) / clustering.k))
             ratios = sorted(ratios)[:max(len(ratios) - drop, 0)]

@@ -104,7 +104,13 @@ def load_losses(path, n: int | None = None, column: str | None = None):
         if column not in header:
             raise DataFormatError(f"{path}: no column named {column!r}")
         col = header.index(column)
-        raw = [ln.split(",")[col] for ln in lines[1:]]
+        raw = []
+        for ln in lines[1:]:
+            fields = ln.split(",")
+            if len(fields) <= col:
+                raise DataFormatError(
+                    f"{path}: row {ln!r} has no {column!r} column")
+            raw.append(fields[col])
     else:
         raw = lines
     try:
@@ -129,7 +135,9 @@ def save_sample(sample: WeightedSample, path):
             fh.write(f"{int(i)},{float(w)!r}\n")
 
 
-def load_sample(path) -> WeightedSample:
+def load_sample(path, n: int | None = None) -> WeightedSample:
+    """Load a sample CSV; with ``n``, every index must be a row of an
+    n-row dataset."""
     path = Path(path)
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -143,6 +151,10 @@ def load_sample(path) -> WeightedSample:
             w.append(float(b))
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad sample row {ln!r}") from exc
+        if idx[-1] < 0 or (n is not None and idx[-1] >= n):
+            rows = "" if n is None else f" for {n} rows"
+            raise DataFormatError(
+                f"{path}: sample index {idx[-1]} out of range{rows}")
     return WeightedSample(np.asarray(idx, dtype=np.intp), np.asarray(w))
 
 

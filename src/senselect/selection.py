@@ -59,12 +59,12 @@ class WeightedSample:
 
 def proxy_losses(data: Dataset, clustering: Clustering,
                  oracle: LossOracle) -> ProxyLoss:
-    """Query the oracle on exactly the k (snapped) center rows and extend to
-    proxies for every point."""
+    """Query the oracle on exactly the k (snapped) center rows, as one batch,
+    and extend to proxies for every point."""
     idx = clustering.centers.indices
     if idx is None:
         raise ValueError("clustering centers must be dataset rows (snapped)")
-    center_losses = np.array([oracle.query(int(i)) for i in idx])
+    center_losses = oracle.query_many(idx)
     lhat = center_losses[clustering.assignment]
     centers = clustering.centers.positions[clustering.assignment]
     v = np.linalg.norm(data.rows - centers, axis=1) ** clustering.z
@@ -173,8 +173,8 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
 def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
                        lam, oracle: LossOracle, z: float, rng: RngStream):
     """Adaptive variant: one D^z prefix ordering of length k*rounds; round i
-    queries the k newly revealed centers and samples against proxies built
-    from the first i*k centers.  Cumulative queries after round i equal i*k.
+    queries the k newly revealed centers (one oracle batch) and samples
+    against proxies built from the first i*k centers.  Cumulative queries after round i equal i*k.
 
     ``lam`` is a scalar or a length-(k*rounds) vector giving per-prefix-cluster
     constants.  Returns a list of (sample, report) pairs.
@@ -191,9 +191,6 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
     s = sample_size(epsilon)
     for i in range(1, rounds + 1):
         prefix = ordering.prefix(i * k)
-        # reveal the losses of the newly added centers
-        for j in prefix.indices[(i - 1) * k: i * k]:
-            oracle.query(int(j))
         clustering = assign(data, prefix, z)
         proxy = proxy_losses(data, clustering, oracle)
         lam_i = lam[: i * k]

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from senselect import core
 from senselect.cli import main
 from senselect.io import load_report, load_sample
 
@@ -130,6 +131,22 @@ class TestSelect:
                      "--out-report", str(report_path)])
         assert code == 0
         assert load_report(report_path)["queries_used"] == 2
+
+    def test_oracle_that_ignores_end_of_input(self, pairs, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.setattr(core, "CLOSE_TIMEOUT_S", 0.2)
+        data, _ = pairs
+        script = tmp_path / "stubborn.py"
+        script.write_text("import sys, time\n"
+                          "for line in sys.stdin:\n"
+                          "    print(1.0, flush=True)\n"
+                          "time.sleep(60)\n")
+        code = main(["select", "--data", str(data), "--k", "2",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--oracle", f"{sys.executable} {script}",
+                     "--out-sample", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert "end of input" in capsys.readouterr().err
 
     def test_lambda_file(self, pairs, tmp_path):
         data, losses = pairs
@@ -259,6 +276,19 @@ class TestEvaluate:
         sample = tmp_path / "s.csv"
         sample.write_text("index,weight\n0,1.0\n")
         assert main(["evaluate", "--sample", str(sample)]) == 2
+
+    @pytest.mark.parametrize("index", ["-1", "4"])
+    def test_sample_index_outside_the_data(self, pairs, tmp_path, capsys,
+                                           index):
+        _, losses = pairs
+        sample = tmp_path / "s.csv"
+        sample.write_text(f"index,weight\n0,1.0\n{index},1.0\n")
+        code = main(["evaluate", "--sample", str(sample),
+                     "--losses", str(losses)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"sample index {index} out of range" in err
+        assert "Traceback" not in err
 
 
 class TestBench:

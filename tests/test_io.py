@@ -83,6 +83,12 @@ class TestLosses:
         with pytest.raises(DataFormatError):
             load_losses(path, column="nope")
 
+    def test_named_column_short_row(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("id,loss\n0,0.5\n1\n")
+        with pytest.raises(DataFormatError, match="no 'loss' column"):
+            load_losses(path, column="loss")
+
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "l.txt"
         path.write_text("0.5\n1.5\n")
@@ -117,6 +123,16 @@ class TestSample:
         path = tmp_path / "s.csv"
         path.write_text("idx,w\n1,2\n")
         with pytest.raises(DataFormatError):
+            load_sample(path)
+
+    def test_index_range_checked(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("index,weight\n2,1.0\n")
+        assert load_sample(path, n=3).indices.tolist() == [2]
+        with pytest.raises(DataFormatError, match="out of range"):
+            load_sample(path, n=2)
+        path.write_text("index,weight\n-1,1.0\n")
+        with pytest.raises(DataFormatError, match="out of range"):
             load_sample(path)
 
     def test_bad_row_rejected(self, tmp_path):

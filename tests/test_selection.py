@@ -163,6 +163,7 @@ class TestDataSelect:
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0], budget=1)
         with pytest.raises(BudgetExceededError):
             data_select(PAIRS, 2, 1.0, 1.0, oracle, 2, RngStream(0, "run"))
+        assert oracle.queries_used == 0  # the abort spends nothing
 
     def test_deterministic_given_stream(self):
         rng = np.random.default_rng(16)
