@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _check_z(args):
+    """Reject a --z the clustering cannot refine before any input is read."""
+    z = getattr(args, "z", None)
+    if z is not None and z not in (1, 2):
+        raise ValueError(f"--z must be 1 or 2, got {z}")
+
+
 def _make_oracle(args, n: int) -> LossOracle:
     budget = getattr(args, "oracle_budget", None)
     if getattr(args, "oracle", None):
@@ -433,6 +440,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_z(args)
         return args.func(args)
     except (BudgetExceededError, OracleProtocolError) as exc:
         print(f"senselect: oracle error: {exc}", file=sys.stderr)

@@ -2,6 +2,16 @@
 assignment, and the cost functionals used by the samplers.
 
 All tie-breaking is to the lowest index so results are reproducible.
+
+Numerics of assignment.  Labels come from one GEMM pass per call: the
+argmin over centers of ||c||^2 - 2 x.c, which drops the ||x||^2 term every
+center shares.  Each point's cost is then computed exactly from the residual
+to its assigned center, ||x - c||^z, so a point that coincides with its
+center costs exactly 0.  The GEMM scores carry rounding error of order
+eps * (||x||^2 + ||c||^2), so two centers whose distances to a point differ
+by less than that may be resolved differently than an exact all-pairs
+``cdist`` would; equal scores go to the lowest cluster id.  Seeding,
+snapping and medoids keep ``cdist``.
 """
 
 from __future__ import annotations
@@ -15,6 +25,10 @@ from .core import Dataset, as_generator
 
 #: relative cost improvement below which refinement stops
 REFINE_TOL = 1e-9
+
+#: rows per block of the medoid distance sums; bounds their memory to
+#: MEDOID_BLOCK x (cluster size) distances
+MEDOID_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,29 @@ def powered_distances(X: np.ndarray, C: np.ndarray, z: float) -> np.ndarray:
     return cdist(X, np.atleast_2d(C)) ** z
 
 
+def _nearest(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Row-wise argmin over centers of ||c||^2 - 2 x.c (one GEMM, scaled and
+    shifted in place); equal scores go to the lowest center."""
+    D = X @ C.T
+    D *= -2.0
+    D += np.einsum("ij,ij->i", C, C)
+    return np.argmin(D, axis=1)
+
+
+def _point_cost(X: np.ndarray, C: np.ndarray, labels: np.ndarray,
+                z: float) -> np.ndarray:
+    """||x - c||^z of every point to its labelled center, from the residual."""
+    R = C[labels]
+    np.subtract(X, R, out=R)
+    sq = np.einsum("ij,ij->i", R, R)
+    return sq if z == 2 else np.sqrt(sq) ** z
+
+
 def assign(data: Dataset, centers: CenterList, z: float) -> Clustering:
     """Assign every point to its nearest center (ties to the lowest cluster
     id) and compute per-cluster costs."""
-    D = powered_distances(data.rows, centers.positions, z)
-    labels = np.argmin(D, axis=1)
-    point_cost = D[np.arange(data.n), labels]
+    labels = _nearest(data.rows, centers.positions)
+    point_cost = _point_cost(data.rows, centers.positions, labels, z)
     cluster_cost = np.bincount(labels, weights=point_cost, minlength=len(centers))
     return Clustering(centers, labels, cluster_cost, float(z))
 
@@ -83,8 +114,7 @@ def cost(data: Dataset, centers: CenterList, z: float) -> float:
     """Total (k,z)-clustering cost of the given centers on the dataset."""
     if len(centers) == 0:
         raise ValueError("empty center list")
-    D = powered_distances(data.rows, centers.positions, z)
-    return float(np.sum(np.min(D, axis=1)))
+    return assign(data, centers, z).total_cost
 
 
 def weighted_cost(clustering: Clustering, lam) -> float:
@@ -112,8 +142,10 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
         if total > 0:
             nxt = int(g.choice(data.n, p=mind / total))
         else:
-            # every point already coincides with a center
-            nxt = int(g.integers(data.n))
+            # every point already coincides with a center: any row not yet
+            # chosen (k <= n leaves one)
+            free = np.setdiff1d(np.arange(data.n), chosen)
+            nxt = int(free[g.integers(free.size)])
         chosen.append(nxt)
         mind = np.minimum(mind, powered_distances(X, X[nxt], z)[:, 0])
     return CenterList(X[chosen], np.asarray(chosen, dtype=np.intp))
@@ -121,8 +153,15 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
 
 def _medoid(points: np.ndarray) -> int:
     """Index (within `points`) of the point minimizing the sum of Euclidean
-    distances to the others; ties to the lowest index."""
-    sums = np.sum(cdist(points, points), axis=1)
+    distances to the others; ties to the lowest index.
+
+    The sums are taken over blocks of MEDOID_BLOCK rows, so memory stays
+    linear in the cluster size; each row sum is the one the full matrix
+    would give, bit for bit."""
+    sums = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], MEDOID_BLOCK):
+        block = points[start:start + MEDOID_BLOCK]
+        sums[start:start + block.shape[0]] = np.sum(cdist(block, points), axis=1)
     return int(np.argmin(sums))
 
 
@@ -134,6 +173,8 @@ def refine(data: Dataset, centers: CenterList, z: float,
 
     A cluster left empty by an update is reseeded at the point farthest (in
     distance^z) from the current centers, keeping k fixed.
+
+    Each iteration makes one ``assign`` call, hence one n x k distance pass.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -146,11 +187,20 @@ def refine(data: Dataset, centers: CenterList, z: float,
         positions = current.centers.positions.copy()
         indices = (None if z != 1 else
                    np.empty(current.k, dtype=np.intp))
-        D = powered_distances(X, positions, z)
-        mind = np.min(D, axis=1)
+        # cluster i's members, in ascending row order, are
+        # order[bounds[i]:bounds[i + 1]]; their rows are the same slice of
+        # `grouped`, gathered once per iteration
+        order = np.argsort(current.assignment, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(
+            np.bincount(current.assignment, minlength=current.k))))
+        grouped = X[order]
+        mind = None  # per-point distance^z to the current centers
         for i in range(current.k):
-            members = np.flatnonzero(current.assignment == i)
-            if members.size == 0:
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo == hi:
+                if mind is None:
+                    mind = _point_cost(X, current.centers.positions,
+                                       current.assignment, z)
                 far = int(np.argmax(mind))
                 positions[i] = X[far]
                 mind = np.minimum(mind, powered_distances(X, X[far], z)[:, 0])
@@ -158,12 +208,11 @@ def refine(data: Dataset, centers: CenterList, z: float,
                     indices[i] = far
                 continue
             if z == 2:
-                positions[i] = X[members].mean(axis=0)
+                positions[i] = grouped[lo:hi].mean(axis=0)
             else:
-                m = members[_medoid(X[members])]
+                m = order[lo + _medoid(grouped[lo:hi])]
                 positions[i] = X[m]
-                if indices is not None:
-                    indices[i] = m
+                indices[i] = m
         updated = assign(data, CenterList(positions, indices), z)
         if updated.total_cost > prev_cost:
             break  # numerical safeguard; keep the previous clustering

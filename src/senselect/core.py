@@ -11,6 +11,7 @@ import hashlib
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,10 @@ class OracleProtocolError(RuntimeError):
 
 #: seconds ``close()`` waits for an oracle process to exit after end of input
 CLOSE_TIMEOUT_S = 10.0
+
+#: seconds an oracle process may go without sending a reply while a batch
+#: is outstanding before it is killed
+REPLY_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -236,8 +241,9 @@ class _ProcessBackend:
 
     A batch is pipelined: a writer thread sends every index while the
     replies are read, so a batch larger than the pipe buffers cannot
-    deadlock.  A failed batch kills the child; the next batch starts a new
-    one."""
+    deadlock.  A watchdog thread kills the child once REPLY_TIMEOUT_S pass
+    without a reply.  A failed batch kills the child; the next batch starts
+    a new one."""
 
     def __init__(self, command: str):
         self.command = command
@@ -261,19 +267,46 @@ class _ProcessBackend:
             except OSError:
                 pass  # the child went away; the reader reports it
 
+        values = []
+        last_reply = [time.monotonic()]
+        done = threading.Event()
+        timed_out = threading.Event()
+
+        def watch():
+            # a reply sets last_reply; sleep until the deadline it implies
+            while not done.wait(last_reply[0] + REPLY_TIMEOUT_S
+                                - time.monotonic()):
+                if time.monotonic() - last_reply[0] >= REPLY_TIMEOUT_S:
+                    timed_out.set()
+                    proc.kill()  # the reader then sees end of output
+                    return
+
         writer = threading.Thread(target=send, daemon=True)
+        watchdog = threading.Thread(target=watch, daemon=True)
         writer.start()
+        watchdog.start()
+        failure = None
         try:
-            values = [_read_reply(proc) for _ in indices]
-        except BaseException:
-            proc.kill()  # also unblocks a writer stuck on a full pipe
+            for _ in indices:
+                values.append(_read_reply(proc))
+                last_reply[0] = time.monotonic()
+        except BaseException as exc:
+            failure = exc
+        done.set()
+        watchdog.join()
+        if failure is None and not timed_out.is_set():
             writer.join()
-            self._proc = None
-            proc.wait()
-            _close_pipes(proc)
-            raise
+            return values
+        proc.kill()  # also unblocks a writer stuck on a full pipe
         writer.join()
-        return values
+        self._proc = None
+        proc.wait()
+        _close_pipes(proc)
+        if timed_out.is_set():
+            raise OracleProtocolError(
+                f"oracle process sent no reply for {REPLY_TIMEOUT_S} s; "
+                "killed it")
+        raise failure
 
     def close(self):
         if self._proc is not None:

@@ -1,5 +1,7 @@
 import json
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +60,32 @@ class TestDataErrors:
                      "--lambda", "1", "--losses", str(losses),
                      "--out-sample", str(tmp_path / "s.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("z", ["3", "0.5", "-1", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["cluster"],
+        ["select", "--epsilon", "1", "--lambda", "1", "--losses", "L",
+         "--out-sample", "OUT"],
+        ["select-rounds", "--rounds", "2", "--epsilon", "1", "--lambda", "1",
+         "--losses", "L", "--out-prefix", "OUT"],
+        ["lambda-estimate", "--losses", "L"],
+        ["holder-diagnose", "--losses", "L"],
+    ], ids=lambda c: c[0])
+    def test_z_outside_1_and_2_is_rejected_up_front(self, pairs, tmp_path,
+                                                    capsys, command, z):
+        data, losses = pairs
+        paths = {"L": str(losses), "OUT": str(tmp_path / "out")}
+        argv = [paths.get(a, a) for a in command]
+        argv += ["--data", str(data), "--k", "2", "--z", z]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 2
+        assert not caught
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"senselect: data error: --z must be 1 or 2, "
+                       f"got {float(z)}"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestSelect:
@@ -147,6 +175,25 @@ class TestSelect:
                      "--out-sample", str(tmp_path / "s.csv")])
         assert code == 3
         assert "end of input" in capsys.readouterr().err
+
+    def test_oracle_that_never_answers(self, pairs, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.setattr(core, "REPLY_TIMEOUT_S", 0.5)
+        data, _ = pairs
+        script = tmp_path / "silent.py"
+        script.write_text("import sys, time\n"
+                          "sys.stdin.readline()\n"
+                          "time.sleep(60)\n")
+        start = time.perf_counter()
+        code = main(["select", "--data", str(data), "--k", "2",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--oracle", f"{sys.executable} {script}",
+                     "--out-sample", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert time.perf_counter() - start < 0.5 + 5
+        err = capsys.readouterr().err
+        assert "no reply for 0.5 s" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_lambda_file(self, pairs, tmp_path):
         data, losses = pairs

@@ -1,12 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
+from senselect import clustering as clustering_module
 from senselect.core import Dataset, RngStream
-from senselect.clustering import (CenterList, assign, cost, dz_seed, kmedoids,
-                                  refine, snap_centers, weighted_cost)
+from senselect.clustering import (MEDOID_BLOCK, CenterList, assign, cost,
+                                  dz_seed, kmedoids, refine, snap_centers,
+                                  weighted_cost)
 
 
 def set_partitions(items, max_blocks):
@@ -238,3 +243,122 @@ class TestKMedoids:
         for seed in range(10):
             clustering = kmedoids(PAIRS, 2, RngStream(seed, "km"))
             assert clustering.total_cost == pytest.approx(2.0)
+
+
+# --------------------------------------------------------------------------
+# the GEMM assignment kernel against an all-pairs cdist reference
+
+
+@st.composite
+def _grid_instance(draw):
+    """Rows drawn with repetition from a few distinct points on a grid of
+    step 2**e / 4, plus centers that are partly rows and partly off-data
+    grid points.  Grid coordinates keep distinct points far apart relative
+    to rounding, so the nearest center is well defined up to exact ties."""
+    d = draw(st.integers(1, 4))
+    scale = 2.0 ** draw(st.integers(-20, 20)) / 4
+    coord = st.integers(-40, 40).map(lambda v: v * scale)
+    point = st.lists(coord, min_size=d, max_size=d)
+    distinct = draw(st.lists(point, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30))
+    on_data = draw(st.lists(st.sampled_from(rows), max_size=4))
+    off_data = draw(st.lists(point, max_size=4))
+    centers = on_data + off_data or [rows[0]]
+    return Dataset(np.array(rows)), np.array(centers), draw(st.sampled_from([1, 2]))
+
+
+class TestAssignKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_grid_instance())
+    def test_costs_match_the_cdist_reference(self, case):
+        data, C, z = case
+        clustering = assign(data, CenterList(C), z)
+        ref = cdist(data.rows, C) ** z
+        best = ref.min(axis=1)
+        # each point's assigned center is a nearest one
+        np.testing.assert_allclose(
+            ref[np.arange(data.n), clustering.assignment], best,
+            rtol=1e-9, atol=0)
+        np.testing.assert_allclose(
+            clustering.cluster_cost,
+            np.bincount(np.argmin(ref, axis=1), weights=best,
+                        minlength=len(C)),
+            rtol=1e-9, atol=0)
+        assert cost(data, CenterList(C), z) == pytest.approx(
+            float(np.sum(best)), rel=1e-9, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_grid_instance())
+    def test_points_on_their_center_cost_exactly_zero(self, case):
+        data, _, z = case
+        centers = CenterList(np.unique(data.rows, axis=0))
+        clustering = assign(data, centers, z)
+        assert clustering.total_cost == 0.0
+        np.testing.assert_array_equal(
+            centers.positions[clustering.assignment], data.rows)
+
+    def test_far_from_the_origin(self):
+        # ||x||^2 ~ 1e12 dwarfs the unit distances; the residual cost is
+        # still exact
+        data = Dataset(1e6 + np.array([[0.0], [1.0], [3.0], [4.0]]))
+        clustering = assign(data, CenterList(data.rows[[0, 3]]), 2)
+        np.testing.assert_array_equal(clustering.assignment, [0, 0, 1, 1])
+        np.testing.assert_array_equal(clustering.cluster_cost, [1.0, 1.0])
+
+
+class TestRefineKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(_grid_instance(), st.integers(1, 4))
+    def test_never_raises_the_cost_and_keeps_k(self, case, iters):
+        data, C, z = case
+        # a repeated center leaves the later copy's cluster empty
+        C = np.vstack([C, C[:1]])
+        start = assign(data, CenterList(C), z)
+        assert start.cluster_cost[-1] == 0 and np.all(start.assignment < len(C) - 1)
+        refined = refine(data, CenterList(C), z, max_iters=iters)
+        assert refined.k == len(C)
+        assert refined.total_cost <= start.total_cost
+        if z == 1:
+            np.testing.assert_array_equal(
+                refined.centers.positions, data.rows[refined.centers.indices])
+
+    def test_empty_cluster_is_reseeded_at_the_farthest_point(self):
+        data = Dataset([[0.0], [1.0], [10.0]])
+        refined = refine(data, CenterList([[0.0], [0.0]]), 2, max_iters=1)
+        np.testing.assert_array_equal(refined.centers.positions,
+                                      [[11.0 / 3], [10.0]])
+
+
+class TestMedoid:
+    @pytest.mark.parametrize("m", [1, MEDOID_BLOCK - 1, MEDOID_BLOCK,
+                                   MEDOID_BLOCK + 1])
+    def test_blocked_equals_the_full_matrix(self, m):
+        g = np.random.default_rng(m)
+        for points in (g.normal(size=(m, 3)),
+                       # integer points: many exactly tied distance sums
+                       g.integers(-2, 3, size=(m, 2)).astype(float)):
+            full = int(np.argmin(np.sum(cdist(points, points), axis=1)))
+            assert clustering_module._medoid(points) == full
+
+    def test_memory_is_linear_in_the_cluster_size(self):
+        m = 6000  # the m x m matrix would take 288 MB
+        points = np.random.default_rng(0).normal(size=(m, 2))
+        tracemalloc.start()
+        try:
+            clustering_module._medoid(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m / 4
+
+
+class TestDzSeedDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_seeded_rows_are_distinct(self, distinct, copies, data):
+        rows = np.repeat(np.arange(distinct, dtype=float)[:, None], copies,
+                         axis=0)
+        k = data.draw(st.integers(1, rows.shape[0]))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        centers = dz_seed(Dataset(rows), k, 2, RngStream(seed, "distinct"))
+        assert len(set(centers.indices.tolist())) == k

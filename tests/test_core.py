@@ -306,6 +306,40 @@ class TestExternalOracle:
         assert time.perf_counter() - start < 10
         assert proc.returncode is not None
 
+    @pytest.mark.parametrize("answered", [0, 2],
+                             ids=["silent", "stops-mid-batch"])
+    def test_reply_timeout_kills_a_silent_child(self, tmp_path, monkeypatch,
+                                                answered):
+        monkeypatch.setattr(core, "REPLY_TIMEOUT_S", 0.3)
+        command = _script(tmp_path, "silent", f"""
+            import sys, time
+            for _ in range({answered}):
+                sys.stdin.readline()
+                print(1.0, flush=True)
+            sys.stdin.readline()
+            time.sleep(60)
+        """)
+        with LossOracle.from_command(command, n=10) as oracle:
+            start = time.perf_counter()
+            with pytest.raises(OracleProtocolError, match="no reply for 0.3 s"):
+                oracle.query_many(range(5))
+            assert time.perf_counter() - start < 5
+            assert oracle.queries_used == 0
+            assert oracle._backend._proc is None
+
+    def test_slow_replies_within_the_timeout_pass(self, tmp_path,
+                                                  monkeypatch):
+        # the deadline runs from the last reply, not from the batch start
+        monkeypatch.setattr(core, "REPLY_TIMEOUT_S", 0.5)
+        command = _script(tmp_path, "slow", """
+            import sys, time
+            for line in sys.stdin:
+                time.sleep(0.2)
+                print(int(line) / 2, flush=True)
+        """)
+        with LossOracle.from_command(command, n=10) as oracle:
+            assert oracle.query_many(range(5)).tolist() == [0, 0.5, 1, 1.5, 2]
+
     def test_batch_larger_than_the_pipe_buffers(self, echo_command):
         # a writer that waits for the whole batch to be sent before reading
         # deadlocks once both pipes fill up
