@@ -12,10 +12,20 @@ eps * (||x||^2 + ||c||^2), so two centers whose distances to a point differ
 by less than that may be resolved differently than an exact all-pairs
 ``cdist`` would; equal scores go to the lowest cluster id.  Seeding,
 snapping and medoids keep ``cdist``.
+
+Refinement stops at the Lloyd fixed point: once an update leaves the
+assignment unchanged and reseeds no cluster, the next pass would rebuild the
+same centers from the same rows, so it is skipped.  The z=1 medoid is exact;
+its distance sums are split into row blocks that run on one thread per CPU
+this process may use (``cdist`` releases the GIL), and the blocks shrink with
+the thread count so the distances in flight stay at MEDOID_BLOCK rows.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +36,8 @@ from .core import Dataset, as_generator
 #: relative cost improvement below which refinement stops
 REFINE_TOL = 1e-9
 
-#: rows per block of the medoid distance sums; bounds their memory to
-#: MEDOID_BLOCK x (cluster size) distances
+#: rows of the medoid distance sums in flight at once, over all threads;
+#: bounds their memory to MEDOID_BLOCK x (cluster size) distances
 MEDOID_BLOCK = 512
 
 
@@ -151,76 +161,114 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
     return CenterList(X[chosen], np.asarray(chosen, dtype=np.intp))
 
 
-def _medoid(points: np.ndarray) -> int:
-    """Index (within `points`) of the point minimizing the sum of Euclidean
-    distances to the others; ties to the lowest index.
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The sums are taken over blocks of MEDOID_BLOCK rows, so memory stays
-    linear in the cluster size; each row sum is the one the full matrix
-    would give, bit for bit."""
-    sums = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], MEDOID_BLOCK):
-        block = points[start:start + MEDOID_BLOCK]
-        sums[start:start + block.shape[0]] = np.sum(cdist(block, points), axis=1)
-    return int(np.argmin(sums))
+
+def _distance_sums(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
+                   workers: int = 1) -> np.ndarray:
+    """Row sums of the all-pairs Euclidean distance matrix of `points`.
+
+    The rows are taken in blocks of MEDOID_BLOCK // workers, spread over
+    `pool`, so at most MEDOID_BLOCK x len(points) distances exist at once;
+    a matrix that fits in one block is summed inline.  Each row sum is the
+    one the full matrix would give, bit for bit."""
+    m = points.shape[0]
+    block = max(1, MEDOID_BLOCK // workers)
+    sums = np.empty(m)
+
+    def sum_rows(start: int):
+        stop = min(start + block, m)
+        sums[start:stop] = np.sum(cdist(points[start:stop], points), axis=1)
+
+    starts = range(0, m, block)
+    if pool is None or len(starts) == 1:
+        for start in starts:
+            sum_rows(start)
+    else:
+        list(pool.map(sum_rows, starts))  # re-raises a block's exception
+    return sums
+
+
+def _medoid(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
+            workers: int = 1) -> int:
+    """Index (within `points`) of the point minimizing the sum of Euclidean
+    distances to the others; ties to the lowest index.  The sums come from
+    `_distance_sums`, so memory stays linear in the cluster size."""
+    return int(np.argmin(_distance_sums(points, pool, workers)))
 
 
 def refine(data: Dataset, centers: CenterList, z: float,
            max_iters: int = 50) -> Clustering:
     """Lloyd-style alternation: assignment, then center update (cluster mean
     for z=2, in-cluster medoid for z=1).  Stops when the relative cost
-    improvement drops below REFINE_TOL; the cost never increases.
+    improvement drops below REFINE_TOL, or at the fixed point: when an
+    update reseeded no cluster and left the assignment it was built from
+    unchanged, the next update would rebuild the same centers bit for bit.
+    The cost never increases.
 
     A cluster left empty by an update is reseeded at the point farthest (in
     distance^z) from the current centers, keeping k fixed.
 
     Each iteration makes one ``assign`` call, hence one n x k distance pass.
+    For z=1 one thread pool, with a thread per CPU this process may use,
+    serves every medoid of the call.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
     if z not in (1, 2):
         raise ValueError(f"refinement supports z in {{1, 2}}, got {z}")
-    X = data.rows
-    current = assign(data, centers, z)
-    prev_cost = current.total_cost
-    for _ in range(max_iters):
-        positions = current.centers.positions.copy()
-        indices = (None if z != 1 else
-                   np.empty(current.k, dtype=np.intp))
-        # cluster i's members, in ascending row order, are
-        # order[bounds[i]:bounds[i + 1]]; their rows are the same slice of
-        # `grouped`, gathered once per iteration
-        order = np.argsort(current.assignment, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(
-            np.bincount(current.assignment, minlength=current.k))))
-        grouped = X[order]
-        mind = None  # per-point distance^z to the current centers
-        for i in range(current.k):
-            lo, hi = bounds[i], bounds[i + 1]
-            if lo == hi:
-                if mind is None:
-                    mind = _point_cost(X, current.centers.positions,
-                                       current.assignment, z)
-                far = int(np.argmax(mind))
-                positions[i] = X[far]
-                mind = np.minimum(mind, powered_distances(X, X[far], z)[:, 0])
-                if indices is not None:
-                    indices[i] = far
-                continue
-            if z == 2:
-                positions[i] = grouped[lo:hi].mean(axis=0)
-            else:
-                m = order[lo + _medoid(grouped[lo:hi])]
-                positions[i] = X[m]
-                indices[i] = m
-        updated = assign(data, CenterList(positions, indices), z)
-        if updated.total_cost > prev_cost:
-            break  # numerical safeguard; keep the previous clustering
-        current = updated
-        if prev_cost - updated.total_cost < REFINE_TOL * max(prev_cost, 1e-300):
-            break
-        prev_cost = updated.total_cost
-    return current
+    workers = _cpu_count() if z == 1 else 1
+    with (ThreadPoolExecutor(workers) if workers > 1
+          else nullcontext()) as pool:
+        X = data.rows
+        current = assign(data, centers, z)
+        prev_cost = current.total_cost
+        for _ in range(max_iters):
+            positions = current.centers.positions.copy()
+            indices = (None if z != 1 else
+                       np.empty(current.k, dtype=np.intp))
+            # cluster i's members, in ascending row order, are
+            # order[bounds[i]:bounds[i + 1]]; their rows are the same slice
+            # of `grouped`, gathered once per iteration
+            order = np.argsort(current.assignment, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(
+                np.bincount(current.assignment, minlength=current.k))))
+            grouped = X[order]
+            mind = None  # per-point distance^z to the current centers
+            for i in range(current.k):
+                lo, hi = bounds[i], bounds[i + 1]
+                if lo == hi:
+                    if mind is None:
+                        mind = _point_cost(X, current.centers.positions,
+                                           current.assignment, z)
+                    far = int(np.argmax(mind))
+                    positions[i] = X[far]
+                    mind = np.minimum(
+                        mind, powered_distances(X, X[far], z)[:, 0])
+                    if indices is not None:
+                        indices[i] = far
+                    continue
+                if z == 2:
+                    positions[i] = grouped[lo:hi].mean(axis=0)
+                else:
+                    m = order[lo + _medoid(grouped[lo:hi], pool, workers)]
+                    positions[i] = X[m]
+                    indices[i] = m
+            updated = assign(data, CenterList(positions, indices), z)
+            if updated.total_cost > prev_cost:
+                break  # numerical safeguard; keep the previous clustering
+            built_from, current = current.assignment, updated
+            if mind is None and np.array_equal(updated.assignment, built_from):
+                break  # fixed point
+            if (prev_cost - updated.total_cost
+                    < REFINE_TOL * max(prev_cost, 1e-300)):
+                break
+            prev_cost = updated.total_cost
+        return current
 
 
 def snap_centers(data: Dataset, clustering: Clustering) -> Clustering:

@@ -57,11 +57,9 @@ def _load_csv_matrix(path: Path) -> np.ndarray:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    start = 0
-    try:
-        [float(tok) for tok in lines[0].split(",")]
-    except ValueError:
-        start = 1  # header row
+    # line 1 is a header only when none of its fields is a number; a partly
+    # numeric line is a garbled data row and is rejected below
+    start = 0 if any(_is_number(tok) for tok in lines[0].split(",")) else 1
     rows = []
     width = None
     for ln in lines[start:]:
@@ -77,6 +75,14 @@ def _load_csv_matrix(path: Path) -> np.ndarray:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return np.asarray(rows)
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def save_matrix(data: Dataset, path, binary: bool = False):

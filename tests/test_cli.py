@@ -47,6 +47,14 @@ class TestDataErrors:
         bad.write_text("1,2\n3\n")
         assert main(["cluster", "--data", str(bad), "--k", "1"]) == 2
 
+    def test_garbled_first_csv_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1.0,abc,3\n4,5,6\n7,8,9\n")
+        assert main(["cluster", "--data", str(bad), "--k", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"senselect: data error: {bad}: unparsable row "
+                       f"'1.0,abc,3'"]
+
     def test_select_needs_loss_source(self, pairs, tmp_path):
         data, _ = pairs
         code = main(["select", "--data", str(data), "--k", "2",

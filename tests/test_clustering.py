@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from scipy.spatial.distance import cdist
 
 from senselect import clustering as clustering_module
 from senselect.core import Dataset, RngStream
-from senselect.clustering import (MEDOID_BLOCK, CenterList, assign, cost,
-                                  dz_seed, kmedoids, refine, snap_centers,
+from senselect.clustering import (MEDOID_BLOCK, REFINE_TOL, CenterList,
+                                  Clustering, assign, cost, dz_seed, kmedoids,
+                                  powered_distances, refine, snap_centers,
                                   weighted_cost)
 
 
@@ -362,3 +366,155 @@ class TestDzSeedDistinct:
         seed = data.draw(st.integers(0, 10 ** 6))
         centers = dz_seed(Dataset(rows), k, 2, RngStream(seed, "distinct"))
         assert len(set(centers.indices.tolist())) == k
+
+
+# --------------------------------------------------------------------------
+# refinement against the plain Lloyd loop: no fixed-point stop, serial
+# full-matrix medoids
+
+
+def reference_refine(data, centers, z, max_iters=50):
+    """Lloyd alternation that stops only on the cost tolerance."""
+    X = data.rows
+    current = assign(data, centers, z)
+    prev_cost = current.total_cost
+    for _ in range(max_iters):
+        positions = current.centers.positions.copy()
+        indices = None if z != 1 else np.empty(current.k, dtype=np.intp)
+        mind = None
+        for i in range(current.k):
+            members = np.flatnonzero(current.assignment == i)
+            if members.size == 0:
+                if mind is None:
+                    mind = clustering_module._point_cost(
+                        X, current.centers.positions, current.assignment, z)
+                far = int(np.argmax(mind))
+                positions[i] = X[far]
+                mind = np.minimum(mind, powered_distances(X, X[far], z)[:, 0])
+                if indices is not None:
+                    indices[i] = far
+            elif z == 2:
+                positions[i] = X[members].mean(axis=0)
+            else:
+                P = X[members]
+                m = members[int(np.argmin(np.sum(cdist(P, P), axis=1)))]
+                positions[i] = X[m]
+                indices[i] = m
+        updated = assign(data, CenterList(positions, indices), z)
+        if updated.total_cost > prev_cost:
+            break
+        current = updated
+        if prev_cost - updated.total_cost < REFINE_TOL * max(prev_cost, 1e-300):
+            break
+        prev_cost = updated.total_cost
+    return current
+
+
+def assert_same_clustering(got: Clustering, want: Clustering):
+    np.testing.assert_array_equal(got.centers.positions,
+                                  want.centers.positions)
+    if want.centers.indices is None:
+        assert got.centers.indices is None
+    else:
+        np.testing.assert_array_equal(got.centers.indices,
+                                      want.centers.indices)
+    np.testing.assert_array_equal(got.assignment, want.assignment)
+    np.testing.assert_array_equal(got.cluster_cost, want.cluster_cost)
+    assert got.z == want.z
+
+
+def blobs(per_blob: int, centers, seed: int) -> Dataset:
+    g = np.random.default_rng(seed)
+    centers = np.asarray(centers, dtype=float)
+    return Dataset(np.vstack([c + g.normal(size=(per_blob, centers.shape[1]))
+                              for c in centers]))
+
+
+class TestRefineIsExact:
+    @settings(max_examples=200, deadline=None)
+    @given(_grid_instance(), st.integers(1, 6), st.booleans())
+    def test_matches_the_reference_loop(self, case, iters, repeat_center):
+        data, C, z = case
+        if repeat_center:
+            # the repeated center's cluster starts empty and is reseeded
+            C = np.vstack([C, C[:1]])
+        got = refine(data, CenterList(C), z, max_iters=iters)
+        assert_same_clustering(got, reference_refine(data, CenterList(C), z,
+                                                     max_iters=iters))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_kmedoids_on_any_worker_count(self, monkeypatch, workers):
+        # clusters of ~700 rows span several medoid blocks at every count
+        data = blobs(700, [[0, 0, 0], [4, 0, 0], [0, 4, 0]], seed=workers)
+        seeds = dz_seed(data, 3, 1, RngStream(5, "workers"))
+        monkeypatch.setattr(clustering_module, "_cpu_count", lambda: workers)
+        calls = []  # (thread, rows) of every medoid block
+        real_cdist = clustering_module.cdist
+
+        def spy(XA, XB, *args, **kwargs):
+            calls.append((threading.get_ident(), np.atleast_2d(XA).shape[0]))
+            return real_cdist(XA, XB, *args, **kwargs)
+
+        monkeypatch.setattr(clustering_module, "cdist", spy)
+        got = refine(data, seeds, 1)
+        monkeypatch.setattr(clustering_module, "cdist", real_cdist)
+        assert_same_clustering(got, reference_refine(data, seeds, 1))
+        assert max(rows for _, rows in calls) <= MEDOID_BLOCK // workers
+        off_main = {t for t, _ in calls} - {threading.get_ident()}
+        assert bool(off_main) == (workers > 1)
+
+
+class TestFixedPointStop:
+    def test_separated_blobs_take_one_iteration(self, monkeypatch):
+        # blobs 1e4 apart with unit spread: D^1 seeding puts one seed in
+        # each, the first medoid update moves no point to another blob, and
+        # refinement stops there instead of rebuilding the same medoids
+        data = blobs(200, [[0, 0], [1e4, 0], [0, 1e4], [1e4, 1e4]], seed=1)
+        passes = []
+        real_assign = clustering_module.assign
+
+        def counting_assign(*args, **kwargs):
+            passes.append(1)
+            return real_assign(*args, **kwargs)
+
+        monkeypatch.setattr(clustering_module, "assign", counting_assign)
+        clustering = kmedoids(data, 4, RngStream(0, "blobs"))
+        blob = np.repeat(np.arange(4), 200)
+        assert sorted(blob[clustering.centers.indices]) == [0, 1, 2, 3]
+        # one assignment of the seeds plus one per iteration
+        assert len(passes) == 2
+
+
+class TestThreadedMedoid:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_sums_equal_the_full_matrix(self, workers):
+        # the threads write disjoint slices of one array; a short switch
+        # interval makes a lost or misplaced block likelier to show
+        g = np.random.default_rng(workers)
+        m = 2 * MEDOID_BLOCK + 7
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for points in (g.normal(size=(m, 3)),
+                           g.integers(-2, 3, size=(m, 2)).astype(float)):
+                full = np.sum(cdist(points, points), axis=1)
+                with ThreadPoolExecutor(workers) as pool:
+                    sums = clustering_module._distance_sums(points, pool,
+                                                            workers)
+                    medoid = clustering_module._medoid(points, pool, workers)
+                np.testing.assert_array_equal(sums, full)
+                assert medoid == int(np.argmin(full))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_memory_stays_bounded_on_four_workers(self, monkeypatch):
+        # one 6000-row cluster; the m x m matrix would take 288 MB
+        monkeypatch.setattr(clustering_module, "_cpu_count", lambda: 4)
+        data = Dataset(np.random.default_rng(0).normal(size=(6000, 2)))
+        tracemalloc.start()
+        try:
+            refine(data, CenterList(data.rows[:1], [0]), 1, max_iters=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 6000 * 6000 / 4

@@ -45,6 +45,15 @@ class TestMatrixRoundTrip:
         loaded = load_matrix(path)
         np.testing.assert_array_equal(loaded.rows, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("first", ["1.0,abc,3", "abc,2,3", "1,2,x"])
+    def test_garbled_first_row_is_not_a_header(self, tmp_path, first):
+        # a first line with any numeric field is a data row, so a garbled
+        # one is rejected rather than dropped as a header
+        path = tmp_path / "g.csv"
+        path.write_text(f"{first}\n4,5,6\n7,8,9\n")
+        with pytest.raises(DataFormatError, match="unparsable row"):
+            load_matrix(path)
+
     def test_ragged_csv_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("1,2\n3\n")
