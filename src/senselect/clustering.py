@@ -15,10 +15,19 @@ snapping and medoids keep ``cdist``.
 
 Refinement stops at the Lloyd fixed point: once an update leaves the
 assignment unchanged and reseeds no cluster, the next pass would rebuild the
-same centers from the same rows, so it is skipped.  The z=1 medoid is exact;
-its distance sums are split into row blocks that run on one thread per CPU
-this process may use (``cdist`` releases the GIL), and the blocks shrink with
-the thread count so the distances in flight stay at MEDOID_BLOCK rows.
+same centers from the same rows, so it is skipped.
+
+The z=1 medoid is exact and takes two steps.  The filter computes each
+distance once: square tiles cover the upper triangle of the cluster's
+distance matrix, and each tile adds its row sums to its row block and, off
+the diagonal, its column sums to its column block.  Those sums are rounded
+in another order than the row-by-row sums, so the re-check recomputes, row
+by row, the sums of every point within a rigorous rounding margin of the
+filtered minimum and returns the lowest index among the least of them: the
+medoid is the argmin of the full matrix's row sums, bit for bit.  Both steps
+run on one thread per CPU this process may use (``cdist`` releases the GIL),
+and the tile side and re-check blocks shrink with the thread count so the
+distances in flight stay at MEDOID_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ from .core import Dataset, as_generator
 REFINE_TOL = 1e-9
 
 #: rows of the medoid distance sums in flight at once, over all threads;
-#: bounds their memory to MEDOID_BLOCK x (cluster size) distances
+#: bounds their memory to MEDOID_BLOCK x (cluster size) distances, and to
+#: MEDOID_BLOCK x MEDOID_BLOCK // threads in the medoid's filter step
 MEDOID_BLOCK = 512
 
 
@@ -169,22 +179,25 @@ def _cpu_count() -> int:
 
 
 def _distance_sums(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
-                   workers: int = 1) -> np.ndarray:
-    """Row sums of the all-pairs Euclidean distance matrix of `points`.
+                   workers: int = 1, rows: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """Row sums of the all-pairs Euclidean distance matrix of `points`, for
+    the rows indexed by `rows` (default: all).
 
     The rows are taken in blocks of MEDOID_BLOCK // workers, spread over
     `pool`, so at most MEDOID_BLOCK x len(points) distances exist at once;
-    a matrix that fits in one block is summed inline.  Each row sum is the
-    one the full matrix would give, bit for bit."""
-    m = points.shape[0]
+    sums that fit in one block are computed inline.  Each row sum is the one
+    the full matrix would give, bit for bit."""
+    rows = np.arange(points.shape[0]) if rows is None else rows
     block = max(1, MEDOID_BLOCK // workers)
-    sums = np.empty(m)
+    sums = np.empty(rows.size)
 
     def sum_rows(start: int):
-        stop = min(start + block, m)
-        sums[start:stop] = np.sum(cdist(points[start:stop], points), axis=1)
+        stop = min(start + block, rows.size)
+        sums[start:stop] = np.sum(cdist(points[rows[start:stop]], points),
+                                  axis=1)
 
-    starts = range(0, m, block)
+    starts = range(0, rows.size, block)
     if pool is None or len(starts) == 1:
         for start in starts:
             sum_rows(start)
@@ -193,12 +206,65 @@ def _distance_sums(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
     return sums
 
 
+def _triangle_sums(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
+                   workers: int = 1) -> np.ndarray:
+    """Row sums of the all-pairs Euclidean distance matrix of `points`,
+    computing each distance once.
+
+    Square tiles of side MEDOID_BLOCK // workers cover the upper triangle;
+    a diagonal tile adds its row sums to its block, an off-diagonal tile
+    (I, J) its row sums to block I and its column sums to block J.  Tiles
+    are dealt round-robin to one task per worker, each adding into its own
+    vector, and the vectors are added in task order, so the result does not
+    depend on thread timing.  The sums round differently from
+    `_distance_sums`."""
+    m = points.shape[0]
+    side = max(1, MEDOID_BLOCK // workers)
+    starts = range(0, m, side)
+    tiles = [(a, b) for i, a in enumerate(starts) for b in starts[i:]]
+
+    def sum_tiles(share) -> np.ndarray:
+        partial = np.zeros(m)
+        for a, b in share:
+            D = cdist(points[a:a + side], points[b:b + side])
+            partial[a:a + side] += np.sum(D, axis=1)
+            if a != b:
+                partial[b:b + side] += np.sum(D, axis=0)
+        return partial
+
+    tasks = 1 if pool is None else min(workers, len(tiles))
+    if tasks == 1:
+        return sum_tiles(tiles)
+    shares = [tiles[t::tasks] for t in range(tasks)]
+    return np.sum(list(pool.map(sum_tiles, shares)), axis=0)
+
+
 def _medoid(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
             workers: int = 1) -> int:
     """Index (within `points`) of the point minimizing the sum of Euclidean
-    distances to the others; ties to the lowest index.  The sums come from
-    `_distance_sums`, so memory stays linear in the cluster size."""
-    return int(np.argmin(_distance_sums(points, pool, workers)))
+    distances to the others; ties to the lowest index.
+
+    Filter: `_triangle_sums` computes every sum from each distance once.
+    Re-check: every row whose filtered sum is within a rounding margin of
+    the least one is summed again with `_distance_sums`, and the lowest
+    index among the least exact sums wins, so the result is
+    ``argmin(_distance_sums(points))`` bit for bit, exact ties included.
+
+    The margin is rigorous.  With u = eps / 2, a sum of m non-negative
+    terms computed in any order is within (m - 1) u of their true sum,
+    relatively, and a computed distance within (d/2 + 2) u of the true
+    distance.  So a row's filtered and exact sums are each within
+    (m + d/2 + 1) u of its true sum, and the medoid's filtered sum exceeds
+    the filtered minimum by at most about (2m + d + 2) u times it; the
+    margin, 8 (m + d + 8) eps times it, is 8 times that.  Memory stays
+    linear in the cluster size."""
+    m, d = points.shape
+    filtered = _triangle_sums(points, pool, workers)
+    low = np.min(filtered)
+    margin = 8 * (m + d + 8) * np.finfo(np.float64).eps * low
+    candidates = np.flatnonzero(filtered <= low + margin)
+    exact = _distance_sums(points, pool, workers, rows=candidates)
+    return int(candidates[np.argmin(exact)])
 
 
 def refine(data: Dataset, centers: CenterList, z: float,

@@ -251,9 +251,14 @@ class _ProcessBackend:
 
     def _ensure(self):
         if self._proc is None:
-            self._proc = subprocess.Popen(
-                shlex.split(self.command),
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            try:
+                self._proc = subprocess.Popen(
+                    shlex.split(self.command),
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            except OSError as exc:
+                raise OracleProtocolError(
+                    f"cannot start oracle process {self.command!r}: "
+                    f"{exc}") from exc
         return self._proc
 
     def fetch_many(self, indices) -> list[float]:

@@ -80,6 +80,10 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
 
     With ``robust=True`` the top ceil(m/k) sampled ratios are discarded
     before the max, tolerating a small fraction of outliers.
+
+    An empty cluster (its center duplicates a row that an earlier center
+    took) gets no picks and lambda 0: its cost is 0 and no point's score
+    reads its constant.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -90,7 +94,8 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
     for i in range(clustering.k):
         members = np.flatnonzero(clustering.assignment == i)
         if members.size == 0:
-            raise ValueError(f"cluster {i} is empty")
+            picks.append(members)
+            continue
         picked = g.choice(members, size=t, replace=t > members.size)
         # skip the center itself (or a duplicate of it)
         picks.append(picked[dist[picked] > 0])

@@ -153,6 +153,8 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
     sample = draw(plan, rng.child("draw"))
     report = {
         "k": k,
+        "k_effective": int(np.count_nonzero(
+            np.bincount(clustering.assignment))),
         "epsilon": epsilon,
         "z": z,
         "s": plan.s,

@@ -216,6 +216,56 @@ class TestSelect:
         assert load_report(report_path)["lambda"] == [1.0, 1.0]
 
 
+class TestOracleThatCannotStart:
+    # every subcommand that builds an oracle from --oracle
+    @pytest.mark.parametrize("args", [
+        ["select", "--k", "2", "--epsilon", "1", "--lambda", "1",
+         "--out-sample", "s.csv", "--out-report", "r.json"],
+        ["select-rounds", "--k", "1", "--rounds", "2", "--epsilon", "1",
+         "--lambda", "1", "--out-prefix", "out", "--out-report", "r.json"],
+        ["lambda-estimate", "--k", "2", "--t", "2",
+         "--out-report", "r.json"],
+    ])
+    def test_exits_3_with_one_line(self, pairs, tmp_path, monkeypatch,
+                                   capsys, args):
+        data, _ = pairs
+        monkeypatch.chdir(tmp_path)
+        code = main(args + ["--data", str(data),
+                            "--oracle", str(tmp_path / "no-such-oracle")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "cannot start oracle process" in err
+        assert "Traceback" not in err
+        # no sample, round or report file
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.csv", "losses.txt"]
+
+
+class TestDuplicateEmbeddings:
+    @pytest.mark.parametrize("lam", ["auto", "0.5"])
+    def test_k_above_the_distinct_rows(self, tmp_path, lam):
+        # 3 distinct points, k=4: the snapped centers are distinct rows, so
+        # one center duplicates another's position and its cluster is empty
+        data = tmp_path / "dup.csv"
+        data.write_text("0\n0\n0\n5\n5\n5\n9\n9\n")
+        losses = tmp_path / "losses.txt"
+        losses.write_text("1\n1\n1\n2\n2\n2\n3\n3\n")
+        sample_path = tmp_path / "s.csv"
+        report_path = tmp_path / "r.json"
+        assert main(["select", "--data", str(data), "--k", "4",
+                     "--epsilon", "1", "--lambda", lam,
+                     "--losses", str(losses),
+                     "--out-sample", str(sample_path),
+                     "--out-report", str(report_path)]) == 0
+        report = load_report(report_path)
+        assert report["k"] == 4 and report["k_effective"] == 3
+        # every point sits on its center: auto finds no ratio to sample
+        assert report["queries_used"] == 4
+        assert len(load_sample(sample_path, n=8)) == report["s"]
+
+
 class TestCluster:
     def test_writes_centers_and_assignment(self, pairs, tmp_path):
         data, _ = pairs

@@ -518,3 +518,48 @@ class TestThreadedMedoid:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 6000 * 6000 / 4
+
+
+@st.composite
+def _medoid_points(draw):
+    """Points whose distance sums tie: grid rows drawn with repetition (a
+    repeated row's sum equals the original's bit for bit), or the vertices
+    of a hypercube (every sum equal in exact arithmetic) in shuffled order,
+    some repeated; all at a scale of 2**-20 .. 2**20."""
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        point = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+        distinct = draw(st.lists(point, min_size=1, max_size=8))
+        rows = draw(st.lists(st.sampled_from(distinct), min_size=1,
+                             max_size=60))
+    else:
+        cube = list(itertools.product([0, 1], repeat=draw(st.integers(1, 5))))
+        rows = draw(st.permutations(cube)) + draw(
+            st.lists(st.sampled_from(cube), max_size=8))
+    return np.array(rows, dtype=float) * scale
+
+
+class TestExactMedoid:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @settings(max_examples=150, deadline=None)
+    @given(points=_medoid_points())
+    def test_equals_the_full_matrix_argmin(self, workers, points):
+        # tiles of 30 // workers rows, so the filter's sums are rounded in
+        # another order than the full matrix's row sums
+        real_medoid = clustering_module._medoid
+        found = []
+
+        def spy(*args):
+            found.append(real_medoid(*args))
+            return found[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering_module, "MEDOID_BLOCK", 30)
+            mp.setattr(clustering_module, "_cpu_count", lambda: workers)
+            mp.setattr(clustering_module, "_medoid", spy)
+            # one center: its cluster is every row, in row order
+            refine(Dataset(points), CenterList(points[:1], [0]), 1,
+                   max_iters=1)
+        full = np.sum(cdist(points, points), axis=1)
+        assert found == [int(np.argmin(full))]

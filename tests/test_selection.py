@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from senselect.core import (BudgetExceededError, Dataset, LossOracle,
                             RngStream)
@@ -177,6 +178,42 @@ class TestDataSelect:
             runs.append((sample, report))
         np.testing.assert_array_equal(runs[0][0].indices, runs[1][0].indices)
         assert runs[0][1] == runs[1][1]
+
+
+@st.composite
+def _duplicated_rows(draw):
+    """A few distinct grid points, each row drawn from them with
+    repetition, a k up to the row count, positive losses and z."""
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    distinct = draw(st.lists(point, min_size=1, max_size=4, unique_by=tuple))
+    rows = np.array(draw(st.lists(st.sampled_from(distinct), min_size=1,
+                                  max_size=16)), dtype=float)
+    losses = draw(st.lists(st.floats(0.1, 10.0), min_size=len(rows),
+                           max_size=len(rows)))
+    k = draw(st.integers(1, len(rows)))
+    return Dataset(rows), losses, k, draw(st.sampled_from([1, 2]))
+
+
+class TestDuplicatedRows:
+    @settings(max_examples=100, deadline=None)
+    @given(_duplicated_rows(), st.integers(0, 10 ** 6))
+    def test_supplied_and_auto_lambda(self, case, seed):
+        data, losses, k, z = case
+        oracle = LossOracle.from_table(losses)
+        _, report, clustering, plan = data_select(
+            data, k, 0.5, 0.5, oracle, z, RngStream(seed, "dup"))
+        assert report["queries_used"] == k
+        assert np.sum(plan.p) == pytest.approx(1.0, abs=1e-9)
+        sizes = np.bincount(clustering.assignment, minlength=k)
+        assert report["k_effective"] == np.count_nonzero(sizes)
+
+        oracle = LossOracle.from_table(losses)
+        _, report, _, plan = data_select(
+            data, k, 0.5, AUTO, oracle, z, RngStream(seed, "dup"))
+        assert np.sum(plan.p) == pytest.approx(1.0, abs=1e-9)
+        # the same clustering: empty clusters get lambda 0
+        assert np.all(np.asarray(report["lambda"])[sizes == 0] == 0)
 
 
 class TestDataSelectRounds:
