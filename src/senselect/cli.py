@@ -16,15 +16,15 @@ import time
 import numpy as np
 
 from . import io as sio
-from .core import (BudgetExceededError, Dataset, LossOracle,
-                   OracleProtocolError, RngStream)
-from .clustering import dz_seed, refine, snap_centers, weighted_cost
+from .core import (BudgetExceededError, LossOracle, OracleProtocolError,
+                   RngStream)
 from .hoelder import (INFINITY, default_sample_count, estimate_lambda,
                       holder_percentiles, holder_ratios, DEFAULT_PERCENTILES)
 from .evaluation import delta_error, rademacher_instance, run_trials
 from .regression import (RegressionInstance, r2_score, regression_select,
                          solve_least_squares)
-from .selection import AUTO, data_select, data_select_rounds, uniform_select
+from .selection import (AUTO, cluster, data_select, data_select_rounds,
+                        uniform_select)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_ORACLE = 0, 1, 2, 3
 
@@ -60,11 +60,20 @@ def _parse_lambda(raw: str, k: int):
         return float(raw)
     except ValueError:
         pass
-    values = sio.load_losses(raw).values  # one value per line, all >= 0
+    values = sio.read_vector(raw)  # one value per line
     if values.size not in (1, k):
         raise sio.DataFormatError(
             f"lambda file has {values.size} values, expected 1 or {k}")
     return values
+
+
+def _emit(command: str, result: dict, out_report) -> int:
+    """Print the result as JSON; with --out-report also save it, tagged with
+    the command."""
+    print(json.dumps(result))
+    if out_report:
+        sio.save_report({"command": command, **result}, out_report)
+    return EXIT_OK
 
 
 def _save_clustering(clustering, out_centers=None, out_assignment=None):
@@ -86,8 +95,7 @@ def cmd_cluster(args) -> int:
     data = sio.load_matrix(args.data)
     rng = RngStream(args.seed, "cli/cluster")
     t0 = time.perf_counter()
-    clustering = snap_centers(data, refine(
-        data, dz_seed(data, args.k, args.z, rng.child("seed")), args.z))
+    clustering = cluster(data, args.k, args.z, rng)
     _save_clustering(clustering, args.out_centers, args.out_assignment)
     if args.out_report:
         sio.save_report({
@@ -158,25 +166,12 @@ def _load_regression(args) -> RegressionInstance:
     matrix = sio.load_matrix(args.data)
     if getattr(args, "targets", None):
         # targets may be negative, so read them without the loss-domain check
-        b = _read_vector(args.targets, matrix.n)
+        b = sio.read_vector(args.targets, matrix.n)
         return RegressionInstance(matrix.rows, b)
     if matrix.d < 2:
         raise sio.DataFormatError("need at least one feature column plus the "
                                   "target column, or a --targets file")
     return RegressionInstance(matrix.rows[:, :-1], matrix.rows[:, -1])
-
-
-def _read_vector(path, n: int) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    try:
-        values = np.asarray([float(v) for v in lines])
-    except ValueError as exc:
-        raise sio.DataFormatError(f"{path}: unparsable value") from exc
-    if values.size != n:
-        raise sio.DataFormatError(
-            f"{path}: {values.size} values but dataset has {n} rows")
-    return values
 
 
 def cmd_select_regression(args) -> int:
@@ -191,7 +186,7 @@ def cmd_select_regression(args) -> int:
         sio.save_report({
             "command": "select-regression", "k": args.k,
             "epsilon": args.epsilon, "delta": args.delta,
-            "lambda_mode": "infinity" if args.lambda_inf else "finite",
+            "lambda_mode": sample.provenance["lambda_mode"],
             "s": plan.s, "seed": args.seed,
             "x0": [float(v) for v in plan.x0],
             "sample_path": args.out_sample,
@@ -203,8 +198,7 @@ def cmd_select_regression(args) -> int:
 def cmd_lambda_estimate(args) -> int:
     data = sio.load_matrix(args.data)
     rng = RngStream(args.seed, "cli/lambda-estimate")
-    clustering = snap_centers(data, refine(
-        data, dz_seed(data, args.k, args.z, rng.child("seed")), args.z))
+    clustering = cluster(data, args.k, args.z, rng)
     t = args.t if args.t is not None else default_sample_count(args.k, args.p)
     with _make_oracle(args, data.n) as oracle:
         lam = estimate_lambda(data, clustering, oracle, t,
@@ -213,33 +207,24 @@ def cmd_lambda_estimate(args) -> int:
     result = {"lambda": [float(v) for v in lam], "t": t,
               "queries_used": queries, "k": args.k, "z": args.z,
               "seed": args.seed}
-    print(json.dumps(result))
-    if args.out_report:
-        sio.save_report({"command": "lambda-estimate", **result},
-                        args.out_report)
-    return EXIT_OK
+    return _emit("lambda-estimate", result, args.out_report)
 
 
 def cmd_holder_diagnose(args) -> int:
     data = sio.load_matrix(args.data)
     table = sio.load_losses(args.losses, n=data.n)
     rng = RngStream(args.seed, "cli/holder-diagnose")
-    clustering = snap_centers(data, refine(
-        data, dz_seed(data, args.k, args.z, rng.child("seed")), args.z))
+    clustering = cluster(data, args.k, args.z, rng)
     ratios = holder_ratios(data, clustering, table, args.z)
     percentiles = [float(p) for p in args.percentiles.split(",")]
     result = {"percentiles": holder_percentiles(ratios, percentiles),
               "ratio_count": int(ratios.size), "k": args.k, "z": args.z,
               "seed": args.seed}
-    print(json.dumps(result))
-    if args.out_report:
-        sio.save_report({"command": "holder-diagnose", **result},
-                        args.out_report)
-    return EXIT_OK
+    return _emit("holder-diagnose", result, args.out_report)
 
 
 def cmd_evaluate(args) -> int:
-    result = {"command": "evaluate", "sample_path": args.sample}
+    result = {"sample_path": args.sample}
     if args.losses:
         table = sio.load_losses(args.losses)
         sample = sio.load_sample(args.sample, n=len(table))
@@ -255,10 +240,7 @@ def cmd_evaluate(args) -> int:
     else:
         raise sio.DataFormatError("need --losses (delta mode) or --data "
                                   "(regression R^2 mode)")
-    print(json.dumps({k: v for k, v in result.items() if k != "command"}))
-    if args.out_report:
-        sio.save_report(result, args.out_report)
-    return EXIT_OK
+    return _emit("evaluate", result, args.out_report)
 
 
 def _parse_config(path) -> dict:
@@ -296,8 +278,11 @@ def cmd_bench(args) -> int:
 def cmd_lowerbound_demo(args) -> int:
     data, signed = rademacher_instance(args.n)
     rng = RngStream(args.seed, "cli/lowerbound-demo")
+    epsilons = [float(e) for e in args.epsilons.split(",")]
+    if not all(math.isfinite(eps) and eps > 0 for eps in epsilons):
+        raise ValueError(f"--epsilons must be finite and > 0: {args.epsilons}")
     sweep = []
-    for eps in (float(e) for e in args.epsilons.split(",")):
+    for eps in epsilons:
         s = int(math.ceil(1 / eps ** 2))
         estimates = []
         for t in range(args.trials):
@@ -308,11 +293,7 @@ def cmd_lowerbound_demo(args) -> int:
                       "empirical_constant": median * math.sqrt(s) / args.n})
     result = {"n": args.n, "trials": args.trials, "sweep": sweep,
               "seed": args.seed}
-    print(json.dumps(result))
-    if args.out_report:
-        sio.save_report({"command": "lowerbound-demo", **result},
-                        args.out_report)
-    return EXIT_OK
+    return _emit("lowerbound-demo", result, args.out_report)
 
 
 def _add_oracle_flags(p):
@@ -445,7 +426,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, OracleProtocolError) as exc:
         print(f"senselect: oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (sio.DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (sio.DataFormatError, OSError, ValueError) as exc:
         print(f"senselect: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -112,6 +112,14 @@ def _nearest(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.argmin(D, axis=1)
 
 
+def center_distances(rows: np.ndarray, clustering: Clustering) -> np.ndarray:
+    """||x - c|| of every row to its own center, by ``np.linalg.norm``;
+    rounds differently from `_point_cost`, which feeds the cluster costs."""
+    # the gathered centers are a temporary, freed before the norm runs
+    return np.linalg.norm(
+        rows - clustering.centers.positions[clustering.assignment], axis=1)
+
+
 def _point_cost(X: np.ndarray, C: np.ndarray, labels: np.ndarray,
                 z: float) -> np.ndarray:
     """||x - c||^z of every point to its labelled center, from the residual."""
@@ -356,8 +364,8 @@ def snap_centers(data: Dataset, clustering: Clustering) -> Clustering:
     return assign(data, snapped, clustering.z)
 
 
-def kmedoids(data: Dataset, k: int, rng, max_iters: int = 50) -> Clustering:
+def kmedoids(data: Dataset, k: int, rng) -> Clustering:
     """z=1 clustering whose centers are dataset rows: D^1 seeding followed by
     alternating assignment and exact per-cluster medoid updates."""
     seeds = dz_seed(data, k, 1, rng)
-    return refine(data, seeds, 1, max_iters=max_iters)
+    return refine(data, seeds, 1)

@@ -12,7 +12,7 @@ import shlex
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,19 +116,6 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
-def distance_z(x, y, z: float) -> float:
-    """Euclidean distance between x and y raised to the power z."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite input")
-    if not z > 0:
-        raise ValueError(f"z must be > 0, got {z}")
-    return float(np.linalg.norm(x - y) ** z)
 
 
 class LossOracle:

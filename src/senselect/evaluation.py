@@ -13,7 +13,7 @@ from .core import Dataset, LossOracle, LossTable, RngStream, as_generator
 from .clustering import CenterList, Clustering, assign, weighted_cost
 from . import regression as reg
 from .selection import (WeightedSample, data_select, data_select_rounds,
-                        sample_size, uniform_select)
+                        uniform_select)
 
 
 @dataclass(frozen=True)
@@ -99,17 +99,19 @@ def rademacher_instance(n: int):
 
 
 def planted_regression(n: int, d: int, k: int, lambda_true: float, rng,
-                       spread: float = 0.05, center_scale: float = 1.0):
+                       spread: float = 0.05):
     """Clustered regression rows satisfying the regression smoothness
     condition exactly: member targets differ from their center's target by
     at most lambda_true times the row distance (power 1).
 
     Returns (instance, center_rows, labels, lam).
     """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     g = as_generator(rng)
     centers = g.standard_normal((k, d))
-    centers *= center_scale / np.maximum(np.linalg.norm(centers, axis=1,
-                                                        keepdims=True), 1e-12)
+    centers *= 1 / np.maximum(np.linalg.norm(centers, axis=1,
+                                             keepdims=True), 1e-12)
     x_star = g.standard_normal(d)
     x_star /= max(np.linalg.norm(x_star), 1e-12)
     sizes = np.full(k, n // k)
@@ -225,18 +227,13 @@ def run_trials(config: dict) -> TrialReport:
     trials = int(config.get("trials", 100))
     master = RngStream(int(config.get("master_seed", 0)), "bench")
     report = TrialReport(pipeline)
-    if pipeline == "data_select":
-        _trials_data_select(config, trials, master, report)
-    elif pipeline == "rounds":
-        _trials_rounds(config, trials, master, report)
-    elif pipeline == "uniform_spike":
-        _trials_uniform_spike(config, trials, master, report)
-    elif pipeline == "uniform_rademacher":
-        _trials_rademacher(config, trials, master, report)
-    elif pipeline == "regression":
-        _trials_regression(config, trials, master, report)
-    else:
+    run = {"data_select": _trials_data_select, "rounds": _trials_rounds,
+           "uniform_spike": _trials_uniform_spike,
+           "uniform_rademacher": _trials_rademacher,
+           "regression": _trials_regression}.get(pipeline)
+    if run is None:
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    run(config, trials, master, report)
     return report
 
 

@@ -9,17 +9,12 @@ import math
 import numpy as np
 
 from .core import Dataset, LossOracle, LossTable, as_generator
-from .clustering import Clustering
+from .clustering import Clustering, center_distances
 
 #: symbolic "distance-only" mode for regression selection
 INFINITY = math.inf
 
 DEFAULT_PERCENTILES = (20, 40, 60, 80, 99)
-
-
-def _center_distances(data: Dataset, clustering: Clustering) -> np.ndarray:
-    centers = clustering.centers.positions[clustering.assignment]
-    return np.linalg.norm(data.rows - centers, axis=1)
 
 
 def _require_row_centers(clustering: Clustering) -> np.ndarray:
@@ -39,7 +34,7 @@ def holder_ratios(data: Dataset, clustering: Clustering, losses: LossTable,
     idx = _require_row_centers(clustering)
     values = losses.values if isinstance(losses, LossTable) else np.asarray(losses)
     center_loss = values[idx][clustering.assignment]
-    dist = _center_distances(data, clustering)
+    dist = center_distances(data.rows, clustering)
     mask = dist > 0
     return np.abs(values[mask] - center_loss[mask]) / dist[mask] ** z
 
@@ -89,7 +84,7 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
         raise ValueError(f"t must be >= 1, got {t}")
     g = as_generator(rng)
     idx = _require_row_centers(clustering)
-    dist = _center_distances(data, clustering)
+    dist = center_distances(data.rows, clustering)
     picks = []
     for i in range(clustering.k):
         members = np.flatnonzero(clustering.assignment == i)

@@ -98,13 +98,15 @@ def save_matrix(data: Dataset, path, binary: bool = False):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_losses(path, n: int | None = None, column: str | None = None):
-    """Load a loss vector: one value per line, or a named CSV column."""
+def read_vector(path, n: int | None = None,
+                column: str | None = None) -> np.ndarray:
+    """Read a vector of floats, any sign: one value per line, or a named CSV
+    column.  With ``n``, it must hold exactly n values."""
     path = Path(path)
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise DataFormatError(f"{path}: empty loss file")
+        raise DataFormatError(f"{path}: empty file")
     if column is not None:
         header = [h.strip() for h in lines[0].split(",")]
         if column not in header:
@@ -122,10 +124,16 @@ def load_losses(path, n: int | None = None, column: str | None = None):
     try:
         values = np.asarray([float(v) for v in raw])
     except ValueError as exc:
-        raise DataFormatError(f"{path}: unparsable loss value") from exc
+        raise DataFormatError(f"{path}: unparsable value") from exc
     if n is not None and values.size != n:
         raise DataFormatError(
-            f"{path}: {values.size} losses but dataset has {n} rows")
+            f"{path}: {values.size} values but dataset has {n} rows")
+    return values
+
+
+def load_losses(path, n: int | None = None, column: str | None = None):
+    """Load a loss vector (finite, >= 0) as `read_vector` reads it."""
+    values = read_vector(path, n, column)
     try:
         return LossTable(values)
     except ValueError as exc:

@@ -1,19 +1,21 @@
 """Least-squares specialization: cluster-based row sampling, the leverage
-score and uniform baselines, and R^2 evaluation."""
+score and uniform baselines, and R^2 evaluation.  Both samplers draw
+through `selection.draw`; the cluster-based one builds its plan with
+`selection.sensitivity_plan`, medoid residuals standing in for losses."""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import as_generator, Dataset, RngStream
-from .clustering import Clustering, kmedoids
+from .core import Dataset, RngStream
+from .clustering import Clustering, center_distances, kmedoids
 from .hoelder import INFINITY
-from .selection import WeightedSample, _plan_from_scores
+from .selection import (ProxyLoss, WeightedSample, _plan_from_scores, draw,
+                        sensitivity_plan)
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,7 @@ def leverage_scores(A) -> np.ndarray:
 def leverage_select(instance: RegressionInstance, s: int, rng) -> WeightedSample:
     """s i.i.d. rows with probability proportional to leverage score."""
     tau = leverage_scores(instance.A)
-    plan = _plan_from_scores(tau, float(np.sum(tau)), int(s))
-    g = as_generator(rng)
-    idx = g.choice(instance.n, size=plan.s, p=plan.p)
-    return WeightedSample(idx, plan.w[idx])
+    return draw(_plan_from_scores(tau, float(np.sum(tau)), int(s)), rng)
 
 
 def regression_sample_size(d: int, epsilon: float, delta: float = 0.1) -> int:
@@ -111,46 +110,36 @@ def regression_select(instance: RegressionInstance, k: int, epsilon: float,
 
     Rows are clustered by k-medoids (power 1, centers are rows), the
     reference solution x0 is the cluster-size-weighted fit on the medoid
-    rows, and each row's probability combines its distance to the medoid
-    with the medoid's residual at x0.  Targets b are read only at the k
-    medoid rows.
+    rows, and the plan is the sensitivity plan with the medoid's residual
+    at x0 as lhat and the row's distance to its medoid as v.  Targets b are
+    read only at the k medoid rows, in one indexing.
 
     ``lam`` may be a scalar, a per-cluster vector, or INFINITY for the
     distance-only mode where p_i is proportional to ||a_i - medoid_i||.
     Returns (sample, plan).
     """
     data = Dataset(instance.A)
-    clustering = kmedoids(data, k, rng.child("cluster") if isinstance(rng, RngStream) else rng)
+    clustering = kmedoids(data, k, rng.child("cluster"))
     idx = clustering.centers.indices
     sizes = np.bincount(clustering.assignment, minlength=clustering.k)
     b_hat_centers = instance.b[idx]
     x0 = solve_least_squares(instance.A[idx], b_hat_centers, weights=sizes)
     resid_sq = (instance.A[idx] @ x0 - b_hat_centers) ** 2
-    v = resid_sq[clustering.assignment]
-    dist = np.linalg.norm(
-        instance.A - clustering.centers.positions[clustering.assignment], axis=1)
+    dist = center_distances(instance.A, clustering)
     if s is None:
         s = regression_sample_size(instance.d, epsilon, delta)
     infinite = np.isscalar(lam) and lam == INFINITY
     if infinite:
-        scores, denom = dist, float(np.sum(dist))
+        plan = _plan_from_scores(dist, float(np.sum(dist)), int(s))
     else:
-        lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-        if lam.size == 1:
-            lam = np.full(clustering.k, lam[0])
-        if lam.size != clustering.k:
-            raise ValueError(f"lambda length {lam.size} != k {clustering.k}")
-        scores = lam[clustering.assignment] * dist + v
-        denom = float(np.dot(lam, clustering.cluster_cost) + np.sum(v))
-    plan_core = _plan_from_scores(scores, denom, int(s))
-    g = as_generator(rng.child("draw") if isinstance(rng, RngStream) else rng)
-    drawn = g.choice(instance.n, size=plan_core.s, p=plan_core.p)
-    sample = WeightedSample(drawn, plan_core.w[drawn],
+        proxy = ProxyLoss(resid_sq[clustering.assignment], dist)
+        plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
+    sample = draw(plan, rng.child("draw"))
+    sample = WeightedSample(sample.indices, sample.weights,
                             {"k": k, "s": int(s), "epsilon": epsilon,
                              "delta": delta,
                              "lambda_mode": "infinity" if infinite else "finite"})
-    plan = RegressionPlan(clustering, x0, plan_core.p, plan_core.w, plan_core.s)
-    return sample, plan
+    return sample, RegressionPlan(clustering, x0, plan.p, plan.w, plan.s)
 
 
 def coreset_objective_error(instance: RegressionInstance,

@@ -1,6 +1,9 @@
 """Samplers: one-round sensitivity selection, the r-round adaptive variant,
-the uniform baseline, greedy k-center and diversity baselines, and loss
-extrapolation from center losses."""
+the uniform baseline, and greedy k-center and diversity baselines.
+
+The core every importance sampler shares: `cluster` (seed, refine, snap),
+`sensitivity_plan` (p proportional to lhat + lam_i v, over lam . Phi +
+sum(lhat)) and `draw`; regression's sampler and baseline use them too."""
 
 from __future__ import annotations
 
@@ -11,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, LossOracle, RngStream, as_generator
-from .clustering import (CenterList, Clustering, assign, dz_seed,
+from .clustering import (Clustering, assign, center_distances, dz_seed,
                          powered_distances, refine, snap_centers)
-from .hoelder import estimate_lambda, default_sample_count
+from .hoelder import (_require_row_centers, default_sample_count,
+                      estimate_lambda)
 
 AUTO = "auto"
 
@@ -61,14 +65,9 @@ def proxy_losses(data: Dataset, clustering: Clustering,
                  oracle: LossOracle) -> ProxyLoss:
     """Query the oracle on exactly the k (snapped) center rows, as one batch,
     and extend to proxies for every point."""
-    idx = clustering.centers.indices
-    if idx is None:
-        raise ValueError("clustering centers must be dataset rows (snapped)")
-    center_losses = oracle.query_many(idx)
-    lhat = center_losses[clustering.assignment]
-    centers = clustering.centers.positions[clustering.assignment]
-    v = np.linalg.norm(data.rows - centers, axis=1) ** clustering.z
-    return ProxyLoss(lhat, v)
+    lhat = oracle.query_many(_require_row_centers(clustering))
+    v = center_distances(data.rows, clustering) ** clustering.z
+    return ProxyLoss(lhat[clustering.assignment], v)
 
 
 def sample_size(epsilon: float) -> int:
@@ -92,22 +91,32 @@ def _plan_from_scores(scores: np.ndarray, denom: float, s: int) -> SamplingPlan:
     return SamplingPlan(p, w, s, float(denom))
 
 
-def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
-                     epsilon: float) -> SamplingPlan:
-    """Importance-sampling plan with p(e) proportional to
-    lhat(e) + lam_i * v(e); falls back to uniform when everything is zero."""
+def _lambda_vector(lam, k: int) -> np.ndarray:
+    """lam as a length-k vector (a scalar is broadcast) of finite, >= 0
+    entries."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
     if lam.size == 1:
-        lam = np.full(clustering.k, lam[0])
-    if lam.size != clustering.k:
-        raise ValueError(f"lambda length {lam.size} != k {clustering.k}")
+        lam = np.full(k, lam[0])
+    if lam.size != k:
+        raise ValueError(f"lambda length {lam.size} != k {k}")
     if np.any(~np.isfinite(lam)) or np.any(lam < 0):
         raise ValueError("lambda must be finite and >= 0")
+    return lam
+
+
+def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
+                     epsilon: float, s: int | None = None) -> SamplingPlan:
+    """Importance-sampling plan with p(e) proportional to
+    lhat(e) + lam_i * v(e), normalized by lam . Phi + sum(lhat); falls back
+    to uniform when everything is zero.  ``s`` draws, by default
+    sample_size(epsilon)."""
+    lam = _lambda_vector(lam, clustering.k)
     if np.any(~np.isfinite(proxy.lhat)) or np.any(~np.isfinite(proxy.v)):
         raise ValueError("non-finite proxy values")
     scores = proxy.lhat + lam[clustering.assignment] * proxy.v
     denom = float(np.dot(lam, clustering.cluster_cost) + np.sum(proxy.lhat))
-    return _plan_from_scores(scores, denom, sample_size(epsilon))
+    draws = sample_size(epsilon)  # checks epsilon even when s is given
+    return _plan_from_scores(scores, denom, draws if s is None else int(s))
 
 
 def draw(plan: SamplingPlan, rng) -> WeightedSample:
@@ -117,39 +126,33 @@ def draw(plan: SamplingPlan, rng) -> WeightedSample:
     return WeightedSample(idx, plan.w[idx])
 
 
+def cluster(data: Dataset, k: int, z: float, rng: RngStream) -> Clustering:
+    """k centers on data rows: D^z seeding from ``rng.child("seed")``,
+    refinement, then snapping to distinct rows."""
+    seeds = dz_seed(data, k, z, rng.child("seed"))
+    return snap_centers(data, refine(data, seeds, z))
+
+
 def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
-                z: float, rng: RngStream, s: int | None = None,
-                lambda_sample_count: int | None = None,
-                lambda_mass: float = 0.2):
-    """End-to-end one-round pipeline: D^z seeding, refinement, snapping to
-    data rows, center-loss proxies, optional lambda estimation, sensitivity
-    plan, draw.
+                z: float, rng: RngStream, s: int | None = None):
+    """End-to-end one-round pipeline: clustering on data rows, center-loss
+    proxies, optional lambda estimation, sensitivity plan, draw.
 
     ``lam`` is a per-cluster vector, a scalar (broadcast), or AUTO to chain
     the query-based estimator.  With a supplied lam the oracle is queried on
-    exactly the k center rows.  Returns (sample, report, clustering, plan).
+    exactly the k center rows.  ``s`` overrides the sample count.  Returns
+    (sample, report, clustering, plan).
     """
-    seeds = dz_seed(data, k, z, rng.child("seed"))
-    clustering = snap_centers(data, refine(data, seeds, z))
+    auto = isinstance(lam, str) and lam == AUTO
+    if not auto:
+        lam = _lambda_vector(lam, k)  # reject a bad lam before any query
+    clustering = cluster(data, k, z, rng)
     proxy = proxy_losses(data, clustering, oracle)
     queries_proxy = oracle.queries_used
-    if isinstance(lam, str) and lam == AUTO:
-        t = (default_sample_count(k, lambda_mass)
-             if lambda_sample_count is None else lambda_sample_count)
-        lam_vec = estimate_lambda(data, clustering, oracle, t,
-                                  rng.child("lambda"))
-        lambda_mode = AUTO
-    else:
-        lam_vec = np.asarray(lam, dtype=np.float64).reshape(-1)
-        if lam_vec.size == 1:
-            lam_vec = np.full(k, lam_vec[0])
-        lambda_mode = "supplied"
-    plan = sensitivity_plan(proxy, clustering, lam_vec, epsilon)
-    if s is not None:
-        s = int(s)
-        with np.errstate(divide="ignore"):
-            w = np.where(plan.p > 0, 1.0 / (s * plan.p), 0.0)
-        plan = SamplingPlan(plan.p, w, s, plan.denom)
+    if auto:
+        lam = estimate_lambda(data, clustering, oracle,
+                              default_sample_count(k), rng.child("lambda"))
+    plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
     sample = draw(plan, rng.child("draw"))
     report = {
         "k": k,
@@ -158,12 +161,12 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
         "epsilon": epsilon,
         "z": z,
         "s": plan.s,
-        "lambda_mode": lambda_mode,
-        "lambda": [float(v) for v in lam_vec],
+        "lambda_mode": AUTO if auto else "supplied",
+        "lambda": [float(v) for v in lam],
         "queries_used": oracle.queries_used,
         "queries_proxy": queries_proxy,
         "queries_lambda": oracle.queries_used - queries_proxy,
-        "phi_lambda": float(np.dot(lam_vec, clustering.cluster_cost)),
+        "phi_lambda": float(np.dot(lam, clustering.cluster_cost)),
         "denom": plan.denom,
         "seed": rng.seed,
         "rng_label": rng.label,
@@ -183,30 +186,21 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
     """
     if k * rounds > data.n:
         raise ValueError(f"k*rounds = {k * rounds} exceeds n = {data.n}")
+    lam = _lambda_vector(lam, k * rounds)
     ordering = dz_seed(data, k * rounds, z, rng.child("seed"))
-    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    if lam.size == 1:
-        lam = np.full(k * rounds, lam[0])
-    if lam.size != k * rounds:
-        raise ValueError("lambda must be scalar or length k*rounds")
     results = []
-    s = sample_size(epsilon)
     for i in range(1, rounds + 1):
-        prefix = ordering.prefix(i * k)
-        clustering = assign(data, prefix, z)
+        clustering = assign(data, ordering.prefix(i * k), z)
         proxy = proxy_losses(data, clustering, oracle)
         lam_i = lam[: i * k]
-        scores = proxy.lhat + lam_i[clustering.assignment] * proxy.v
-        denom = float(np.dot(lam_i, clustering.cluster_cost)
-                      + np.sum(proxy.lhat))
-        plan = _plan_from_scores(scores, denom, s)
+        plan = sensitivity_plan(proxy, clustering, lam_i, epsilon)
         sample = draw(plan, rng.child(f"draw-round-{i}"))
         report = {
             "round": i,
             "k": k,
             "epsilon": epsilon,
             "z": z,
-            "s": s,
+            "s": plan.s,
             "queries_used": oracle.queries_used,
             "phi_lambda": float(np.dot(lam_i, clustering.cluster_cost)),
             "denom": plan.denom,
@@ -243,21 +237,9 @@ def diversity_select(data: Dataset, k: int, z: float, rng) -> np.ndarray:
     to the center (ties to the lowest index)."""
     clustering = refine(data, dz_seed(data, k, z, rng), z)
     out = np.empty(clustering.k, dtype=np.intp)
-    dist = np.linalg.norm(
-        data.rows - clustering.centers.positions[clustering.assignment], axis=1)
+    dist = center_distances(data.rows, clustering)
     for i in range(clustering.k):
         members = np.flatnonzero(clustering.assignment == i)
         out[i] = members[np.argmin(dist[members])]
     return out
 
-
-def extrapolate_losses(data: Dataset, clustering: Clustering, center_losses,
-                       lam: float, z: float = 2) -> np.ndarray:
-    """Extrapolated loss: center loss of e's cluster plus lam * ||e-c||^z."""
-    center_losses = np.asarray(center_losses, dtype=np.float64).reshape(-1)
-    if center_losses.size != clustering.k:
-        raise ValueError("need one loss per center")
-    lhat = center_losses[clustering.assignment]
-    centers = clustering.centers.positions[clustering.assignment]
-    dist = np.linalg.norm(data.rows - centers, axis=1)
-    return lhat + lam * dist ** z

@@ -430,3 +430,122 @@ class TestLowerboundDemo:
         out = json.loads(capsys.readouterr().out)
         assert out["sweep"][0]["s"] == 16
         assert out["sweep"][0]["median_abs_estimator"] >= 0
+
+
+def _regression_files(tmp_path, targets=None):
+    """12 rows in two features plus a target column, and optionally a
+    --targets file holding the given lines."""
+    rng = np.random.default_rng(35)
+    A = rng.normal(size=(12, 2))
+    data = tmp_path / "reg.csv"
+    data.write_text("".join(f"{r[0]},{r[1]},{r[0] - r[1]}\n" for r in A))
+    if targets is None:
+        return data, None
+    path = tmp_path / "targets.txt"
+    path.write_text("".join(f"{t}\n" for t in targets))
+    return data, path
+
+
+def _one_data_error(capsys, message=None):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("senselect: data error: ")
+    if message is not None:
+        assert lines[0] == f"senselect: data error: {message}"
+
+
+class TestLambdaValidation:
+    @pytest.mark.parametrize("lam", ["-1", "-100", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["select", "--k", "2", "--epsilon", "1", "--losses", "L",
+         "--out-sample", "OUT", "--out-report", "REPORT"],
+        ["select-rounds", "--k", "1", "--rounds", "2", "--epsilon", "1",
+         "--losses", "L", "--out-prefix", "OUT", "--out-report", "REPORT"],
+        ["select-regression", "--k", "2", "--epsilon", "1",
+         "--out-sample", "OUT", "--out-report", "REPORT"],
+    ], ids=lambda c: c[0])
+    def test_every_select_command_rejects_it(self, pairs, tmp_path, capsys,
+                                             command, lam):
+        data, losses = pairs
+        if command[0] == "select-regression":
+            data, _ = _regression_files(tmp_path)
+        paths = {"L": str(losses), "OUT": str(tmp_path / "out"),
+                 "REPORT": str(tmp_path / "r.json")}
+        argv = [paths.get(a, a) for a in command]
+        code = main(argv + ["--data", str(data), "--lambda", lam])
+        assert code == 2
+        _one_data_error(capsys, "lambda must be finite and >= 0")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["data.csv", "losses.txt"]
+            + (["reg.csv"] if command[0] == "select-regression" else []))
+
+    def test_regression_lambda_inf_is_the_distance_only_mode(self, tmp_path):
+        data, _ = _regression_files(tmp_path)
+        samples = []
+        for name, flag in (("a", ["--lambda", "inf"]), ("b", ["--lambda-inf"])):
+            path = tmp_path / f"{name}.csv"
+            assert main(["select-regression", "--data", str(data), "--k", "2",
+                         "--epsilon", "1", "--out-sample", str(path),
+                         "--out-report", str(tmp_path / f"{name}.json")]
+                        + flag) == 0
+            samples.append(path.read_bytes())
+            assert load_report(tmp_path / f"{name}.json")["lambda_mode"] \
+                == "infinity"
+        assert samples[0] == samples[1]
+
+
+class TestTargetsFile:
+    def test_negative_targets_are_accepted(self, tmp_path):
+        targets = [-3.5, 2.0, -0.25, 7.0, -1.0, 0.0] * 2
+        data, path = _regression_files(tmp_path, targets)
+        report = tmp_path / "r.json"
+        assert main(["select-regression", "--data", str(data),
+                     "--targets", str(path), "--k", "2", "--epsilon", "1",
+                     "--out-sample", str(tmp_path / "s.csv"),
+                     "--out-report", str(report)]) == 0
+        # with --targets every data column is a feature
+        assert len(load_report(report)["x0"]) == 3
+
+    @pytest.mark.parametrize("targets, message", [
+        (["1.0"] * 11, "11 values but dataset has 12 rows"),
+        (["1.0"] * 11 + ["one"], "unparsable value"),
+    ], ids=["count-mismatch", "unparsable"])
+    def test_bad_targets_file(self, tmp_path, capsys, targets, message):
+        data, path = _regression_files(tmp_path, targets)
+        assert main(["select-regression", "--data", str(data),
+                     "--targets", str(path), "--k", "2", "--epsilon", "1",
+                     "--out-sample", str(tmp_path / "s.csv")]) == 2
+        _one_data_error(capsys, f"{path}: {message}")
+        assert not (tmp_path / "s.csv").exists()
+
+
+class TestUnreadableInputs:
+    def test_cluster_data_is_a_directory(self, tmp_path, capsys):
+        assert main(["cluster", "--data", str(tmp_path), "--k", "1"]) == 2
+        _one_data_error(capsys)
+
+    def test_regression_targets_is_a_directory(self, tmp_path, capsys):
+        data, _ = _regression_files(tmp_path)
+        assert main(["select-regression", "--data", str(data),
+                     "--targets", str(tmp_path), "--k", "2",
+                     "--epsilon", "1",
+                     "--out-sample", str(tmp_path / "s.csv")]) == 2
+        _one_data_error(capsys)
+        assert not (tmp_path / "s.csv").exists()
+
+
+class TestDegenerateSettings:
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf", "0.25,0"])
+    def test_lowerbound_demo_rejects_epsilon(self, capsys, eps):
+        assert main(["lowerbound-demo", "--n", "40", "--trials", "2",
+                     "--epsilons", eps]) == 2
+        _one_data_error(capsys)
+
+    def test_bench_regression_with_k_above_n(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("pipeline = regression\ntrials = 1\nn = 5\n"
+                          "k = 10\n")
+        assert main(["bench", "--config", str(config)]) == 2
+        _one_data_error(capsys)

@@ -10,43 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from senselect import core
 from senselect.core import (BudgetExceededError, Dataset, LossOracle,
-                            LossTable, OracleProtocolError, RngStream,
-                            distance_z)
+                            LossTable, OracleProtocolError, RngStream)
 from senselect.selection import AUTO, data_select, data_select_rounds
-
-
-class TestDistanceZ:
-    def test_identity_point(self):
-        assert distance_z((3, 4), (3, 4), 2) == 0
-
-    def test_three_four_five(self):
-        assert distance_z((0, 0), (3, 4), 2) == pytest.approx(25)
-        assert distance_z((0, 0), (3, 4), 1) == pytest.approx(5)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            x = rng.normal(size=5)
-            y = rng.normal(size=5)
-            z = rng.uniform(0.5, 3)
-            assert distance_z(x, y, z) == distance_z(y, x, z)
-
-    def test_matches_naive_squared_sum(self):
-        # independent oracle: plain coordinate-wise summation for z=2
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            x = rng.normal(size=8)
-            y = rng.normal(size=8)
-            naive = sum((a - b) ** 2 for a, b in zip(x, y))
-            assert distance_z(x, y, 2) == pytest.approx(naive, rel=1e-12)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            distance_z((1, 2), (1, 2, 3), 2)
-        with pytest.raises(ValueError):
-            distance_z((np.nan, 0), (0, 0), 2)
-        with pytest.raises(ValueError):
-            distance_z((1,), (2,), 0)
 
 
 class TestDataset:

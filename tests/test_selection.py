@@ -6,9 +6,9 @@ from senselect.core import (BudgetExceededError, Dataset, LossOracle,
                             RngStream)
 from senselect.clustering import CenterList, assign
 from senselect.selection import (AUTO, data_select, data_select_rounds,
-                                 diversity_select, draw, extrapolate_losses,
-                                 kcenter_select, proxy_losses, sample_size,
-                                 sensitivity_plan, uniform_select)
+                                 diversity_select, draw, kcenter_select,
+                                 proxy_losses, sample_size, sensitivity_plan,
+                                 uniform_select)
 
 PAIRS = Dataset([[0.0], [1.0], [10.0], [11.0]])
 
@@ -289,16 +289,3 @@ class TestBaselines:
         idx = diversity_select(data, 6, 2, RngStream(1, "dv"))
         assert len(set(idx.tolist())) == 6
 
-
-class TestExtrapolateLosses:
-    def test_pairs_example(self):
-        ext = extrapolate_losses(PAIRS, pairs_clustering(), [0.0, 10.0], 1.0)
-        np.testing.assert_allclose(ext, [0, 1, 10, 11])
-
-    def test_zero_lambda_is_piecewise_constant(self):
-        ext = extrapolate_losses(PAIRS, pairs_clustering(), [3.0, 8.0], 0.0)
-        np.testing.assert_allclose(ext, [3, 3, 8, 8])
-
-    def test_length_check(self):
-        with pytest.raises(ValueError):
-            extrapolate_losses(PAIRS, pairs_clustering(), [1.0], 1.0)
