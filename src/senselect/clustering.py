@@ -13,6 +13,10 @@ by less than that may be resolved differently than an exact all-pairs
 ``cdist`` would; equal scores go to the lowest cluster id.  Seeding,
 snapping and medoids keep ``cdist``.
 
+The z=2 update copies no rows: `_cluster_sums` adds each cluster's members
+with one sparse indicator product, in the order numpy's ``mean(axis=0)``
+adds them, so each center is its members' mean bit for bit.
+
 Refinement stops at the Lloyd fixed point: once an update leaves the
 assignment unchanged and reseeds no cluster, the next pass would rebuild the
 same centers from the same rows, so it is skipped.
@@ -38,6 +42,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
 from .core import Dataset, as_generator
@@ -104,10 +109,12 @@ def powered_distances(X: np.ndarray, C: np.ndarray, z: float) -> np.ndarray:
 
 
 def _nearest(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Row-wise argmin over centers of ||c||^2 - 2 x.c (one GEMM, scaled and
-    shifted in place); equal scores go to the lowest center."""
-    D = X @ C.T
-    D *= -2.0
+    """Row-wise argmin over centers of ||c||^2 - 2 x.c (one GEMM, shifted in
+    place); equal scores go to the lowest center.  The -2 scales the k x d
+    operand, not the n x k product: a power of two commutes with every
+    rounding of the dot products (barring overflow and subnormal products),
+    so the scores are those of scaling the product, bit for bit."""
+    D = X @ (-2.0 * C).T
     D += np.einsum("ij,ij->i", C, C)
     return np.argmin(D, axis=1)
 
@@ -275,6 +282,27 @@ def _medoid(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
     return int(candidates[np.argmin(exact)])
 
 
+def _cluster_sums(X: np.ndarray, order: np.ndarray,
+                  bounds: np.ndarray) -> np.ndarray:
+    """Row i: the sum of cluster i's rows X[order[bounds[i]:bounds[i + 1]]]
+    (members in ascending row order), bit for bit the sum that
+    ``X[members].mean(axis=0)`` divides by the member count.
+
+    numpy sums the rows of a matrix one after another from +0.0, and so
+    does a CSR x dense product over each row's stored entries, here the
+    members with weight 1.0; every product is exact and no row is copied.
+    numpy sums a single column pairwise, so for d = 1 the column is
+    gathered and each cluster's slice summed as the mean sums it."""
+    n, d = X.shape
+    if d == 1:
+        grouped = X[order]
+        return np.array([grouped[lo:hi].sum(axis=0)
+                         for lo, hi in zip(bounds[:-1], bounds[1:])])
+    indicator = csr_matrix((np.ones(n), order, bounds),
+                           shape=(bounds.size - 1, n))
+    return indicator @ X
+
+
 def refine(data: Dataset, centers: CenterList, z: float,
            max_iters: int = 50) -> Clustering:
     """Lloyd-style alternation: assignment, then center update (cluster mean
@@ -302,36 +330,40 @@ def refine(data: Dataset, centers: CenterList, z: float,
         current = assign(data, centers, z)
         prev_cost = current.total_cost
         for _ in range(max_iters):
-            positions = current.centers.positions.copy()
-            indices = (None if z != 1 else
-                       np.empty(current.k, dtype=np.intp))
+            counts = np.bincount(current.assignment, minlength=current.k)
+            bounds = np.concatenate(([0], np.cumsum(counts)))
             # cluster i's members, in ascending row order, are
-            # order[bounds[i]:bounds[i + 1]]; their rows are the same slice
-            # of `grouped`, gathered once per iteration
-            order = np.argsort(current.assignment, kind="stable")
-            bounds = np.concatenate(([0], np.cumsum(
-                np.bincount(current.assignment, minlength=current.k))))
-            grouped = X[order]
-            mind = None  # per-point distance^z to the current centers
-            for i in range(current.k):
-                lo, hi = bounds[i], bounds[i + 1]
-                if lo == hi:
-                    if mind is None:
-                        mind = _point_cost(X, current.centers.positions,
-                                           current.assignment, z)
-                    far = int(np.argmax(mind))
-                    positions[i] = X[far]
-                    mind = np.minimum(
-                        mind, powered_distances(X, X[far], z)[:, 0])
-                    if indices is not None:
-                        indices[i] = far
-                    continue
-                if z == 2:
-                    positions[i] = grouped[lo:hi].mean(axis=0)
-                else:
+            # order[bounds[i]:bounds[i + 1]]; a stable sort gives the same
+            # permutation for any key dtype, and numpy radix-sorts 8- and
+            # 16-bit keys
+            order = np.argsort(
+                current.assignment.astype(np.min_scalar_type(current.k)),
+                kind="stable")
+            positions = current.centers.positions.copy()
+            filled = np.flatnonzero(counts)
+            if z == 2:
+                indices = None
+                positions[filled] = (_cluster_sums(X, order, bounds)[filled]
+                                     / counts[filled, None])
+            else:
+                indices = np.empty(current.k, dtype=np.intp)
+                # the medoids read their members' rows from one gathered copy
+                grouped = X[order]
+                for i in filled:
+                    lo, hi = bounds[i], bounds[i + 1]
                     m = order[lo + _medoid(grouped[lo:hi], pool, workers)]
                     positions[i] = X[m]
                     indices[i] = m
+            mind = None  # per-point distance^z to the current centers
+            for i in np.flatnonzero(counts == 0):
+                if mind is None:
+                    mind = _point_cost(X, current.centers.positions,
+                                       current.assignment, z)
+                far = int(np.argmax(mind))
+                positions[i] = X[far]
+                mind = np.minimum(mind, powered_distances(X, X[far], z)[:, 0])
+                if indices is not None:
+                    indices[i] = far
             updated = assign(data, CenterList(positions, indices), z)
             if updated.total_cost > prev_cost:
                 break  # numerical safeguard; keep the previous clustering
@@ -351,14 +383,19 @@ def snap_centers(data: Dataset, clustering: Clustering) -> Clustering:
 
     Centers are processed in order and each takes the nearest row not
     already claimed, so the snapped centers are k distinct rows and a
-    selection run queries exactly k distinct losses.
+    selection run queries exactly k distinct losses.  Only a center whose
+    nearest row is already claimed searches again among the unclaimed rows:
+    masking claimed rows only raises distances, so an unclaimed nearest row
+    stays the lowest-index nearest.
     """
     D = cdist(data.rows, clustering.centers.positions)
     idx = np.empty(clustering.k, dtype=np.intp)
     taken = np.zeros(data.n, dtype=bool)
     for i in range(clustering.k):
-        col = np.where(taken, np.inf, D[:, i])
-        idx[i] = int(np.argmin(col))
+        # column by column: an argmin over axis 0 would copy all of D
+        idx[i] = np.argmin(D[:, i])
+        if taken[idx[i]]:
+            idx[i] = np.argmin(np.where(taken, np.inf, D[:, i]))
         taken[idx[i]] = True
     snapped = CenterList(data.rows[idx], idx)
     return assign(data, snapped, clustering.z)

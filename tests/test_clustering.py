@@ -271,6 +271,21 @@ def _grid_instance(draw):
     return Dataset(np.array(rows)), np.array(centers), draw(st.sampled_from([1, 2]))
 
 
+@st.composite
+def _gaussian_instance(draw, scales):
+    """Gaussian rows at a scale drawn from `scales`, so cluster sums round;
+    part or all of column 0 is -0.0 in some draws.  The centers are up to
+    300 rows drawn without replacement, so labels past 255 need 16-bit sort
+    keys."""
+    k = draw(st.integers(1, 300))
+    n = k + draw(st.integers(0, 300))
+    d = draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = g.normal(size=(n, d)) * draw(scales)
+    X[g.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])), 0] = -0.0
+    return Dataset(X), X[g.choice(n, k, replace=False)]
+
+
 class TestAssignKernel:
     @settings(max_examples=200, deadline=None)
     @given(_grid_instance())
@@ -300,6 +315,20 @@ class TestAssignKernel:
         assert clustering.total_cost == 0.0
         np.testing.assert_array_equal(
             centers.positions[clustering.assignment], data.rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        _grid_instance().map(lambda case: case[:2]),
+        _gaussian_instance(st.integers(-20, 20).map(lambda e: 2.0 ** e))))
+    def test_prescaled_gemm_gives_the_labels_of_the_scaled_product(self, case):
+        data, C = case
+        # each center's mirror image through row 0 ties with it there
+        C = np.vstack([C, 2 * data.rows[0] - C])
+        D = data.rows @ C.T
+        D *= -2.0
+        D += np.einsum("ij,ij->i", C, C)
+        np.testing.assert_array_equal(
+            clustering_module._nearest(data.rows, C), np.argmin(D, axis=1))
 
     def test_far_from_the_origin(self):
         # ||x||^2 ~ 1e12 dwarfs the unit distances; the residual cost is
@@ -331,6 +360,42 @@ class TestRefineKernel:
         refined = refine(data, CenterList([[0.0], [0.0]]), 2, max_iters=1)
         np.testing.assert_array_equal(refined.centers.positions,
                                       [[11.0 / 3], [10.0]])
+
+    def test_means_copy_no_rows(self):
+        # the residual `assign` costs the points from is the one n x d
+        # temporary; gathering the rows in cluster order would add another
+        n, d = 20000, 32
+        data = Dataset(np.random.default_rng(0).normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            refine(data, CenterList(data.rows[:8]), 2, max_iters=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
+
+
+def reference_snap(data, clustering):
+    """Snap with every center's argmin taken over the rows not yet claimed."""
+    D = cdist(data.rows, clustering.centers.positions)
+    idx = np.empty(clustering.k, dtype=np.intp)
+    taken = np.zeros(data.n, dtype=bool)
+    for i in range(clustering.k):
+        idx[i] = int(np.argmin(np.where(taken, np.inf, D[:, i])))
+        taken[idx[i]] = True
+    return assign(data, CenterList(data.rows[idx], idx), clustering.z)
+
+
+class TestSnapClaims:
+    @settings(max_examples=150, deadline=None)
+    @given(_grid_instance())
+    def test_matches_the_masked_loop(self, case):
+        # rows repeat and centers sit on rows, so centers collide on a row
+        # and duplicated rows tie
+        data, C, z = case
+        clustering = assign(data, CenterList(C), z)
+        assert_same_clustering(snap_centers(data, clustering),
+                               reference_snap(data, clustering))
 
 
 class TestMedoid:
@@ -441,6 +506,19 @@ class TestRefineIsExact:
         got = refine(data, CenterList(C), z, max_iters=iters)
         assert_same_clustering(got, reference_refine(data, CenterList(C), z,
                                                      max_iters=iters))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_gaussian_instance(st.integers(-5, 5).map(lambda e: 10.0 ** e)),
+           st.integers(1, 10))
+    def test_means_match_the_reference_loop_on_gaussian_data(self, case,
+                                                             iters):
+        data, C = case
+        got = refine(data, CenterList(C), 2, max_iters=iters)
+        want = reference_refine(data, CenterList(C), 2, max_iters=iters)
+        # tobytes also tells -0.0 from 0.0
+        assert (got.centers.positions.tobytes()
+                == want.centers.positions.tobytes())
+        assert_same_clustering(got, want)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_kmedoids_on_any_worker_count(self, monkeypatch, workers):
