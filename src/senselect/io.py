@@ -3,6 +3,16 @@ JSON run reports.
 
 Binary matrix layout: magic b"CSEL1", then two little-endian u64 (n, d),
 then n*d little-endian float64 values row-major.
+
+Every CSV matrix and every loss or target vector is parsed by one helper,
+`_parse_rows`: the stripped, non-blank lines go to numpy's C reader
+(`np.loadtxt`), which rounds each field to the nearest double as Python's
+``float`` does.  It strips whitespace around fields, so CRLF endings and
+padded fields read as before.  Unlike ``float``, it rejects underscore
+digit groups (``1_000``) and non-ASCII digits, and it strips the ASCII
+separator controls U+001C..U+001F around a field.  When the reader fails
+on a matrix, the lines are checked one by one to name the first
+offending one in file order.
 """
 
 from __future__ import annotations
@@ -60,21 +70,41 @@ def _load_csv_matrix(path: Path) -> np.ndarray:
     # line 1 is a header only when none of its fields is a number; a partly
     # numeric line is a garbled data row and is rejected below
     start = 0 if any(_is_number(tok) for tok in lines[0].split(",")) else 1
-    rows = []
+    data_lines = lines[start:]
+    if not data_lines:
+        raise DataFormatError(f"{path}: no data rows")
+    try:
+        return _parse_rows(data_lines)
+    except ValueError as exc:
+        _raise_first_bad_row(path, data_lines)
+        # the line check finds every failure the reader reports; this keeps
+        # any other one a DataFormatError
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """Comma-separated ``lines`` (stripped, none blank) as an n x d float64
+    array; ValueError when a field is not a number or the rows differ in
+    width.  A blank string would be skipped, as a blank line is."""
+    if not lines:  # loadtxt would warn that the input held no data
+        return np.empty((0, 1))
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                      dtype=np.float64)
+
+
+def _raise_first_bad_row(path: Path, lines: list[str]):
+    """Raise the error for the first line, in file order, that does not
+    parse or differs in width from the first line."""
     width = None
-    for ln in lines[start:]:
+    for ln in lines:
         try:
-            row = [float(tok) for tok in ln.split(",")]
+            row = _parse_rows([ln])
         except ValueError as exc:
             raise DataFormatError(f"{path}: unparsable row {ln!r}") from exc
         if width is None:
-            width = len(row)
-        elif len(row) != width:
+            width = row.shape[1]
+        elif row.shape[1] != width:
             raise DataFormatError(f"{path}: ragged rows")
-        rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(rows)
 
 
 def _is_number(token: str) -> bool:
@@ -121,10 +151,15 @@ def read_vector(path, n: int | None = None,
             raw.append(fields[col])
     else:
         raw = lines
+    # the reader would skip an empty field as a blank line, and a value
+    # line holding a comma reads as a wider row
     try:
-        values = np.asarray([float(v) for v in raw])
+        values = _parse_rows(raw) if all(raw) else None
     except ValueError as exc:
         raise DataFormatError(f"{path}: unparsable value") from exc
+    if values is None or values.shape[1] != 1:
+        raise DataFormatError(f"{path}: unparsable value")
+    values = values.ravel()
     if n is not None and values.size != n:
         raise DataFormatError(
             f"{path}: {values.size} values but dataset has {n} rows")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,8 +86,14 @@ def _plan_from_scores(scores: np.ndarray, denom: float, s: int) -> SamplingPlan:
         denom = 0.0
     else:
         p = scores / denom
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         w = np.where(p > 0, 1.0 / (s * p), 0.0)
+    # a p below ~1/(s * 1.8e308) has no double weight; it is taken off the
+    # support, losing less probability than a draw can resolve
+    if w.max() == np.inf:
+        overflow = np.isinf(w)
+        p = np.where(overflow, 0.0, p)
+        w[overflow] = 0.0
     return SamplingPlan(p, w, s, float(denom))
 
 
@@ -108,15 +114,47 @@ def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
                      epsilon: float, s: int | None = None) -> SamplingPlan:
     """Importance-sampling plan with p(e) proportional to
     lhat(e) + lam_i * v(e), normalized by lam . Phi + sum(lhat); falls back
-    to uniform when everything is zero.  ``s`` draws, by default
-    sample_size(epsilon)."""
+    to uniform when everything is zero, and is rebuilt at a scale where
+    nothing underflows when a subnormal normalizer leaves p not summing to
+    1.  ``s`` draws, by default sample_size(epsilon)."""
     lam = _lambda_vector(lam, clustering.k)
     if np.any(~np.isfinite(proxy.lhat)) or np.any(~np.isfinite(proxy.v)):
         raise ValueError("non-finite proxy values")
     scores = proxy.lhat + lam[clustering.assignment] * proxy.v
     denom = float(np.dot(lam, clustering.cluster_cost) + np.sum(proxy.lhat))
     draws = sample_size(epsilon)  # checks epsilon even when s is given
-    return _plan_from_scores(scores, denom, draws if s is None else int(s))
+    s = draws if s is None else int(s)
+    try:
+        return _plan_from_scores(scores, denom, s)
+    except ValueError:  # p does not sum to 1
+        if denom >= np.finfo(np.float64).tiny:
+            raise
+    return _rescaled_plan(proxy, clustering, lam, s)
+
+
+def _rescaled_plan(proxy: ProxyLoss, clustering: Clustering, lam: np.ndarray,
+                   s: int) -> SamplingPlan:
+    """`sensitivity_plan` when its normalizer is subnormal and its terms
+    lost so much precision to underflow that p does not sum to 1.  Scaling
+    lhat and lam by one power of two leaves p unchanged, so every term is
+    rebuilt at the scale that puts the normalizer's largest term in
+    [1/4, 1), each product from its factors' mantissas and rounded once.
+    The plan stores the true normalizer."""
+    lhat, cost, a = proxy.lhat, clustering.cluster_cost, clustering.assignment
+    _, lhat_exp = np.frexp(lhat)
+    lam_frac, lam_exp = np.frexp(lam)
+    cost_frac, cost_exp = np.frexp(cost)
+    v_frac, v_exp = np.frexp(proxy.v)
+    # binary exponents of the normalizer's positive terms
+    exps = np.concatenate([lhat_exp[lhat > 0],
+                           (lam_exp + cost_exp)[(lam > 0) & (cost > 0)]])
+    shift = -int(exps.max())
+    lhat = np.ldexp(lhat, shift)
+    scores = lhat + np.ldexp(lam_frac[a] * v_frac, lam_exp[a] + v_exp + shift)
+    denom = float(np.sum(np.ldexp(lam_frac * cost_frac,
+                                  lam_exp + cost_exp + shift)) + np.sum(lhat))
+    plan = _plan_from_scores(scores, denom, s)
+    return replace(plan, denom=math.ldexp(plan.denom, -shift))
 
 
 def draw(plan: SamplingPlan, rng) -> WeightedSample:

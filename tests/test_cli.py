@@ -203,6 +203,24 @@ class TestSelect:
         assert "no reply for 0.5 s" in err and "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_subnormal_lambda_with_zero_losses(self, tmp_path):
+        # lam * v and the normalizer lam . Phi underflow apart; the plan is
+        # rebuilt at a scale where they do not, so p is v / Phi
+        data = tmp_path / "data.csv"
+        data.write_text("0,0\n" * 3 + "1,1\n" * 2)
+        losses = tmp_path / "losses.txt"
+        losses.write_text("0\n" * 5)
+        sample_path = tmp_path / "s.csv"
+        report_path = tmp_path / "r.json"
+        assert main(["select", "--data", str(data), "--losses", str(losses),
+                     "--k", "1", "--z", "1", "--lambda", "5e-324",
+                     "--epsilon", "0.5", "--out-sample", str(sample_path),
+                     "--out-report", str(report_path)]) == 0
+        sample = load_sample(sample_path)
+        assert set(sample.indices.tolist()) <= {3, 4}
+        np.testing.assert_allclose(sample.weights, 2 / len(sample))
+        assert load_report(report_path)["denom"] == 3 * 5e-324
+
     def test_lambda_file(self, pairs, tmp_path):
         data, losses = pairs
         lam = tmp_path / "lam.txt"

@@ -1,13 +1,219 @@
+import string
 import struct
+import tempfile
+import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from senselect.core import Dataset
 from senselect.io import (MAGIC, REPORT_SCHEMA_VERSION, DataFormatError,
-                          load_losses, load_matrix, load_report, load_sample,
-                          save_matrix, save_report, save_sample)
+                          _load_csv_matrix, load_losses, load_matrix,
+                          load_report, load_sample, read_vector, save_matrix,
+                          save_report, save_sample)
 from senselect.selection import WeightedSample
+
+
+def is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_matrix(path):
+    """The CSV matrix loader before numpy's reader: ``float`` per field."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    start = 0 if any(is_number(tok) for tok in lines[0].split(",")) else 1
+    rows = []
+    width = None
+    for ln in lines[start:]:
+        try:
+            row = [float(tok) for tok in ln.split(",")]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: unparsable row {ln!r}") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataFormatError(f"{path}: ragged rows")
+        rows.append(row)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return np.asarray(rows)
+
+
+def reference_vector(path, column=None):
+    """`read_vector` before numpy's reader: ``float`` per value."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    if column is not None:
+        header = [h.strip() for h in lines[0].split(",")]
+        if column not in header:
+            raise DataFormatError(f"{path}: no column named {column!r}")
+        col = header.index(column)
+        raw = []
+        for ln in lines[1:]:
+            fields = ln.split(",")
+            if len(fields) <= col:
+                raise DataFormatError(
+                    f"{path}: row {ln!r} has no {column!r} column")
+            raw.append(fields[col])
+    else:
+        raw = lines
+    try:
+        return np.asarray([float(v) for v in raw])
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: unparsable value") from exc
+
+
+def outcome(fn, *args, **kwargs):
+    """The array's dtype, shape and bytes, or the DataFormatError message."""
+    try:
+        a = fn(*args, **kwargs)
+    except DataFormatError as exc:
+        return str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# numbers as files hold them: repr (-0.0, subnormals, 17 digits, inf, nan),
+# fixed exponent widths and the spellings float() and numpy both accept
+NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.builds(lambda x, d: f"{x:.{d}e}", st.floats(allow_nan=False),
+              st.integers(0, 24)),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["inf", "-Infinity", "NaN", "+1", ".5", "5.", "1e400",
+                     "4.9e-324", "-0", "1E5", "+.5e-3"]),
+)
+# no underscores, which float() reads as digit groups and numpy rejects
+GARBAGE = st.text(string.ascii_letters + string.digits + ".+-#;:\"'/ \t",
+                  max_size=5)
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def csv_text(draw, header_names=None):
+    """CSV text: optional header, numeric rows with padded fields, maybe a
+    garbage field and a ragged row, blank and whitespace-only lines, LF or
+    CRLF endings."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(NUMBER, min_size=width, max_size=width),
+                         max_size=6))
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(GARBAGE)
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append(draw(NUMBER))
+        else:
+            row.pop()
+    lines = [",".join(draw(PAD) + tok + draw(PAD) for tok in row)
+             for row in rows]
+    if header_names is not None:
+        lines.insert(0, ",".join(header_names))
+    elif draw(st.booleans()):
+        lines.insert(0, ",".join(draw(st.lists(
+            st.sampled_from(["x", "y", " id ", "loss", "1", "nan"]),
+            min_size=width, max_size=width))))
+    out = []
+    for ln in lines:
+        out.append(ln)
+        out.extend(draw(st.lists(st.sampled_from(["", "   ", "\t"]),
+                                 max_size=1)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from(["", end]))
+
+
+@contextmanager
+def written(text: str):
+    """A temporary file holding ``text`` byte for byte (CRLF kept)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(text.encode())
+        yield path
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvParserMatchesTheReference:
+    """numpy's reader gives every value bit for bit and every error with
+    the message of the float()-per-field loader it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(csv_text())
+    def test_matrix(self, text):
+        with written(text) as path:
+            assert outcome(_load_csv_matrix, path) == outcome(
+                reference_matrix, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_text())
+    def test_vector_one_value_per_line(self, text):
+        with written(text) as path:
+            assert outcome(read_vector, path) == outcome(reference_vector,
+                                                         path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_vector_column(self, data):
+        names = data.draw(st.lists(st.sampled_from(["id", "loss", " x "]),
+                                   min_size=1, max_size=4))
+        text = data.draw(csv_text(header_names=names))
+        with written(text) as path:
+            assert (outcome(read_vector, path, column="loss")
+                    == outcome(reference_vector, path, column="loss"))
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4,5\nx,y\n", "1,2\n3,x\n4,5,6\n", "a,b\n", "a,b\n\n  \n",
+        "1,\n", ",1\n", "1, ,2\n", "-0.0\r\n 5e-324 \r\n", "1 2\n",
+        "\"1\",2\n", "#1,2\n", "0x10\n", "nan(1)\n", "1e\n"])
+    def test_tricky_inputs(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        assert outcome(_load_csv_matrix, path) == outcome(reference_matrix,
+                                                          path)
+        assert outcome(read_vector, path) == outcome(reference_vector, path)
+
+    @pytest.mark.parametrize("text", [
+        "loss\n1\n\n2\n", "id,loss\n0,\n", "id,loss\n0, \n",
+        "id,loss\n0,1,2\n1,x\n", "id,loss\n", "loss\n1\n-0\n"])
+    def test_tricky_columns(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert (outcome(read_vector, path, column="loss")
+                == outcome(reference_vector, path, column="loss"))
+
+    @pytest.mark.parametrize("token", ["1_000", "\uff11", "\u0661.5"])
+    def test_digit_groups_and_non_ascii_digits_are_rejected(self, tmp_path,
+                                                            token):
+        # float() reads both; numpy's reader does not
+        path = tmp_path / "in.csv"
+        path.write_text(f"1,2\n3,{token}\n", encoding="utf-8")
+        assert not isinstance(outcome(reference_matrix, path), str)
+        with pytest.raises(DataFormatError,
+                           match=f"unparsable row '3,{token}'"):
+            load_matrix(path)
+        path.write_text(f"1\n{token}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="unparsable value"):
+            read_vector(path)
+
+    def test_separator_controls_pad_a_field(self, tmp_path):
+        # U+001C..U+001F are whitespace to str.isspace and to numpy, not to
+        # float(): a field padded with one now parses
+        path = tmp_path / "in.csv"
+        path.write_text("1\x1c,2\n3,\x1f4\n")
+        assert isinstance(outcome(reference_matrix, path), str)
+        np.testing.assert_array_equal(load_matrix(path).rows,
+                                      [[1, 2], [3, 4]])
 
 
 class TestMatrixRoundTrip:
@@ -71,6 +277,36 @@ class TestMatrixRoundTrip:
         path.write_text("")
         with pytest.raises(DataFormatError):
             load_matrix(path)
+
+
+class TestCsvLoadCost:
+    def test_peak_memory_below_six_times_the_array(self, tmp_path):
+        # float() per field held ~10x the array in Python objects
+        rng = np.random.default_rng(34)
+        path = tmp_path / "m.csv"
+        save_matrix(Dataset(rng.normal(size=(20000, 9))), path)
+        tracemalloc.start()
+        try:
+            rows = load_matrix(path).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * rows.nbytes
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, load, message", [
+        ("x,y\n", load_matrix, "no data rows"),
+        ("id,loss\n", lambda p: load_losses(p, column="loss"),
+         "loss table is empty"),
+        ("", load_matrix, "empty file"),
+        ("\n  \n", load_losses, "empty file"),
+    ])
+    def test_no_data_raises_without_a_warning(self, tmp_path, text, load,
+                                              message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            load(path)
 
 
 class TestLosses:

@@ -126,6 +126,15 @@ class TestRegressionSelect:
         np.testing.assert_allclose(plan.p, [1 / 11, 3 / 11, 7 / 11])
         assert sample.provenance["lambda_mode"] == "finite"
 
+    def test_subnormal_lambda_on_zero_targets(self):
+        # zero targets give lhat = 0, so p is lam * dist over lam * Phi; at
+        # lam = 5e-324 each lam * sqrt(2) and lam * Phi underflow apart
+        inst = RegressionInstance([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 2,
+                                  [0.0] * 5)
+        _, plan = regression_select(inst, 1, 1.0, 5e-324,
+                                    RngStream(0, "tiny"), s=50)
+        np.testing.assert_allclose(plan.p, [0, 0, 0, 0.5, 0.5])
+
     def test_targets_read_only_at_medoids(self):
         # non-medoid targets can be garbage without changing the plan
         rng = np.random.default_rng(25)
