@@ -198,9 +198,10 @@ def cmd_select_regression(args) -> int:
 def cmd_lambda_estimate(args) -> int:
     data = sio.load_matrix(args.data)
     rng = RngStream(args.seed, "cli/lambda-estimate")
-    clustering = cluster(data, args.k, args.z, rng)
     t = args.t if args.t is not None else default_sample_count(args.k, args.p)
+    # an oracle process starts up while the data are clustered
     with _make_oracle(args, data.n) as oracle:
+        clustering = cluster(data, args.k, args.z, rng)
         lam = estimate_lambda(data, clustering, oracle, t,
                               rng.child("estimate"))
         queries = oracle.queries_used

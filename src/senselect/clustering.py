@@ -36,16 +36,15 @@ distances in flight stay at MEDOID_BLOCK rows.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, as_generator
+from .core import Dataset, _cpu_count, as_generator, blas_threads
 
 #: relative cost improvement below which refinement stops
 REFINE_TOL = 1e-9
@@ -121,10 +120,19 @@ def _nearest(X: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def center_distances(rows: np.ndarray, clustering: Clustering) -> np.ndarray:
     """||x - c|| of every row to its own center, by ``np.linalg.norm``;
-    rounds differently from `_point_cost`, which feeds the cluster costs."""
+    rounds differently from `_point_cost`, which feeds the cluster costs.
+    A row whose squared residual underflows to 0 although the residual is
+    nonzero gets its norm again from the residual scaled by its largest
+    entry; every other distance keeps the plain norm's bits."""
     # the gathered centers are a temporary, freed before the norm runs
-    return np.linalg.norm(
-        rows - clustering.centers.positions[clustering.assignment], axis=1)
+    R = rows - clustering.centers.positions[clustering.assignment]
+    dist = np.linalg.norm(R, axis=1)
+    zero = np.flatnonzero(dist == 0)
+    tiny = zero[np.any(R[zero] != 0, axis=1)]
+    if tiny.size:
+        scale = np.max(np.abs(R[tiny]), axis=1)
+        dist[tiny] = scale * np.linalg.norm(R[tiny] / scale[:, None], axis=1)
+    return dist
 
 
 def _point_cost(X: np.ndarray, C: np.ndarray, labels: np.ndarray,
@@ -184,13 +192,6 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
         chosen.append(nxt)
         mind = np.minimum(mind, powered_distances(X, X[nxt], z)[:, 0])
     return CenterList(X[chosen], np.asarray(chosen, dtype=np.intp))
-
-
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _distance_sums(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
@@ -317,15 +318,19 @@ def refine(data: Dataset, centers: CenterList, z: float,
 
     Each iteration makes one ``assign`` call, hence one n x k distance pass.
     For z=1 one thread pool, with a thread per CPU this process may use,
-    serves every medoid of the call.
+    serves every medoid of the call; while it exists BLAS runs on one
+    thread, so no idle BLAS worker spins on a CPU the pool needs.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
     if z not in (1, 2):
         raise ValueError(f"refinement supports z in {{1, 2}}, got {z}")
     workers = _cpu_count() if z == 1 else 1
-    with (ThreadPoolExecutor(workers) if workers > 1
-          else nullcontext()) as pool:
+    with ExitStack() as stack:
+        pool = None
+        if workers > 1:
+            stack.enter_context(blas_threads(1))
+            pool = stack.enter_context(ThreadPoolExecutor(workers))
         X = data.rows
         current = assign(data, centers, z)
         prev_cost = current.total_cost

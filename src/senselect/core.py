@@ -3,16 +3,26 @@
 The loss oracle is the central budget abstraction: every distinct index
 queried counts as one model inference, and a run that would exceed its
 budget must abort rather than silently keep going.
+
+A process-backed oracle starts its child when its ``with`` block is
+entered, so the child starts up while the caller clusters.  While the block
+is open, OpenBLAS runs on one thread fewer than this process has CPUs
+(`blas_threads`): after each multi-threaded BLAS call an idle OpenBLAS
+worker spins for about 0.1 s, and would keep the child off that CPU.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
 import shlex
 import subprocess
 import threading
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -118,6 +128,82 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS library loaded
+    in this process, found by path in /proc/self/maps; empty where there is
+    no /proc or no OpenBLAS (MKL, Accelerate).  numpy's and scipy's wheels
+    each bundle one, with prefixed and suffixed symbol names."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6
+                    and "openblas" in os.path.basename(f[5]).lower()})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+_blas_lock = threading.Lock()
+_blas_caps: list[int] = []    # the thread counts of the open holders
+_blas_saved: list[int] = []   # each library's count before the first holder
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run every loaded OpenBLAS on at most ``n`` threads inside the block.
+
+    Process-wide and re-entrant: holders may nest or overlap, from any
+    thread, the least of their counts applies, and each library's count
+    from before the first holder comes back when the last one exits.  A
+    no-op without OpenBLAS.  The pipeline's results do not depend on the
+    count: OpenBLAS splits a GEMM's output, not its dot products, over its
+    threads.  OpenBLAS does not guard a count change against a concurrent
+    BLAS call, so enter and exit where no other thread is in one."""
+    if n < 1:
+        raise ValueError(f"need at least one BLAS thread, got {n}")
+    controls = _openblas_controls()
+    with _blas_lock:
+        if not _blas_caps:
+            _blas_saved[:] = [get() for get, _ in controls]
+        _blas_caps.append(n)
+        _apply_blas_caps(controls)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_caps.remove(n)
+            _apply_blas_caps(controls)
+
+
+def _apply_blas_caps(controls):
+    for (_, put), saved in zip(controls, _blas_saved):
+        put(min([saved, *_blas_caps]))
+
+
 class LossOracle:
     """Query-counted accessor for the per-element loss.
 
@@ -128,6 +214,10 @@ class LossOracle:
 
     ``fetch(i)`` returns the loss of row i; a ``fetch`` object with a
     ``fetch_many(indices)`` method is handed whole batches instead.
+
+    Entering a process-backed oracle (`from_command`) starts its child and
+    caps BLAS at one thread fewer than this process's CPUs until the block
+    exits; without a ``with`` block the child starts on the first batch.
     """
 
     def __init__(self, fetch, n: int, budget: float | None = None):
@@ -136,6 +226,7 @@ class LossOracle:
         self.budget = np.inf if budget is None else budget
         self.cache: dict[int, float] = {}
         self._lock = threading.Lock()
+        self._held: list[ExitStack] = []  # a BLAS cap per open `with` block
 
     @classmethod
     def from_table(cls, losses, budget: float | None = None) -> "LossOracle":
@@ -215,10 +306,23 @@ class LossOracle:
             backend.close()
 
     def __enter__(self):
+        backend = getattr(self, "_backend", None)
+        if backend is not None:
+            with ExitStack() as stack:
+                stack.enter_context(blas_threads(max(1, _cpu_count() - 1)))
+                backend.start()  # a failed start releases the cap
+                self._held.append(stack.pop_all())
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self.close()
+        except OracleProtocolError:
+            if exc_type is None:
+                raise  # else the block's own error is the one to report
+        finally:
+            if self._held:
+                self._held.pop().close()
         return False
 
 
@@ -236,7 +340,8 @@ class _ProcessBackend:
         self.command = command
         self._proc = None
 
-    def _ensure(self):
+    def start(self):
+        """The running child, started first if there is none."""
         if self._proc is None:
             try:
                 self._proc = subprocess.Popen(
@@ -249,7 +354,7 @@ class _ProcessBackend:
         return self._proc
 
     def fetch_many(self, indices) -> list[float]:
-        proc = self._ensure()
+        proc = self.start()
         payload = "".join(f"{i}\n" for i in indices)
 
         def send():

@@ -11,13 +11,14 @@ Every CSV matrix and every loss or target vector is parsed by one helper,
 padded fields read as before.  Unlike ``float``, it rejects underscore
 digit groups (``1_000``) and non-ASCII digits, and it strips the ASCII
 separator controls U+001C..U+001F around a field.  When the reader fails
-on a matrix, the lines are checked one by one to name the first
-offending one in file order.
+on a matrix, the lines are checked again, in blocks and then one by one
+inside the failing block, to name the first offending one in file order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -94,17 +95,30 @@ def _parse_rows(lines: list[str]) -> np.ndarray:
 
 def _raise_first_bad_row(path: Path, lines: list[str]):
     """Raise the error for the first line, in file order, that does not
-    parse or differs in width from the first line."""
-    width = None
-    for ln in lines:
+    parse or differs in width from the first line.
+
+    The lines are parsed in blocks of about sqrt(len(lines)), and only the
+    block that fails is parsed line by line, so about 2 sqrt(len(lines))
+    reader calls find the line.  A block that parses has one width, that
+    of its first line."""
+    def parse_line(ln: str) -> np.ndarray:
         try:
-            row = _parse_rows([ln])
+            return _parse_rows([ln])
         except ValueError as exc:
             raise DataFormatError(f"{path}: unparsable row {ln!r}") from exc
-        if width is None:
-            width = row.shape[1]
-        elif row.shape[1] != width:
-            raise DataFormatError(f"{path}: ragged rows")
+
+    width = None
+    step = max(1, math.isqrt(len(lines)))
+    for start in range(0, len(lines), step):
+        block = lines[start:start + step]
+        try:
+            parsed = [_parse_rows(block)]
+        except ValueError:
+            parsed = map(parse_line, block)
+        for rows in parsed:
+            width = rows.shape[1] if width is None else width
+            if rows.shape[1] != width:
+                raise DataFormatError(f"{path}: ragged rows")
 
 
 def _is_number(token: str) -> bool:

@@ -115,31 +115,41 @@ def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
     """Importance-sampling plan with p(e) proportional to
     lhat(e) + lam_i * v(e), normalized by lam . Phi + sum(lhat); falls back
     to uniform when everything is zero, and is rebuilt at a scale where
-    nothing underflows when a subnormal normalizer leaves p not summing to
-    1.  ``s`` draws, by default sample_size(epsilon)."""
+    nothing underflows or overflows when the normalizer or a score is not
+    finite, or when a subnormal normalizer leaves p not summing to 1.
+    ``s`` draws, by default sample_size(epsilon)."""
     lam = _lambda_vector(lam, clustering.k)
     if np.any(~np.isfinite(proxy.lhat)) or np.any(~np.isfinite(proxy.v)):
         raise ValueError("non-finite proxy values")
-    scores = proxy.lhat + lam[clustering.assignment] * proxy.v
-    denom = float(np.dot(lam, clustering.cluster_cost) + np.sum(proxy.lhat))
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        scores = proxy.lhat + lam[clustering.assignment] * proxy.v
+        denom = float(_phi(lam, clustering) + np.sum(proxy.lhat))
     draws = sample_size(epsilon)  # checks epsilon even when s is given
     s = draws if s is None else int(s)
-    try:
-        return _plan_from_scores(scores, denom, s)
-    except ValueError:  # p does not sum to 1
-        if denom >= np.finfo(np.float64).tiny:
-            raise
+    if math.isfinite(denom) and np.all(np.isfinite(scores)):
+        try:
+            return _plan_from_scores(scores, denom, s)
+        except ValueError:  # p does not sum to 1
+            if denom >= np.finfo(np.float64).tiny:
+                raise
     return _rescaled_plan(proxy, clustering, lam, s)
+
+
+def _phi(lam: np.ndarray, clustering: Clustering) -> float:
+    """lam . Phi, the lam-weighted clustering cost; inf when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.dot(lam, clustering.cluster_cost))
 
 
 def _rescaled_plan(proxy: ProxyLoss, clustering: Clustering, lam: np.ndarray,
                    s: int) -> SamplingPlan:
-    """`sensitivity_plan` when its normalizer is subnormal and its terms
-    lost so much precision to underflow that p does not sum to 1.  Scaling
-    lhat and lam by one power of two leaves p unchanged, so every term is
-    rebuilt at the scale that puts the normalizer's largest term in
-    [1/4, 1), each product from its factors' mantissas and rounded once.
-    The plan stores the true normalizer."""
+    """`sensitivity_plan` when its normalizer or a score overflowed, or the
+    normalizer is subnormal and its terms lost so much precision to
+    underflow that p does not sum to 1.  Scaling lhat and lam by one power
+    of two leaves p unchanged, so every term is rebuilt at the scale that
+    puts the normalizer's largest term in [1/4, 1), each product from its
+    factors' mantissas and rounded once.  The plan stores the true
+    normalizer, inf when it is above the largest double."""
     lhat, cost, a = proxy.lhat, clustering.cluster_cost, clustering.assignment
     _, lhat_exp = np.frexp(lhat)
     lam_frac, lam_exp = np.frexp(lam)
@@ -154,7 +164,8 @@ def _rescaled_plan(proxy: ProxyLoss, clustering: Clustering, lam: np.ndarray,
     denom = float(np.sum(np.ldexp(lam_frac * cost_frac,
                                   lam_exp + cost_exp + shift)) + np.sum(lhat))
     plan = _plan_from_scores(scores, denom, s)
-    return replace(plan, denom=math.ldexp(plan.denom, -shift))
+    with np.errstate(over="ignore"):
+        return replace(plan, denom=float(np.ldexp(plan.denom, -shift)))
 
 
 def draw(plan: SamplingPlan, rng) -> WeightedSample:
@@ -204,7 +215,7 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
         "queries_used": oracle.queries_used,
         "queries_proxy": queries_proxy,
         "queries_lambda": oracle.queries_used - queries_proxy,
-        "phi_lambda": float(np.dot(lam, clustering.cluster_cost)),
+        "phi_lambda": _phi(lam, clustering),
         "denom": plan.denom,
         "seed": rng.seed,
         "rng_label": rng.label,
@@ -240,7 +251,7 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
             "z": z,
             "s": plan.s,
             "queries_used": oracle.queries_used,
-            "phi_lambda": float(np.dot(lam_i, clustering.cluster_cost)),
+            "phi_lambda": _phi(lam_i, clustering),
             "denom": plan.denom,
         }
         results.append((WeightedSample(sample.indices, sample.weights,

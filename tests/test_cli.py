@@ -184,6 +184,24 @@ class TestSelect:
         assert code == 3
         assert "end of input" in capsys.readouterr().err
 
+    def test_data_error_with_an_oracle_that_ignores_end_of_input(
+            self, pairs, tmp_path, monkeypatch, capsys):
+        # the oracle starts before clustering rejects k; the data error,
+        # not the oracle's hung close, sets the exit code
+        monkeypatch.setattr(core, "CLOSE_TIMEOUT_S", 0.2)
+        data, _ = pairs
+        script = tmp_path / "stubborn.py"
+        script.write_text("import sys, time\n"
+                          "sys.stdin.read()\n"
+                          "time.sleep(60)\n")
+        code = main(["select", "--data", str(data), "--k", "9",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--oracle", f"{sys.executable} {script}",
+                     "--out-sample", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "k=9 out of range" in err
+
     def test_oracle_that_never_answers(self, pairs, tmp_path, monkeypatch,
                                        capsys):
         monkeypatch.setattr(core, "REPLY_TIMEOUT_S", 0.5)
@@ -221,6 +239,31 @@ class TestSelect:
         np.testing.assert_allclose(sample.weights, 2 / len(sample))
         assert load_report(report_path)["denom"] == 3 * 5e-324
 
+    @pytest.mark.parametrize("lam", ["1e308", repr(sys.float_info.max)])
+    @pytest.mark.parametrize("losses_text", ["0\n" * 5, "0\n1\n2\n3\n4\n"],
+                             ids=["zero-losses", "losses"])
+    def test_huge_lambda(self, tmp_path, lam, losses_text):
+        # lam . Phi overflows; the plan is rebuilt at a scale where it does
+        # not, the report holds the true normalizer (inf) and no numpy
+        # warning escapes
+        data = tmp_path / "data.csv"
+        data.write_text("0,0\n" * 3 + "1,1\n" * 2)
+        losses = tmp_path / "losses.txt"
+        losses.write_text(losses_text)
+        sample_path = tmp_path / "s.csv"
+        report_path = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["select", "--data", str(data), "--losses",
+                         str(losses), "--k", "1", "--z", "1", "--lambda", lam,
+                         "--epsilon", "0.5", "--out-sample", str(sample_path),
+                         "--out-report", str(report_path)]) == 0
+        sample = load_sample(sample_path)
+        assert set(sample.indices.tolist()) <= {3, 4}
+        np.testing.assert_allclose(sample.weights, 2 / len(sample))
+        report = load_report(report_path)
+        assert report["denom"] == report["phi_lambda"] == np.inf
+
     def test_lambda_file(self, pairs, tmp_path):
         data, losses = pairs
         lam = tmp_path / "lam.txt"
@@ -248,6 +291,7 @@ class TestOracleThatCannotStart:
                                    capsys, args):
         data, _ = pairs
         monkeypatch.chdir(tmp_path)
+        blas = [get() for get, _ in core._openblas_controls()]
         code = main(args + ["--data", str(data),
                             "--oracle", str(tmp_path / "no-such-oracle")])
         assert code == 3
@@ -256,6 +300,7 @@ class TestOracleThatCannotStart:
         assert len(err.splitlines()) == 1
         assert "cannot start oracle process" in err
         assert "Traceback" not in err
+        assert [get() for get, _ in core._openblas_controls()] == blas
         # no sample, round or report file
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "data.csv", "losses.txt"]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from senselect import clustering as clustering_module
+from senselect import core as core_module
 from senselect.core import Dataset, RngStream
 from senselect.clustering import (MEDOID_BLOCK, REFINE_TOL, CenterList,
                                   Clustering, assign, cost, dz_seed, kmedoids,
@@ -641,3 +642,93 @@ class TestExactMedoid:
                    max_iters=1)
         full = np.sum(cdist(points, points), axis=1)
         assert found == [int(np.argmin(full))]
+
+
+class TestRefineBlasCap:
+    @pytest.fixture
+    def blas_log(self, monkeypatch):
+        """A fake BLAS library at 2 threads: its count at every medoid
+        call, and its count now."""
+        lib = {"count": 2, "seen": []}
+        controls = ((lambda: lib["count"],
+                     lambda n: lib.__setitem__("count", n)),)
+        monkeypatch.setattr(core_module, "_openblas_controls",
+                            lambda: controls)
+        real_medoid = clustering_module._medoid
+
+        def spy(*args):
+            lib["seen"].append(lib["count"])
+            return real_medoid(*args)
+
+        monkeypatch.setattr(clustering_module, "_medoid", spy)
+        return lib
+
+    @pytest.mark.parametrize("workers, cap", [(1, 2), (2, 1), (4, 1)])
+    def test_one_blas_thread_while_the_pool_exists(self, monkeypatch,
+                                                   blas_log, workers, cap):
+        monkeypatch.setattr(clustering_module, "_cpu_count", lambda: workers)
+        data = blobs(60, [[0, 0], [5, 0]], seed=3)
+        refine(data, dz_seed(data, 2, 1, RngStream(1, "cap")), 1)
+        assert set(blas_log["seen"]) == {cap}
+        assert blas_log["count"] == 2
+
+    def test_count_restored_after_an_error(self, monkeypatch, blas_log):
+        monkeypatch.setattr(clustering_module, "_cpu_count", lambda: 2)
+
+        def fail(*args):
+            raise MemoryError("medoid")
+
+        monkeypatch.setattr(clustering_module, "_medoid", fail)
+        data = blobs(60, [[0, 0], [5, 0]], seed=3)
+        with pytest.raises(MemoryError):
+            refine(data, dz_seed(data, 2, 1, RngStream(1, "cap")), 1)
+        assert blas_log["count"] == 2
+
+    def test_z2_leaves_blas_alone(self, monkeypatch, blas_log):
+        monkeypatch.setattr(clustering_module, "_cpu_count", lambda: 4)
+        real_nearest = clustering_module._nearest
+        seen = []
+
+        def spy(X, C):
+            seen.append(blas_log["count"])
+            return real_nearest(X, C)
+
+        monkeypatch.setattr(clustering_module, "_nearest", spy)
+        data = blobs(60, [[0, 0], [5, 0]], seed=3)
+        refine(data, dz_seed(data, 2, 2, RngStream(1, "cap")), 2)
+        assert set(seen) == {2}
+
+
+class TestCenterDistances:
+    def test_underflowing_residuals_get_their_norm(self):
+        # squared, these residuals are below the smallest subnormal
+        rows = np.array([[0.0], [0.0], [1e-310], [3e-310], [2.5e-310]])
+        clustering = assign(Dataset(rows), CenterList(rows[:1], [0]), 1)
+        dist = clustering_module.center_distances(rows, clustering)
+        np.testing.assert_array_equal(dist, np.abs(rows[:, 0]))
+
+    def test_underflow_in_several_dimensions(self):
+        rows = np.array([[0.0, 0.0], [3e-200, 4e-200], [1.0, 0.0],
+                         [-3e-170, 4e-170]])
+        clustering = assign(Dataset(rows), CenterList(rows[:1], [0]), 1)
+        dist = clustering_module.center_distances(rows, clustering)
+        np.testing.assert_allclose(dist, [0, 5e-200, 1, 5e-170],
+                                   rtol=1e-15)
+        # a distance whose square does not underflow keeps its bits
+        assert dist[2] == np.linalg.norm(rows[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3) | st.floats(-1e-160, 1e-160),
+                    min_size=6, max_size=40),
+           st.integers(1, 3))
+    def test_only_underflowed_distances_change(self, values, d):
+        rows = np.array(values[:len(values) // d * d]).reshape(-1, d)
+        clustering = assign(Dataset(rows), CenterList(rows[:2], [0, 1]), 2)
+        R = rows - clustering.centers.positions[clustering.assignment]
+        plain = np.linalg.norm(R, axis=1)
+        got = clustering_module.center_distances(rows, clustering)
+        keep = (plain > 0) | np.all(R == 0, axis=1)
+        assert got[keep].tobytes() == plain[keep].tobytes()
+        np.testing.assert_allclose(
+            got[~keep], [math.hypot(*r) for r in R[~keep]], rtol=1e-15)
+        assert np.all(got[~keep] > 0)

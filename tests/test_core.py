@@ -349,3 +349,262 @@ def test_auto_select_is_the_same_through_a_process_and_a_table(tmp_path):
     assert ra["queries_used"] == rb["queries_used"] > 4
     np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(a.weights, b.weights)
+
+
+class _FakeBlas:
+    """Thread-count control of one fake BLAS library; logs every set."""
+
+    def __init__(self, count, log):
+        self.count, self.log = count, log
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.count = n
+        self.log.append(("set", n))
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """Two fake libraries at 4 and 2 threads in place of the real ones."""
+    log = []
+    libs = [_FakeBlas(4, log), _FakeBlas(2, log)]
+    monkeypatch.setattr(core, "_openblas_controls",
+                        lambda: tuple((lib.get, lib.set) for lib in libs))
+    return libs, log
+
+
+def _counts(libs):
+    return [lib.count for lib in libs]
+
+
+class TestBlasThreads:
+    def test_caps_and_restores_on_normal_exit(self, fake_blas):
+        libs, _ = fake_blas
+        with core.blas_threads(1):
+            assert _counts(libs) == [1, 1]
+        assert _counts(libs) == [4, 2]
+        with core.blas_threads(3):  # a cap never raises a count
+            assert _counts(libs) == [3, 2]
+        assert _counts(libs) == [4, 2]
+
+    def test_restores_after_an_exception(self, fake_blas):
+        libs, _ = fake_blas
+        with pytest.raises(KeyError):
+            with core.blas_threads(1):
+                raise KeyError("inside")
+        assert _counts(libs) == [4, 2]
+
+    def test_nested_holders(self, fake_blas):
+        libs, _ = fake_blas
+        with core.blas_threads(3):
+            with core.blas_threads(1):
+                assert _counts(libs) == [1, 1]
+            assert _counts(libs) == [3, 2]
+        assert _counts(libs) == [4, 2]
+
+    def test_overlapping_holders(self, fake_blas):
+        # the first holder exits while the second is still open
+        libs, _ = fake_blas
+        first, second = core.blas_threads(3), core.blas_threads(1)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert _counts(libs) == [1, 1]
+        second.__exit__(None, None, None)
+        assert _counts(libs) == [4, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 5)),
+                    max_size=12))
+    def test_any_sequence_of_holders(self, steps):
+        # each step opens a holder or closes the oldest open one; the count
+        # is always the least of the original and the open caps
+        log = []
+        libs = [_FakeBlas(4, log), _FakeBlas(2, log)]
+        controls = tuple((lib.get, lib.set) for lib in libs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_openblas_controls", lambda: controls)
+            open_caps = []
+            for opens, n in steps:
+                if opens or not open_caps:
+                    holder = core.blas_threads(n)
+                    holder.__enter__()
+                    open_caps.append((n, holder))
+                else:
+                    open_caps.pop(0)[1].__exit__(None, None, None)
+                caps = [c for c, _ in open_caps]
+                assert _counts(libs) == [min([4, *caps]), min([2, *caps])]
+            for _, holder in open_caps:
+                holder.__exit__(None, None, None)
+        assert _counts(libs) == [4, 2]
+
+    def test_holders_in_two_threads(self, fake_blas):
+        libs, _ = fake_blas
+        inside, release = threading.Event(), threading.Event()
+
+        def hold():
+            with core.blas_threads(2):
+                inside.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        assert inside.wait(10)
+        with core.blas_threads(1):
+            release.set()
+            worker.join(10)
+            assert not worker.is_alive()
+            assert _counts(libs) == [1, 1]
+        assert _counts(libs) == [4, 2]
+
+    def test_stress_many_threads(self, fake_blas):
+        # more holders than cores, switching threads as often as possible;
+        # a lost update would leave a cap behind or a count changed
+        libs, _ = fake_blas
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            over = []  # a count above the cap of an open holder
+
+            def churn(seed):
+                g = np.random.default_rng(seed)
+                for n in g.integers(1, 6, size=300):
+                    with core.blas_threads(int(n)):
+                        if max(_counts(libs)) > n:
+                            over.append(n)
+
+            workers = [threading.Thread(target=churn, args=(i,))
+                       for i in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert over == []
+        assert _counts(libs) == [4, 2]
+        assert core._blas_caps == []
+
+    def test_no_op_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(core, "_openblas_controls", lambda: ())
+        with core.blas_threads(1):
+            pass
+
+    def test_rejects_fewer_than_one_thread(self, fake_blas):
+        libs, log = fake_blas
+        with pytest.raises(ValueError):
+            with core.blas_threads(0):
+                pass
+        assert log == []
+
+    @pytest.mark.skipif(not core._openblas_controls(),
+                        reason="no OpenBLAS loaded")
+    def test_real_openblas(self):
+        controls = core._openblas_controls()
+        before = [get() for get, _ in controls]
+        with core.blas_threads(1):
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == before
+
+
+class TestProcessOracleBlock:
+    def test_entering_starts_the_child_before_any_query(self, tmp_path):
+        marker = tmp_path / "started"
+        command = _script(tmp_path, "marker", f"""
+            import pathlib, sys
+            pathlib.Path({str(marker)!r}).write_text("up")
+            for line in sys.stdin:
+                print(int(line) / 2, flush=True)
+        """)
+        oracle = LossOracle.from_command(command, n=10)
+        assert oracle._backend._proc is None  # created, not started
+        with oracle:
+            deadline = time.monotonic() + 30
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert marker.exists()
+            assert oracle.queries_used == 0
+            assert oracle.query(4) == 2.0
+        assert oracle._backend._proc is None
+
+    def test_without_a_block_the_first_batch_starts_the_child(
+            self, echo_command):
+        oracle = LossOracle.from_command(echo_command, n=10)
+        assert oracle._backend._proc is None
+        assert oracle.query_many([3]).tolist() == [1.5]
+        assert oracle._backend._proc is not None
+        oracle.close()
+
+    @pytest.mark.parametrize("cpus, cap", [(1, 1), (2, 1), (4, 3)])
+    def test_caps_blas_while_open(self, fake_blas, echo_command, monkeypatch,
+                                  cpus, cap):
+        libs, _ = fake_blas
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        with LossOracle.from_command(echo_command, n=10) as oracle:
+            assert _counts(libs) == [min(4, cap), min(2, cap)]
+            oracle.query(1)
+        assert _counts(libs) == [4, 2]
+
+    def test_exit_closes_the_child_before_restoring(self, fake_blas,
+                                                    echo_command):
+        libs, log = fake_blas
+        oracle = LossOracle.from_command(echo_command, n=10)
+        close = oracle._backend.close
+        oracle._backend.close = lambda: (log.append("close"), close())
+        with oracle:
+            log.clear()
+        assert log == ["close", ("set", 4), ("set", 2)]
+
+    def test_cap_released_when_close_fails(self, fake_blas, tmp_path,
+                                           monkeypatch):
+        libs, _ = fake_blas
+        monkeypatch.setattr(core, "CLOSE_TIMEOUT_S", 0.2)
+        command = _script(tmp_path, "stubborn", """
+            import sys, time
+            for line in sys.stdin:
+                print(1.0, flush=True)
+            time.sleep(60)
+        """)
+        with pytest.raises(OracleProtocolError, match="end of input"):
+            with LossOracle.from_command(command, n=10) as oracle:
+                oracle.query(0)
+        assert _counts(libs) == [4, 2]
+
+    def test_block_error_is_not_masked_by_a_failed_close(
+            self, fake_blas, tmp_path, monkeypatch):
+        # the child starts on entering, before the block fails; closing it
+        # then times out, and the block's error is the one raised
+        libs, _ = fake_blas
+        monkeypatch.setattr(core, "CLOSE_TIMEOUT_S", 0.2)
+        command = _script(tmp_path, "stubborn", """
+            import sys, time
+            sys.stdin.read()
+            time.sleep(60)
+        """)
+        oracle = LossOracle.from_command(command, n=10)
+        with pytest.raises(KeyError):
+            with oracle:
+                proc = oracle._backend._proc
+                raise KeyError("block")
+        assert proc.returncode is not None
+        assert _counts(libs) == [4, 2]
+
+    def test_child_that_cannot_start_keeps_no_cap(self, fake_blas,
+                                                  tmp_path):
+        libs, _ = fake_blas
+        oracle = LossOracle.from_command(str(tmp_path / "no-such-oracle"),
+                                         n=10)
+        with pytest.raises(OracleProtocolError, match="cannot start"):
+            with oracle:
+                pytest.fail("the block ran without a child")
+        assert _counts(libs) == [4, 2]
+        assert oracle._held == []
+
+    def test_table_oracle_leaves_blas_alone(self, fake_blas):
+        libs, log = fake_blas
+        with LossOracle.from_table([1.0, 2.0]) as oracle:
+            oracle.query(1)
+        assert log == []

@@ -1,3 +1,4 @@
+import math
 import string
 import struct
 import tempfile
@@ -307,6 +308,54 @@ class TestCsvLoadCost:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=message):
             load(path)
+
+
+class TestFirstBadRow:
+    """The first bad line of a CSV that fails to load is found with about
+    2 sqrt(n) reader calls, blocks first and then the failing block line by
+    line, and named as the line-by-line check names it."""
+
+    N = 2000
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        calls = []
+        real = np.loadtxt
+
+        def counting(lines, *args, **kwargs):
+            calls.append(len(lines))
+            return real(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        return calls
+
+    @pytest.mark.parametrize("where", [0, 1, N // 2, N - 1])
+    @pytest.mark.parametrize("bad, message", [
+        ("1.5,abc,3", "unparsable row '1.5,abc,3'"),
+        ("1.5,2", "ragged rows"),
+        ("1,2,3,4", "ragged rows"),
+    ])
+    def test_message_and_reader_calls(self, tmp_path, loadtxt_calls, where,
+                                      bad, message):
+        lines = [f"{i},{i + 0.5},-{i}" for i in range(self.N)]
+        lines[where] = bad
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: {message}"
+        # the whole file once, then at most sqrt(N) blocks and one block's
+        # lines
+        assert len(loadtxt_calls) <= 1 + 2 * math.isqrt(self.N) + 1
+        assert max(loadtxt_calls[1:]) <= math.isqrt(self.N)
+
+    def test_first_of_two_bad_lines_is_named(self, tmp_path, loadtxt_calls):
+        lines = [f"{i},{i}" for i in range(self.N)]
+        lines[700], lines[701], lines[1500] = "7,x", "1,2,3", "y,1"
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="unparsable row '7,x'"):
+            load_matrix(path)
 
 
 class TestLosses:

@@ -135,6 +135,16 @@ class TestRegressionSelect:
                                     RngStream(0, "tiny"), s=50)
         np.testing.assert_allclose(plan.p, [0, 0, 0, 0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error")
+    def test_distance_only_mode_on_subnormal_distances(self):
+        # squared, the distances underflow to 0; the plan still follows them
+        inst = RegressionInstance([[0.0], [0.0], [1e-310], [3e-310],
+                                   [2.5e-310]], [1.0] * 5)
+        _, plan = regression_select(inst, 1, 1.0, INFINITY,
+                                    RngStream(0, "tiny"), s=50)
+        assert plan.clustering.centers.indices[0] == 0
+        np.testing.assert_allclose(plan.p, [0, 0, 1 / 6.5, 3 / 6.5, 2.5 / 6.5])
+
     def test_targets_read_only_at_medoids(self):
         # non-medoid targets can be garbage without changing the plan
         rng = np.random.default_rng(25)

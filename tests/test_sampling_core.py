@@ -12,10 +12,12 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from senselect.clustering import (assign, dz_seed, kmedoids, refine,
                                   snap_centers)
+from senselect import core
 from senselect.core import Dataset, LossOracle, RngStream
 from senselect.evaluation import exact_expectation_gap
 from senselect.hoelder import INFINITY, default_sample_count, estimate_lambda
@@ -277,7 +279,8 @@ def test_leverage_select_matches_the_reference(data, s, seed, stream):
 
 #: from 0 through subnormal to huge: subnormal lam with zero losses is where
 #: the normalizer underflows
-LAMBDAS = [0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e300]
+LAMBDAS = [0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e300, 1e308,
+           np.finfo(float).max]
 
 
 @st.composite
@@ -310,3 +313,46 @@ def test_plans_are_valid_at_every_lambda_scale(case):
                             (reg.p, reg.w, reg.s, residuals)]:
         assert abs(float(np.sum(p)) - 1.0) <= 1e-9
         assert exact_expectation_gap(p, w, s, values) <= 1e-9
+
+
+@st.composite
+def blas_case(draw):
+    """Gaussian blobs large enough that OpenBLAS splits the assignment GEMM
+    over threads: at n * d * k = 768,000 it does on a 2-CPU host, at
+    288,000 it does not."""
+    n = draw(st.integers(3000, 4000))
+    d = draw(st.integers(16, 24))
+    k = draw(st.integers(16, 24))
+    seed = draw(st.integers(0, 10 ** 6))
+    g = np.random.default_rng(seed)
+    rows = g.normal(size=(n, d)) + 4 * g.normal(size=(k, d))[
+        g.integers(k, size=n)]
+    return rows, g.gamma(2.0, size=n), g.normal(size=n), k, seed
+
+
+def _selection_bytes(rows, losses, targets, k, z, seed):
+    """Every output of data_select and regression_select, as bytes."""
+    rng = RngStream(seed, "blas")
+    sample, _, clustering, plan = data_select(
+        Dataset(rows), k, 0.3, 0.5, LossOracle.from_table(losses), z, rng)
+    reg_sample, reg = regression_select(RegressionInstance(rows, targets),
+                                        k, 0.5, 1.0, rng)
+    arrays = [sample.indices, sample.weights, clustering.assignment,
+              clustering.centers.positions, clustering.cluster_cost, plan.p,
+              plan.w, reg_sample.indices, reg_sample.weights, reg.p, reg.w,
+              reg.x0, reg.clustering.centers.positions]
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.skipif(not core._openblas_controls(),
+                    reason="no OpenBLAS loaded")
+@settings(max_examples=8, deadline=None)
+@given(blas_case(), st.sampled_from([1, 2]))
+def test_blas_cap_changes_no_output(case, z):
+    """The cap a process oracle and the medoid pool take on BLAS threads
+    leaves samples, clusterings and plans bit-identical."""
+    rows, losses, targets, k, seed = case
+    free = _selection_bytes(rows, losses, targets, k, z, seed)
+    with core.blas_threads(1):
+        capped = _selection_bytes(rows, losses, targets, k, z, seed)
+    assert free == capped
