@@ -8,7 +8,6 @@ for the diagnostic subcommands.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -67,13 +66,17 @@ def _parse_lambda(raw: str, k: int):
     return values
 
 
-def _emit(command: str, result: dict, out_report) -> int:
-    """Print the result as JSON; with --out-report also save it, tagged with
-    the command."""
-    print(json.dumps(result))
+def _save(command: str, result: dict, out_report) -> int:
+    """Save the result, tagged with the command, when --out-report is set."""
     if out_report:
         sio.save_report({"command": command, **result}, out_report)
     return EXIT_OK
+
+
+def _emit(command: str, result: dict, out_report) -> int:
+    """Print the result as one JSON line, then `_save` it."""
+    print(sio.to_json(result))
+    return _save(command, result, out_report)
 
 
 def _save_clustering(clustering, out_centers=None, out_assignment=None):
@@ -97,14 +100,12 @@ def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     clustering = cluster(data, args.k, args.z, rng)
     _save_clustering(clustering, args.out_centers, args.out_assignment)
-    if args.out_report:
-        sio.save_report({
-            "command": "cluster", "k": args.k, "z": args.z, "seed": args.seed,
-            "cost": clustering.total_cost,
-            "cluster_cost": [float(c) for c in clustering.cluster_cost],
-            "elapsed_seconds": time.perf_counter() - t0,
-        }, args.out_report)
-    return EXIT_OK
+    return _save("cluster", {
+        "k": args.k, "z": args.z, "seed": args.seed,
+        "cost": clustering.total_cost,
+        "cluster_cost": [float(c) for c in clustering.cluster_cost],
+        "elapsed_seconds": time.perf_counter() - t0,
+    }, args.out_report)
 
 
 def cmd_select(args) -> int:
@@ -125,15 +126,11 @@ def cmd_select(args) -> int:
     with _make_oracle(args, data.n) as oracle:
         sample, report, clustering, plan = data_select(
             data, k, args.epsilon, lam, oracle, args.z, rng, s=s)
-    report = dict(report)
-    report["command"] = "select"
-    report["elapsed_seconds"] = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
     sio.save_sample(sample, args.out_sample)
-    report["sample_path"] = args.out_sample
     _save_clustering(clustering, args.out_centers, args.out_assignment)
-    if args.out_report:
-        sio.save_report(report, args.out_report)
-    return EXIT_OK
+    return _save("select", {**report, "elapsed_seconds": elapsed,
+                            "sample_path": args.out_sample}, args.out_report)
 
 
 def cmd_select_rounds(args) -> int:
@@ -146,20 +143,15 @@ def cmd_select_rounds(args) -> int:
     with _make_oracle(args, data.n) as oracle:
         results = data_select_rounds(data, args.k, args.rounds, args.epsilon,
                                      lam, oracle, args.z, rng)
-    paths, reports = [], []
-    for sample, report in results:
-        path = f"{args.out_prefix}_round{report['round']}.csv"
+    paths = [f"{args.out_prefix}_round{r['round']}.csv" for _, r in results]
+    for (sample, _), path in zip(results, paths):
         sio.save_sample(sample, path)
-        paths.append(path)
-        reports.append(report)
-    if args.out_report:
-        sio.save_report({
-            "command": "select-rounds", "k": args.k, "rounds": args.rounds,
-            "epsilon": args.epsilon, "z": args.z, "seed": args.seed,
-            "sample_paths": paths, "rounds_detail": reports,
-            "elapsed_seconds": time.perf_counter() - t0,
-        }, args.out_report)
-    return EXIT_OK
+    return _save("select-rounds", {
+        "k": args.k, "rounds": args.rounds, "epsilon": args.epsilon,
+        "z": args.z, "seed": args.seed, "sample_paths": paths,
+        "rounds_detail": [r for _, r in results],
+        "elapsed_seconds": time.perf_counter() - t0,
+    }, args.out_report)
 
 
 def _load_regression(args) -> RegressionInstance:
@@ -182,17 +174,13 @@ def cmd_select_regression(args) -> int:
     sample, plan = regression_select(inst, args.k, args.epsilon, lam, rng,
                                      delta=args.delta)
     sio.save_sample(sample, args.out_sample)
-    if args.out_report:
-        sio.save_report({
-            "command": "select-regression", "k": args.k,
-            "epsilon": args.epsilon, "delta": args.delta,
-            "lambda_mode": sample.provenance["lambda_mode"],
-            "s": plan.s, "seed": args.seed,
-            "x0": [float(v) for v in plan.x0],
-            "sample_path": args.out_sample,
-            "elapsed_seconds": time.perf_counter() - t0,
-        }, args.out_report)
-    return EXIT_OK
+    return _save("select-regression", {
+        "k": args.k, "epsilon": args.epsilon, "delta": args.delta,
+        "lambda_mode": sample.provenance["lambda_mode"], "s": plan.s,
+        "seed": args.seed, "x0": [float(v) for v in plan.x0],
+        "sample_path": args.out_sample,
+        "elapsed_seconds": time.perf_counter() - t0,
+    }, args.out_report)
 
 
 def cmd_lambda_estimate(args) -> int:
@@ -263,10 +251,8 @@ def cmd_bench(args) -> int:
     config = _parse_config(args.config)
     report = run_trials(config)
     summary = report.summary()
-    print(json.dumps(summary))
-    if args.out_report:
-        sio.save_report({"command": "bench", "config": config, **summary},
-                        args.out_report)
+    print(sio.to_json(summary))
+    _save("bench", {"config": config, **summary}, args.out_report)
     if args.out_csv:
         keys = sorted({k for row in report.rows for k in row})
         with open(args.out_csv, "w") as fh:

@@ -161,13 +161,14 @@ def cost(data: Dataset, centers: CenterList, z: float) -> float:
 
 
 def weighted_cost(clustering: Clustering, lam) -> float:
-    """Per-cluster weighted cost: sum_i lam_i * cluster_cost[i]."""
+    """Per-cluster weighted cost lam . Phi; inf when it overflows."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
     if lam.size != clustering.k:
         raise ValueError(f"lambda length {lam.size} != k {clustering.k}")
     if np.any(lam < 0):
         raise ValueError("lambda entries must be >= 0")
-    return float(np.dot(lam, clustering.cluster_cost))
+    with np.errstate(over="ignore"):
+        return float(np.dot(lam, clustering.cluster_cost))
 
 
 def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
@@ -313,8 +314,9 @@ def refine(data: Dataset, centers: CenterList, z: float,
     unchanged, the next update would rebuild the same centers bit for bit.
     The cost never increases.
 
-    A cluster left empty by an update is reseeded at the point farthest (in
-    distance^z) from the current centers, keeping k fixed.
+    A cluster left empty by an update is reseeded at the row farthest (in
+    distance^z) from the current centers that is not a center already,
+    keeping k fixed.
 
     Each iteration makes one ``assign`` call, hence one n x k distance pass.
     For z=1 one thread pool, with a thread per CPU this process may use,
@@ -364,9 +366,12 @@ def refine(data: Dataset, centers: CenterList, z: float,
                 if mind is None:
                     mind = _point_cost(X, current.centers.positions,
                                        current.assignment, z)
+                    if indices is not None:  # -1 marks a row that is a center
+                        mind[indices[filled]] = -1
                 far = int(np.argmax(mind))
                 positions[i] = X[far]
                 mind = np.minimum(mind, powered_distances(X, X[far], z)[:, 0])
+                mind[far] = -1
                 if indices is not None:
                     indices[i] = far
             updated = assign(data, CenterList(positions, indices), z)

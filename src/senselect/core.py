@@ -94,9 +94,6 @@ class LossTable:
     def __len__(self) -> int:
         return self.values.size
 
-    def __getitem__(self, i):
-        return self.values[i]
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -218,6 +215,7 @@ class LossOracle:
     Entering a process-backed oracle (`from_command`) starts its child and
     caps BLAS at one thread fewer than this process's CPUs until the block
     exits; without a ``with`` block the child starts on the first batch.
+    When the block raises, leaving it kills the child without waiting.
     """
 
     def __init__(self, fetch, n: int, budget: float | None = None):
@@ -227,6 +225,7 @@ class LossOracle:
         self.cache: dict[int, float] = {}
         self._lock = threading.Lock()
         self._held: list[ExitStack] = []  # a BLAS cap per open `with` block
+        self._backend = None  # the child process of `from_command`
 
     @classmethod
     def from_table(cls, losses, budget: float | None = None) -> "LossOracle":
@@ -301,25 +300,24 @@ class LossOracle:
         self.cache.update(zip(misses, values))
 
     def close(self):
-        backend = getattr(self, "_backend", None)
-        if backend is not None:
-            backend.close()
+        if self._backend is not None:
+            self._backend.close()
 
     def __enter__(self):
-        backend = getattr(self, "_backend", None)
-        if backend is not None:
+        if self._backend is not None:
             with ExitStack() as stack:
                 stack.enter_context(blas_threads(max(1, _cpu_count() - 1)))
-                backend.start()  # a failed start releases the cap
+                self._backend.start()  # a failed start releases the cap
                 self._held.append(stack.pop_all())
         return self
 
     def __exit__(self, exc_type, exc, tb):
         try:
-            self.close()
-        except OracleProtocolError:
             if exc_type is None:
-                raise  # else the block's own error is the one to report
+                self.close()
+            elif self._backend is not None:
+                # the block's own error is the one to report, at once
+                self._backend.kill()
         finally:
             if self._held:
                 self._held.pop().close()
@@ -396,14 +394,20 @@ class _ProcessBackend:
             return values
         proc.kill()  # also unblocks a writer stuck on a full pipe
         writer.join()
-        self._proc = None
-        proc.wait()
-        _close_pipes(proc)
+        self.kill()
         if timed_out.is_set():
             raise OracleProtocolError(
                 f"oracle process sent no reply for {REPLY_TIMEOUT_S} s; "
                 "killed it")
         raise failure
+
+    def kill(self):
+        """Stop the child at once; the next batch starts a new one."""
+        if self._proc is not None:
+            proc, self._proc = self._proc, None
+            proc.kill()
+            proc.wait()
+            _close_pipes(proc)
 
     def close(self):
         if self._proc is not None:

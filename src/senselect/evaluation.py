@@ -33,10 +33,6 @@ class PlantedInstance:
     def sum_loss(self) -> float:
         return float(np.sum(self.losses.values))
 
-    @property
-    def phi_lambda(self) -> float:
-        return weighted_cost(self.clustering, self.lam)
-
 
 def delta_error(losses, sample: WeightedSample) -> float:
     """|sum_e loss(e) - sum_{e in S} w(e) loss(e)|.
@@ -136,15 +132,14 @@ def planted_regression(n: int, d: int, k: int, lambda_true: float, rng,
             np.asarray(labels), np.full(k, lambda_true))
 
 
-def r2_benchmark(n: int, d: int, k: int, rng, sample_fraction: float = 0.05,
-                 spread: float = 0.2, lambda_true: float = 0.5) -> dict:
-    """One seed of the desk-scale R^2 comparison: fit weighted least squares
-    on a sensitivity-selected, a leverage-selected, and a uniform coreset of
-    size sample_fraction * n, and score each fit on the full data."""
-    rng = rng if isinstance(rng, RngStream) else RngStream(int(rng), "r2")
-    inst, _, _, _ = planted_regression(n, d, k, lambda_true,
-                                       rng.child("instance"), spread=spread)
-    s = max(int(round(sample_fraction * n)), d + 1)
+def r2_benchmark(n: int, d: int, k: int, rng: RngStream) -> dict:
+    """One seed of the desk-scale R^2 comparison on a `planted_regression`
+    instance (lambda_true 0.5, spread 0.2): fit weighted least squares on a
+    sensitivity-selected, a leverage-selected, and a uniform coreset of
+    max(round(0.05 n), d + 1) rows, and score each fit on the full data."""
+    inst, _, _, _ = planted_regression(n, d, k, 0.5, rng.child("instance"),
+                                       spread=0.2)
+    s = max(int(round(0.05 * n)), d + 1)
     out = {}
     x_full = reg.solve_least_squares(inst.A, inst.b)
     out["full"] = reg.r2_score(inst.A @ x_full, inst.b)

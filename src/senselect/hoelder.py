@@ -65,16 +65,13 @@ def default_sample_count(k: int, p: float = 0.2) -> int:
 
 
 def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
-                    t: int, rng, robust: bool = False) -> np.ndarray:
+                    t: int, rng) -> np.ndarray:
     """Upper-bound estimate of the per-cluster smoothness constants.
 
     Per cluster: query the center loss, draw t member points uniformly
     (without replacement when the cluster is large enough), take the max
     observed ratio, and scale by ln(n).  Spends at most t queries per cluster
     plus one per center, all in one oracle batch.
-
-    With ``robust=True`` the top ceil(m/k) sampled ratios are discarded
-    before the max, tolerating a small fraction of outliers.
 
     An empty cluster (its center duplicates a row that an earlier center
     took) gets no picks and lambda 0: its cost is 0 and no point's score
@@ -105,8 +102,5 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
         # scalar powers: numpy's vectorized power can differ in the last bit
         ratios = [abs(loss - losses[i]) / dist[j] ** clustering.z
                   for j, loss in zip(picked, picked_losses)]
-        if robust and ratios:
-            drop = int(math.ceil(len(ratios) / clustering.k))
-            ratios = sorted(ratios)[:max(len(ratios) - drop, 0)]
         lam[i] = max(ratios, default=0.0) * log_n
     return lam

@@ -142,36 +142,19 @@ def save_matrix(data: Dataset, path, binary: bool = False):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_vector(path, n: int | None = None,
-                column: str | None = None) -> np.ndarray:
-    """Read a vector of floats, any sign: one value per line, or a named CSV
-    column.  With ``n``, it must hold exactly n values."""
+def read_vector(path, n: int | None = None) -> np.ndarray:
+    """Read a vector of floats, any sign, one value per line.  With ``n``,
+    it must hold exactly n values."""
     path = Path(path)
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    if column is not None:
-        header = [h.strip() for h in lines[0].split(",")]
-        if column not in header:
-            raise DataFormatError(f"{path}: no column named {column!r}")
-        col = header.index(column)
-        raw = []
-        for ln in lines[1:]:
-            fields = ln.split(",")
-            if len(fields) <= col:
-                raise DataFormatError(
-                    f"{path}: row {ln!r} has no {column!r} column")
-            raw.append(fields[col])
-    else:
-        raw = lines
-    # the reader would skip an empty field as a blank line, and a value
-    # line holding a comma reads as a wider row
     try:
-        values = _parse_rows(raw) if all(raw) else None
+        values = _parse_rows(lines)
     except ValueError as exc:
         raise DataFormatError(f"{path}: unparsable value") from exc
-    if values is None or values.shape[1] != 1:
+    if values.shape[1] != 1:  # a value line holding a comma
         raise DataFormatError(f"{path}: unparsable value")
     values = values.ravel()
     if n is not None and values.size != n:
@@ -180,9 +163,9 @@ def read_vector(path, n: int | None = None,
     return values
 
 
-def load_losses(path, n: int | None = None, column: str | None = None):
+def load_losses(path, n: int | None = None):
     """Load a loss vector (finite, >= 0) as `read_vector` reads it."""
-    values = read_vector(path, n, column)
+    values = read_vector(path, n)
     try:
         return LossTable(values)
     except ValueError as exc:
@@ -221,11 +204,25 @@ def load_sample(path, n: int | None = None) -> WeightedSample:
     return WeightedSample(np.asarray(idx, dtype=np.intp), np.asarray(w))
 
 
+def to_json(value, **kwargs) -> str:
+    """Strict JSON text of ``value``: a float that is not finite, at any
+    depth, is written as null, since JSON has no Infinity or NaN."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {key: finite(item) for key, item in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(item) for item in v]
+        return v
+    return json.dumps(finite(value), allow_nan=False, **kwargs)
+
+
 def save_report(report: dict, path):
+    """Write a run report, tagged with the schema version, by `to_json`."""
     doc = {"schema_version": REPORT_SCHEMA_VERSION, **report}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(to_json(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_report(path) -> dict:

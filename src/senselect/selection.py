@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import Dataset, LossOracle, RngStream, as_generator
 from .clustering import (Clustering, assign, center_distances, dz_seed,
-                         powered_distances, refine, snap_centers)
+                         powered_distances, refine, snap_centers,
+                         weighted_cost)
 from .hoelder import (_require_row_centers, default_sample_count,
                       estimate_lambda)
 
@@ -123,7 +124,7 @@ def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
         raise ValueError("non-finite proxy values")
     with np.errstate(over="ignore"):  # an overflow is rescaled below
         scores = proxy.lhat + lam[clustering.assignment] * proxy.v
-        denom = float(_phi(lam, clustering) + np.sum(proxy.lhat))
+        denom = float(weighted_cost(clustering, lam) + np.sum(proxy.lhat))
     draws = sample_size(epsilon)  # checks epsilon even when s is given
     s = draws if s is None else int(s)
     if math.isfinite(denom) and np.all(np.isfinite(scores)):
@@ -133,12 +134,6 @@ def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
             if denom >= np.finfo(np.float64).tiny:
                 raise
     return _rescaled_plan(proxy, clustering, lam, s)
-
-
-def _phi(lam: np.ndarray, clustering: Clustering) -> float:
-    """lam . Phi, the lam-weighted clustering cost; inf when it overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.dot(lam, clustering.cluster_cost))
 
 
 def _rescaled_plan(proxy: ProxyLoss, clustering: Clustering, lam: np.ndarray,
@@ -215,7 +210,7 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
         "queries_used": oracle.queries_used,
         "queries_proxy": queries_proxy,
         "queries_lambda": oracle.queries_used - queries_proxy,
-        "phi_lambda": _phi(lam, clustering),
+        "phi_lambda": weighted_cost(clustering, lam),
         "denom": plan.denom,
         "seed": rng.seed,
         "rng_label": rng.label,
@@ -251,7 +246,7 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
             "z": z,
             "s": plan.s,
             "queries_used": oracle.queries_used,
-            "phi_lambda": _phi(lam_i, clustering),
+            "phi_lambda": weighted_cost(clustering, lam_i),
             "denom": plan.denom,
         }
         results.append((WeightedSample(sample.indices, sample.weights,

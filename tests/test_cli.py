@@ -23,6 +23,16 @@ def pairs(tmp_path):
     return data, losses
 
 
+def strict_json(path):
+    """The JSON document at ``path``; rejects Infinity and NaN, which strict
+    parsers (jq, JavaScript's JSON.parse) do not read."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert main([]) == 1
@@ -202,6 +212,24 @@ class TestSelect:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "k=9 out of range" in err
 
+    def test_data_error_kills_an_oracle_that_ignores_end_of_input(
+            self, pairs, tmp_path, capsys):
+        # the error is reported at once, not after CLOSE_TIMEOUT_S
+        data, _ = pairs
+        script = tmp_path / "stubborn.py"
+        script.write_text("import sys, time\n"
+                          "sys.stdin.read()\n"
+                          "time.sleep(60)\n")
+        start = time.perf_counter()
+        code = main(["select", "--data", str(data), "--k", "9",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--oracle", f"{sys.executable} {script}",
+                     "--out-sample", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert time.perf_counter() - start < 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "k=9 out of range" in err
+
     def test_oracle_that_never_answers(self, pairs, tmp_path, monkeypatch,
                                        capsys):
         monkeypatch.setattr(core, "REPLY_TIMEOUT_S", 0.5)
@@ -261,8 +289,9 @@ class TestSelect:
         sample = load_sample(sample_path)
         assert set(sample.indices.tolist()) <= {3, 4}
         np.testing.assert_allclose(sample.weights, 2 / len(sample))
-        report = load_report(report_path)
-        assert report["denom"] == report["phi_lambda"] == np.inf
+        # JSON has no Infinity: the overflowed values are written as null
+        report = strict_json(report_path)
+        assert report["denom"] is report["phi_lambda"] is None
 
     def test_lambda_file(self, pairs, tmp_path):
         data, losses = pairs
@@ -612,3 +641,62 @@ class TestDegenerateSettings:
                           "k = 10\n")
         assert main(["bench", "--config", str(config)]) == 2
         _one_data_error(capsys)
+
+
+class TestReportWriter:
+    # every subcommand's top-level report keys
+    KEYS = {
+        "cluster": {"cluster_cost", "cost", "elapsed_seconds", "k", "seed",
+                    "z"},
+        "select": {"denom", "elapsed_seconds", "epsilon", "k", "k_effective",
+                   "lambda", "lambda_mode", "phi_lambda", "queries_lambda",
+                   "queries_proxy", "queries_used", "rng_label", "s",
+                   "sample_path", "seed", "z"},
+        "select-rounds": {"elapsed_seconds", "epsilon", "k", "rounds",
+                          "rounds_detail", "sample_paths", "seed", "z"},
+        "select-regression": {"delta", "elapsed_seconds", "epsilon", "k",
+                              "lambda_mode", "s", "sample_path", "seed",
+                              "x0"},
+        "lambda-estimate": {"k", "lambda", "queries_used", "seed", "t", "z"},
+        "holder-diagnose": {"k", "percentiles", "ratio_count", "seed", "z"},
+        "evaluate": {"delta", "sample_path"},
+        "bench": {"config", "mean_delta", "median_delta", "pipeline",
+                  "std_error", "success_rate", "trials"},
+        "lowerbound-demo": {"n", "seed", "sweep", "trials"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_every_subcommand_writes_a_tagged_strict_report(
+            self, pairs, tmp_path, command):
+        data, losses = pairs
+        reg, _ = _regression_files(tmp_path)
+        sample = tmp_path / "s.csv"
+        sample.write_text("index,weight\n0,1.0\n3,1.0\n")
+        config = tmp_path / "bench.cfg"
+        config.write_text("pipeline = uniform_spike\ntrials = 3\nn = 50\n")
+        out = tmp_path / "out"
+        argv = {
+            "cluster": ["--data", data, "--k", "2"],
+            "select": ["--data", data, "--k", "2", "--epsilon", "1",
+                       "--lambda", "1", "--losses", losses,
+                       "--out-sample", out],
+            "select-rounds": ["--data", data, "--k", "1", "--rounds", "2",
+                              "--epsilon", "1", "--lambda", "1",
+                              "--losses", losses, "--out-prefix", out],
+            "select-regression": ["--data", reg, "--k", "3",
+                                  "--epsilon", "1", "--out-sample", out],
+            "lambda-estimate": ["--data", data, "--k", "2", "--t", "2",
+                                "--losses", losses],
+            "holder-diagnose": ["--data", data, "--k", "2",
+                                "--losses", losses],
+            "evaluate": ["--sample", sample, "--losses", losses],
+            "bench": ["--config", config],
+            "lowerbound-demo": ["--n", "40", "--trials", "3",
+                                "--epsilons", "0.5"],
+        }[command]
+        report = tmp_path / "r.json"
+        assert main([command, *map(str, argv), "--out-report",
+                     str(report)]) == 0
+        doc = strict_json(report)
+        assert doc["command"] == command
+        assert set(doc) == self.KEYS[command] | {"command", "schema_version"}

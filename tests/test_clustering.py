@@ -249,6 +249,15 @@ class TestKMedoids:
             clustering = kmedoids(PAIRS, 2, RngStream(seed, "km"))
             assert clustering.total_cost == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reseed_skips_rows_that_are_medoids(self, seed):
+        # every distance between these rows squares to 0, so all of them
+        # join cluster 0 and cluster 1 is reseeded; with every distance 0
+        # the reseed must still take a row that is not cluster 0's medoid
+        data = Dataset([[0.0], [0.0], [1e-310], [3e-310], [2.5e-310]])
+        medoids = kmedoids(data, 2, RngStream(seed, "km")).centers.indices
+        assert medoids[0] != medoids[1]
+
 
 # --------------------------------------------------------------------------
 # the GEMM assignment kernel against an all-pairs cdist reference
@@ -447,18 +456,12 @@ def reference_refine(data, centers, z, max_iters=50):
     for _ in range(max_iters):
         positions = current.centers.positions.copy()
         indices = None if z != 1 else np.empty(current.k, dtype=np.intp)
-        mind = None
+        taken = np.zeros(data.n, dtype=bool)  # rows that are centers
+        empty = []
         for i in range(current.k):
             members = np.flatnonzero(current.assignment == i)
             if members.size == 0:
-                if mind is None:
-                    mind = clustering_module._point_cost(
-                        X, current.centers.positions, current.assignment, z)
-                far = int(np.argmax(mind))
-                positions[i] = X[far]
-                mind = np.minimum(mind, powered_distances(X, X[far], z)[:, 0])
-                if indices is not None:
-                    indices[i] = far
+                empty.append(i)
             elif z == 2:
                 positions[i] = X[members].mean(axis=0)
             else:
@@ -466,6 +469,17 @@ def reference_refine(data, centers, z, max_iters=50):
                 m = members[int(np.argmin(np.sum(cdist(P, P), axis=1)))]
                 positions[i] = X[m]
                 indices[i] = m
+                taken[m] = True
+        mind = clustering_module._point_cost(
+            X, current.centers.positions, current.assignment, z)
+        for i in empty:
+            # the farthest row from the current centers that is no center
+            far = int(np.argmax(np.where(taken, -np.inf, mind)))
+            positions[i] = X[far]
+            taken[far] = True
+            mind = np.minimum(mind, powered_distances(X, X[far], z)[:, 0])
+            if indices is not None:
+                indices[i] = far
         updated = assign(data, CenterList(positions, indices), z)
         if updated.total_cost > prev_cost:
             break

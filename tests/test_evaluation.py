@@ -68,8 +68,6 @@ class TestPlantedHolder:
     def test_aggregate_properties(self):
         inst = planted_holder(100, 6, 4, 2, 20.0, 0.5, RngStream(2, "ph"))
         assert inst.sum_loss == pytest.approx(np.sum(inst.losses.values))
-        assert inst.phi_lambda == pytest.approx(
-            0.5 * inst.clustering.total_cost)
 
     def test_deterministic(self):
         a = planted_holder(50, 5, 3, 2, 10.0, 1.0, RngStream(3, "ph"))

@@ -136,25 +136,6 @@ class TestEstimateLambda:
         with pytest.raises(BudgetExceededError):
             estimate_lambda(data, clustering, oracle, 4, RngStream(1, "q"))
 
-    def test_robust_discards_outlier(self):
-        # two clusters of six 1-D points; one member's loss is wildly off the
-        # otherwise-linear pattern.  Sampling every member (t = cluster size)
-        # makes both modes deterministic: robust drops the ceil(5/2) = 3
-        # largest of the 5 ratios, leaving ratio 1.
-        rows = [[float(v)] for v in (0, 1, 2, 3, 4, 5, 20, 21, 22, 23, 24, 25)]
-        data = Dataset(rows)
-        losses = [float(v) for v in (0, 1, 2, 3, 4, 500, 0, 1, 2, 3, 4, 5)]
-        clustering = row_clustering(data, [0, 6], 1)
-        plain = estimate_lambda(data, clustering, LossOracle.from_table(losses),
-                                6, RngStream(2, "r"))
-        robust = estimate_lambda(data, clustering,
-                                 LossOracle.from_table(losses), 6,
-                                 RngStream(2, "r"), robust=True)
-        assert plain[0] == pytest.approx(100 * math.log(12))
-        assert robust[0] == pytest.approx(math.log(12))
-        assert robust[1] == pytest.approx(math.log(12))
-        assert np.all(robust <= plain + 1e-12)
-
     def test_rejects_bad_t(self):
         data = Dataset([[0.0], [1.0]])
         clustering = row_clustering(data, [0], 2)
