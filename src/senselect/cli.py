@@ -176,7 +176,8 @@ def cmd_select_regression(args) -> int:
     sio.save_sample(sample, args.out_sample)
     return _save("select-regression", {
         "k": args.k, "epsilon": args.epsilon, "delta": args.delta,
-        "lambda_mode": sample.provenance["lambda_mode"], "s": plan.s,
+        "lambda_mode": "infinity" if lam == INFINITY else "finite",
+        "s": plan.s,
         "seed": args.seed, "x0": [float(v) for v in plan.x0],
         "sample_path": args.out_sample,
         "elapsed_seconds": time.perf_counter() - t0,

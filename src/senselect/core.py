@@ -16,6 +16,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import selectors
 import shlex
 import subprocess
 import threading
@@ -328,11 +329,13 @@ class _ProcessBackend:
     """Line-oriented child process protocol: write "<index>\\n", read one
     decimal real per query.  The child must answer queries in order.
 
-    A batch is pipelined: a writer thread sends every index while the
-    replies are read, so a batch larger than the pipe buffers cannot
-    deadlock.  A watchdog thread kills the child once REPLY_TIMEOUT_S pass
-    without a reply.  A failed batch kills the child; the next batch starts
-    a new one."""
+    A batch goes through one `selectors` loop on the calling thread: it
+    writes the indices to a non-blocking stdin as fast as the pipe takes
+    them and reads the replies as they come, so a batch larger than the
+    pipe buffers cannot deadlock.  The child is killed once REPLY_TIMEOUT_S
+    pass without a reply line, or when it sends more lines than queries,
+    in a batch or between batches.  A failed batch kills the child; the
+    next batch starts a new one."""
 
     def __init__(self, command: str):
         self.command = command
@@ -344,104 +347,87 @@ class _ProcessBackend:
             try:
                 self._proc = subprocess.Popen(
                     shlex.split(self.command),
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE)
             except OSError as exc:
                 raise OracleProtocolError(
                     f"cannot start oracle process {self.command!r}: "
                     f"{exc}") from exc
+            os.set_blocking(self._proc.stdin.fileno(), False)
         return self._proc
 
     def fetch_many(self, indices) -> list[float]:
         proc = self.start()
-        payload = "".join(f"{i}\n" for i in indices)
-
-        def send():
-            try:
-                proc.stdin.write(payload)
-                proc.stdin.flush()
-            except OSError:
-                pass  # the child went away; the reader reports it
-
-        values = []
-        last_reply = [time.monotonic()]
-        done = threading.Event()
-        timed_out = threading.Event()
-
-        def watch():
-            # a reply sets last_reply; sleep until the deadline it implies
-            while not done.wait(last_reply[0] + REPLY_TIMEOUT_S
-                                - time.monotonic()):
-                if time.monotonic() - last_reply[0] >= REPLY_TIMEOUT_S:
-                    timed_out.set()
-                    proc.kill()  # the reader then sees end of output
-                    return
-
-        writer = threading.Thread(target=send, daemon=True)
-        watchdog = threading.Thread(target=watch, daemon=True)
-        writer.start()
-        watchdog.start()
-        failure = None
+        stdin, stdout = proc.stdin.fileno(), proc.stdout.fileno()
+        payload = memoryview("".join(f"{i}\n" for i in indices).encode())
+        values, tail = [], b""
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
         try:
-            for _ in indices:
-                values.append(_read_reply(proc))
-                last_reply[0] = time.monotonic()
-        except BaseException as exc:
-            failure = exc
-        done.set()
-        watchdog.join()
-        if failure is None and not timed_out.is_set():
-            writer.join()
-            return values
-        proc.kill()  # also unblocks a writer stuck on a full pipe
-        writer.join()
-        self.kill()
-        if timed_out.is_set():
-            raise OracleProtocolError(
-                f"oracle process sent no reply for {REPLY_TIMEOUT_S} s; "
-                "killed it")
-        raise failure
+            with selectors.DefaultSelector() as sel:
+                sel.register(stdout, selectors.EVENT_READ)
+                # end of output falls through to the loop, which reports it
+                if sel.select(0) and os.read(stdout, 1 << 16):
+                    raise OracleProtocolError(
+                        "oracle process sent a reply with no query "
+                        "outstanding")
+                sel.register(stdin, selectors.EVENT_WRITE)
+                while len(values) < len(indices):
+                    remaining = deadline - time.monotonic()
+                    events = sel.select(remaining) if remaining > 0 else []
+                    if not events:
+                        raise OracleProtocolError(
+                            f"oracle process sent no reply for "
+                            f"{REPLY_TIMEOUT_S} s; killed it")
+                    for key, _ in events:
+                        if key.fd == stdin:
+                            try:
+                                payload = payload[os.write(stdin, payload):]
+                            except BrokenPipeError:
+                                payload = payload[:0]  # reported on stdout
+                            if not payload:
+                                sel.unregister(stdin)
+                            continue
+                        chunk = os.read(stdout, 1 << 16)
+                        if not chunk:
+                            raise OracleProtocolError(
+                                "oracle process closed stdout "
+                                f"(exit code {proc.poll()})")
+                        *lines, tail = (tail + chunk).split(b"\n")
+                        if lines:
+                            values += map(_parse_reply, lines)
+                            deadline = time.monotonic() + REPLY_TIMEOUT_S
+            if len(values) > len(indices) or tail:
+                raise OracleProtocolError(
+                    f"oracle process sent more than {len(indices)} replies "
+                    f"to {len(indices)} queries")
+        except BaseException:
+            self.kill()
+            raise
+        return values
 
     def kill(self):
         """Stop the child at once; the next batch starts a new one."""
         if self._proc is not None:
             proc, self._proc = self._proc, None
-            proc.kill()
-            proc.wait()
-            _close_pipes(proc)
+            with proc:  # closes both pipes and reaps the child
+                proc.kill()
 
     def close(self):
+        """End input and wait for the child to exit; kill it after
+        CLOSE_TIMEOUT_S."""
         if self._proc is not None:
-            proc, self._proc = self._proc, None
             try:
-                proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                proc.wait(timeout=CLOSE_TIMEOUT_S)
+                self._proc.stdin.close()
+                self._proc.wait(timeout=CLOSE_TIMEOUT_S)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
                 raise OracleProtocolError(
                     f"oracle process still running {CLOSE_TIMEOUT_S} s after "
                     "end of input; killed it") from None
             finally:
-                _close_pipes(proc)
+                self.kill()
 
 
-def _read_reply(proc) -> float:
-    line = proc.stdout.readline()
-    if line == "":
-        raise OracleProtocolError(
-            f"oracle process closed stdout (exit code {proc.poll()})")
+def _parse_reply(line: bytes) -> float:
     try:
         return float(line)
     except ValueError as exc:
         raise OracleProtocolError(f"unparsable oracle reply {line!r}") from exc
-
-
-def _close_pipes(proc):
-    for pipe in (proc.stdin, proc.stdout):
-        try:
-            pipe.close()
-        except OSError:
-            pass

@@ -5,6 +5,7 @@ losses per cluster."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from .clustering import Clustering, center_distances
 INFINITY = math.inf
 
 DEFAULT_PERCENTILES = (20, 40, 60, 80, 99)
+
+_LARGEST = sys.float_info.max
 
 
 def _require_row_centers(clustering: Clustering) -> np.ndarray:
@@ -27,7 +30,7 @@ def _require_row_centers(clustering: Clustering) -> np.ndarray:
 def holder_ratios(data: Dataset, clustering: Clustering, losses: LossTable,
                   z: float) -> np.ndarray:
     """Ratio |loss(e) - loss(center)| / ||e - center||^z for every point not
-    coinciding with its center.
+    coinciding with its center, capped at the largest double.
 
     Diagnostic-only path: it reads the full loss table.
     """
@@ -36,7 +39,17 @@ def holder_ratios(data: Dataset, clustering: Clustering, losses: LossTable,
     center_loss = values[idx][clustering.assignment]
     dist = center_distances(data.rows, clustering)
     mask = dist > 0
-    return np.abs(values[mask] - center_loss[mask]) / dist[mask] ** z
+    return _ratios(values[mask] - center_loss[mask], dist[mask] ** z)
+
+
+def _ratios(loss_gaps, dist_z) -> np.ndarray:
+    """|loss gap| / distance^z for points at a positive distance from their
+    center, given those powers: 0 where the gap is 0, and the largest double
+    where the power underflowed to 0 or the quotient overflows."""
+    gaps = np.abs(loss_gaps)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = gaps / dist_z
+    return np.where(gaps > 0, np.minimum(ratios, _LARGEST), 0.0)
 
 
 def holder_percentiles(ratios: np.ndarray,
@@ -70,8 +83,9 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
 
     Per cluster: query the center loss, draw t member points uniformly
     (without replacement when the cluster is large enough), take the max
-    observed ratio, and scale by ln(n).  Spends at most t queries per cluster
-    plus one per center, all in one oracle batch.
+    observed ratio, and scale by ln(n), capped at the largest double.
+    Spends at most t queries per cluster plus one per center, all in one
+    oracle batch.
 
     An empty cluster (its center duplicates a row that an earlier center
     took) gets no picks and lambda 0: its cost is 0 and no point's score
@@ -100,7 +114,7 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
         picked_losses = losses[offset:offset + picked.size]
         offset += picked.size
         # scalar powers: numpy's vectorized power can differ in the last bit
-        ratios = [abs(loss - losses[i]) / dist[j] ** clustering.z
-                  for j, loss in zip(picked, picked_losses)]
-        lam[i] = max(ratios, default=0.0) * log_n
+        dist_z = np.array([dist[j] ** clustering.z for j in picked])
+        ratios = _ratios(picked_losses - losses[i], dist_z)
+        lam[i] = min(float(np.max(ratios, initial=0.0)) * log_n, _LARGEST)
     return lam

@@ -128,18 +128,13 @@ def regression_select(instance: RegressionInstance, k: int, epsilon: float,
     dist = center_distances(instance.A, clustering)
     if s is None:
         s = regression_sample_size(instance.d, epsilon, delta)
-    infinite = np.isscalar(lam) and lam == INFINITY
-    if infinite:
+    if np.isscalar(lam) and lam == INFINITY:
         plan = _plan_from_scores(dist, float(np.sum(dist)), int(s))
     else:
         proxy = ProxyLoss(resid_sq[clustering.assignment], dist)
         plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
-    sample = draw(plan, rng.child("draw"))
-    sample = WeightedSample(sample.indices, sample.weights,
-                            {"k": k, "s": int(s), "epsilon": epsilon,
-                             "delta": delta,
-                             "lambda_mode": "infinity" if infinite else "finite"})
-    return sample, RegressionPlan(clustering, x0, plan.p, plan.w, plan.s)
+    return (draw(plan, rng.child("draw")),
+            RegressionPlan(clustering, x0, plan.p, plan.w, plan.s))
 
 
 def coreset_objective_error(instance: RegressionInstance,

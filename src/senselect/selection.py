@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class WeightedSample:
 
     indices: np.ndarray
     weights: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.indices.size
@@ -215,7 +214,6 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
         "seed": rng.seed,
         "rng_label": rng.label,
     }
-    sample = WeightedSample(sample.indices, sample.weights, dict(report))
     return sample, report, clustering, plan
 
 
@@ -249,8 +247,7 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
             "phi_lambda": weighted_cost(clustering, lam_i),
             "denom": plan.denom,
         }
-        results.append((WeightedSample(sample.indices, sample.weights,
-                                       dict(report)), report))
+        results.append((sample, report))
     return results
 
 

@@ -249,6 +249,24 @@ class TestSelect:
         assert "no reply for 0.5 s" in err and "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_undecodable_oracle_reply(self, pairs, tmp_path, capsys):
+        # an oracle fault, not a data error: exit 3 with one line
+        data, _ = pairs
+        script = tmp_path / "binary.py"
+        script.write_text("import sys\n"
+                          "for line in sys.stdin:\n"
+                          "    sys.stdout.buffer.write(b'\\xff\\n')\n"
+                          "    sys.stdout.flush()\n")
+        code = main(["select", "--data", str(data), "--k", "2",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--oracle", f"{sys.executable} {script}",
+                     "--out-sample", str(tmp_path / "s.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "unparsable oracle reply" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_subnormal_lambda_with_zero_losses(self, tmp_path):
         # lam * v and the normalizer lam . Phi underflow apart; the plan is
         # rebuilt at a scale where they do not, so p is v / Phi
@@ -422,6 +440,16 @@ class TestSelectRegression:
         assert len(report["x0"]) == 2
         assert len(load_sample(sample_path)) == report["s"]
 
+    def test_finite_lambda_mode(self, tmp_path):
+        data = tmp_path / "reg.csv"
+        data.write_text("0,1\n1,2\n-3,3\n2,2\n")
+        report_path = tmp_path / "r.json"
+        assert main(["select-regression", "--data", str(data), "--k", "1",
+                     "--epsilon", "1", "--lambda", "2",
+                     "--out-sample", str(tmp_path / "s.csv"),
+                     "--out-report", str(report_path)]) == 0
+        assert load_report(report_path)["lambda_mode"] == "finite"
+
 
 class TestDiagnostics:
     def test_lambda_estimate_stdout(self, pairs, capsys):
@@ -442,6 +470,44 @@ class TestDiagnostics:
         out = json.loads(capsys.readouterr().out)
         assert set(out["percentiles"]) == {"50.0", "99.0"}
         assert out["ratio_count"] == 2
+
+
+class TestUnderflowingDistancePowers:
+    # rows 0 and 1e-200 share a center, and 1e-200 ** 2 underflows to 0:
+    # lambda and the ratios become the largest double, with no warning
+    @pytest.fixture
+    def files(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0\n1e-200\n5\n5.5\n")
+        losses = tmp_path / "losses.txt"
+        losses.write_text("0\n1\n2\n3\n")
+        return ["--data", str(data), "--losses", str(losses), "--k", "2"]
+
+    @staticmethod
+    def run(args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(args)
+
+    def test_lambda_estimate_is_finite(self, files, tmp_path):
+        report = tmp_path / "r.json"
+        assert self.run(["lambda-estimate", *files, "--t", "4",
+                         "--out-report", str(report)]) == 0
+        lam = strict_json(report)["lambda"]
+        assert None not in lam and max(lam) == sys.float_info.max
+
+    def test_auto_select_exits_0(self, files, tmp_path):
+        report = tmp_path / "r.json"
+        assert self.run(["select", *files, "--epsilon", "0.5",
+                         "--out-sample", str(tmp_path / "s.csv"),
+                         "--out-report", str(report)]) == 0
+        assert strict_json(report)["lambda_mode"] == "auto"
+
+    def test_holder_diagnose_percentiles_are_finite(self, files, tmp_path):
+        report = tmp_path / "r.json"
+        assert self.run(["holder-diagnose", *files,
+                         "--out-report", str(report)]) == 0
+        assert None not in strict_json(report)["percentiles"].values()
 
 
 class TestEvaluate:

@@ -323,6 +323,98 @@ class TestExternalOracle:
         np.testing.assert_array_equal(result["values"], np.arange(n) / 2)
         assert oracle.queries_used == n
 
+    def test_more_replies_than_queries_cache_nothing(self, tmp_path):
+        # two lines per query, in one write: the second must not become
+        # the next index's loss
+        command = _script(tmp_path, "chatty", """
+            import os, sys
+            for line in sys.stdin:
+                i = int(line)
+                os.write(1, b"%d\\n%d\\n" % (i, i + 100))
+        """)
+        with LossOracle.from_command(command, n=10) as oracle:
+            with pytest.raises(OracleProtocolError, match="more than 1 repl"):
+                oracle.query_many([1])
+            assert oracle.queries_used == 0
+            assert oracle._backend._proc is None
+
+    def test_a_late_extra_reply_is_not_the_next_loss(self, tmp_path):
+        # the child sends a second line once `go` exists, then makes `sent`
+        go, sent = tmp_path / "go", tmp_path / "sent"
+        command = _script(tmp_path, "late", f"""
+            import pathlib, sys, time
+            for line in sys.stdin:
+                i = int(line)
+                print(i, flush=True)
+                while not pathlib.Path({str(go)!r}).exists():
+                    time.sleep(0.01)
+                print(i + 100, flush=True)
+                pathlib.Path({str(sent)!r}).write_text("")
+        """)
+        with LossOracle.from_command(command, n=10) as oracle:
+            assert oracle.query_many([1]).tolist() == [1.0]
+            go.write_text("")
+            deadline = time.monotonic() + 30
+            while not sent.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(OracleProtocolError, match="no query"):
+                oracle.query_many([2])
+            assert oracle.cache == {1: 1.0}
+
+    def test_a_batch_starts_no_thread(self, echo_command, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("the oracle started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with LossOracle.from_command(echo_command, n=10) as oracle:
+            assert oracle.query_many(range(5)).tolist() == [0, 0.5, 1, 1.5, 2]
+
+
+#: oracle answering loss(i) = i / 7 that writes its pending replies in
+#: chunks of 1..12 bytes, split mid-line and mid-number, with a pause of up
+#: to argv[2] seconds after each; it reads all the input already waiting
+#: before writing, so a chunk can span replies
+CHUNKED_ORACLE = """
+    import os, random, select, sys, time
+    rng, pause = random.Random(int(sys.argv[1])), float(sys.argv[2])
+    tail = pending = b""
+    while True:
+        if not pending or select.select([0], [], [], 0)[0]:
+            data = os.read(0, 4096)
+            if not data:
+                break
+            *lines, tail = (tail + data).split(b"\\n")
+            pending += b"".join(b"%r\\n" % (int(i) / 7) for i in lines)
+            continue
+        size = rng.randint(1, 12)
+        os.write(1, pending[:size])
+        pending = pending[size:]
+        time.sleep(rng.uniform(0, pause))
+"""
+
+
+@pytest.fixture(scope="module")
+def chunked_oracle(tmp_path_factory):
+    return _script(tmp_path_factory.mktemp("chunked"), "chunked",
+                   CHUNKED_ORACLE)
+
+
+@settings(max_examples=25, deadline=None)
+@given(batches=st.lists(st.lists(st.integers(0, 39), min_size=1,
+                                 max_size=12), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1),
+       pause=st.sampled_from([0.0, 0.002]))
+def test_replies_split_anywhere_are_framed_by_line(chunked_oracle, batches,
+                                                   seed, pause):
+    with LossOracle.from_command(f"{chunked_oracle} {seed} {pause}",
+                                 n=40) as oracle:
+        seen = set()
+        for batch in batches:
+            got = oracle.query_many(batch)
+            assert got.tolist() == [i / 7 for i in batch]
+            seen.update(batch)
+            assert oracle.queries_used == len(seen)
+
 
 def test_auto_select_is_the_same_through_a_process_and_a_table(tmp_path):
     rng = np.random.default_rng(5)

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -142,3 +144,28 @@ class TestEstimateLambda:
         with pytest.raises(ValueError):
             estimate_lambda(data, clustering, LossOracle.from_table([0, 1]),
                             0, RngStream(0, "t"))
+
+
+class TestUnderflowingDistancePower:
+    # row 1e-200 is at a positive distance from center row 0, but the
+    # square of that distance underflows to 0
+    DATA = [[0.0], [1e-200], [2e-200], [3.0]]
+
+    def test_ratio_is_the_largest_double_or_0(self):
+        data = Dataset(self.DATA)
+        clustering = row_clustering(data, [0], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratios = holder_ratios(data, clustering, LossTable([1, 2, 1, 10]),
+                                   2)
+        assert ratios.tolist() == [sys.float_info.max, 0.0, 1.0]
+
+    def test_lambda_is_capped_at_the_largest_double(self):
+        data = Dataset(self.DATA)
+        clustering = row_clustering(data, [0], 2)
+        oracle = LossOracle.from_table([1, 2, 1, 10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = estimate_lambda(data, clustering, oracle, 4,
+                                  RngStream(0, "uf"))
+        assert lam.tolist() == [sys.float_info.max]

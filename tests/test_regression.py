@@ -112,7 +112,6 @@ class TestRegressionSelect:
                                          RngStream(0, "inf"), s=50)
         assert plan.clustering.centers.indices[0] == 0
         np.testing.assert_allclose(plan.p, [0, 0.25, 0.75])
-        assert sample.provenance["lambda_mode"] == "infinity"
         assert 0 not in set(sample.indices.tolist())
 
     def test_finite_mode_hand_computed(self):
@@ -124,7 +123,6 @@ class TestRegressionSelect:
                                          RngStream(0, "fin"), s=50)
         np.testing.assert_allclose(plan.x0, [0.0])
         np.testing.assert_allclose(plan.p, [1 / 11, 3 / 11, 7 / 11])
-        assert sample.provenance["lambda_mode"] == "finite"
 
     def test_subnormal_lambda_on_zero_targets(self):
         # zero targets give lhat = 0, so p is lam * dist over lam * Phi; at
