@@ -52,18 +52,21 @@ def _make_oracle(args, n: int) -> LossOracle:
     raise sio.DataFormatError("need --losses FILE or --oracle CMD")
 
 
-def _parse_lambda(raw: str, k: int):
-    if raw == "auto":
+def _parse_lambda(args, k: int):
+    """--lambda: a number, a file of 1 or k values, or AUTO (`select` only)."""
+    if args.lam == "auto":
+        if args.command != "select":
+            raise sio.DataFormatError(f"{args.command} needs a numeric lambda")
         return AUTO
     try:
-        return float(raw)
+        return float(args.lam)
     except ValueError:
         pass
-    values = sio.read_vector(raw)  # one value per line
+    values = sio.read_vector(args.lam)  # one value per line
     if values.size not in (1, k):
         raise sio.DataFormatError(
             f"lambda file has {values.size} values, expected 1 or {k}")
-    return values
+    return float(values[0]) if values.size == 1 else values
 
 
 def _save(command: str, result: dict, out_report) -> int:
@@ -82,12 +85,11 @@ def _emit(command: str, result: dict, out_report) -> int:
 def _save_clustering(clustering, out_centers=None, out_assignment=None):
     if out_centers:
         with open(out_centers, "w") as fh:
-            for i in range(clustering.k):
-                row = clustering.centers.indices[i] \
-                    if clustering.centers.indices is not None else -1
+            # `cluster` snaps, so every center is a data row
+            for i, row in enumerate(clustering.centers.indices):
                 coords = ",".join(repr(float(v))
                                   for v in clustering.centers.positions[i])
-                fh.write(f"{i},{int(row)},{coords}\n")
+                fh.write(f"{i},{row},{coords}\n")
     if out_assignment:
         with open(out_assignment, "w") as fh:
             for label in clustering.assignment:
@@ -120,7 +122,7 @@ def cmd_select(args) -> int:
         k, s = args.k, None
         if k is None:
             raise sio.DataFormatError("need --k or --budget")
-    lam = _parse_lambda(args.lam, k)
+    lam = _parse_lambda(args, k)
     rng = RngStream(args.seed, "cli/select")
     t0 = time.perf_counter()
     with _make_oracle(args, data.n) as oracle:
@@ -135,9 +137,7 @@ def cmd_select(args) -> int:
 
 def cmd_select_rounds(args) -> int:
     data = sio.load_matrix(args.data)
-    lam = _parse_lambda(args.lam, args.k * args.rounds)
-    if isinstance(lam, str):
-        raise sio.DataFormatError("select-rounds needs a numeric lambda")
+    lam = _parse_lambda(args, args.k * args.rounds)
     rng = RngStream(args.seed, "cli/select-rounds")
     t0 = time.perf_counter()
     with _make_oracle(args, data.n) as oracle:
@@ -168,7 +168,7 @@ def _load_regression(args) -> RegressionInstance:
 
 def cmd_select_regression(args) -> int:
     inst = _load_regression(args)
-    lam = INFINITY if args.lambda_inf else float(args.lam)
+    lam = INFINITY if args.lambda_inf else _parse_lambda(args, args.k)
     rng = RngStream(args.seed, "cli/select-regression")
     t0 = time.perf_counter()
     sample, plan = regression_select(inst, args.k, args.epsilon, lam, rng,
@@ -176,7 +176,8 @@ def cmd_select_regression(args) -> int:
     sio.save_sample(sample, args.out_sample)
     return _save("select-regression", {
         "k": args.k, "epsilon": args.epsilon, "delta": args.delta,
-        "lambda_mode": "infinity" if lam == INFINITY else "finite",
+        "lambda_mode": ("infinity" if np.isscalar(lam) and lam == INFINITY
+                        else "finite"),
         "s": plan.s,
         "seed": args.seed, "x0": [float(v) for v in plan.x0],
         "sample_path": args.out_sample,
@@ -193,9 +194,8 @@ def cmd_lambda_estimate(args) -> int:
         clustering = cluster(data, args.k, args.z, rng)
         lam = estimate_lambda(data, clustering, oracle, t,
                               rng.child("estimate"))
-        queries = oracle.queries_used
     result = {"lambda": [float(v) for v in lam], "t": t,
-              "queries_used": queries, "k": args.k, "z": args.z,
+              "queries_used": oracle.queries_used, "k": args.k, "z": args.z,
               "seed": args.seed}
     return _emit("lambda-estimate", result, args.out_report)
 
@@ -269,6 +269,8 @@ def cmd_lowerbound_demo(args) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",")]
     if not all(math.isfinite(eps) and eps > 0 for eps in epsilons):
         raise ValueError(f"--epsilons must be finite and > 0: {args.epsilons}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     sweep = []
     for eps in epsilons:
         s = int(math.ceil(1 / eps ** 2))

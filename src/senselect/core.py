@@ -59,6 +59,12 @@ class Dataset:
             raise ValueError(f"dataset needs n >= 1 and d >= 1, got {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("dataset contains non-finite entries")
+        # so that n squared distances of d coordinates sum to a finite cost
+        largest = max(float(rows.max()), -float(rows.min()))
+        limit = float(np.sqrt(np.finfo(float).max / (4 * rows.size)))
+        if largest > limit:
+            raise ValueError(f"largest |entry| {largest!r} exceeds {limit!r}, "
+                             f"the coordinate limit for shape {rows.shape}")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 

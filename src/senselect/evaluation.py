@@ -67,19 +67,15 @@ def planted_holder(n: int, d: int, k: int, z: float, separation: float,
     centers[np.arange(k), np.arange(k)] = separation
     sizes = np.full(k, n // k)
     sizes[: n % k] += 1
-    rows, labels, center_rows = [], [], []
+    labels = np.repeat(np.arange(k), sizes)  # cluster i is the i-th block
+    center_rows = np.cumsum(sizes) - sizes
     base = g.uniform(0.5, 2.0, size=k)
-    for i in range(k):
-        center_rows.append(sum(sizes[:i]))
-        block = centers[i] + g.standard_normal((sizes[i], d))
-        block[0] = centers[i]  # plant the center as an actual data row
-        rows.append(block)
-        labels.extend([i] * sizes[i])
-    data = Dataset(np.vstack(rows))
-    labels = np.asarray(labels)
+    rows = centers[labels] + g.standard_normal((n, d))
+    rows[center_rows] = centers  # plant each center as an actual data row
+    data = Dataset(rows)
     dist = np.linalg.norm(data.rows - centers[labels], axis=1)
     losses = LossTable(base[labels] + lambda_true * dist ** z)
-    center_list = CenterList(centers, np.asarray(center_rows, dtype=np.intp))
+    center_list = CenterList(centers, center_rows)
     clustering = assign(data, center_list, z)
     return PlantedInstance(data, losses, clustering,
                            np.full(k, lambda_true), lambda_true, float(z))
@@ -220,6 +216,8 @@ def run_trials(config: dict) -> TrialReport:
     """
     pipeline = config.get("pipeline")
     trials = int(config.get("trials", 100))
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     master = RngStream(int(config.get("master_seed", 0)), "bench")
     report = TrialReport(pipeline)
     run = {"data_select": _trials_data_select, "rounds": _trials_rounds,

@@ -54,16 +54,13 @@ def _ratios(loss_gaps, dist_z) -> np.ndarray:
 
 def holder_percentiles(ratios: np.ndarray,
                        percentiles=DEFAULT_PERCENTILES) -> dict[float, float]:
-    """Nearest-rank percentiles of the ratio table: for each p, the smallest
-    ratio that is >= p percent of the entries."""
-    ratios = np.sort(np.asarray(ratios, dtype=np.float64).reshape(-1))
+    """Nearest-rank percentiles of the ratio table: for each p in [0, 100],
+    the smallest ratio that is >= p percent of the entries."""
+    ratios = np.asarray(ratios, dtype=np.float64).reshape(-1)
     if ratios.size == 0:
         raise ValueError("empty ratio table")
-    out = {}
-    for p in percentiles:
-        rank = max(int(math.ceil(p / 100.0 * ratios.size)), 1)
-        out[float(p)] = float(ratios[min(rank, ratios.size) - 1])
-    return out
+    values = np.percentile(ratios, percentiles, method="inverted_cdf")
+    return {float(p): float(v) for p, v in zip(percentiles, values)}
 
 
 def default_sample_count(k: int, p: float = 0.2) -> int:

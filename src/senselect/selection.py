@@ -176,41 +176,49 @@ def cluster(data: Dataset, k: int, z: float, rng: RngStream) -> Clustering:
     return snap_centers(data, refine(data, seeds, z))
 
 
+def _select_once(data: Dataset, clustering: Clustering, epsilon: float, lam,
+                 oracle: LossOracle, z: float, rng, s: int | None = None):
+    """proxy -> plan -> draw on one clustering with a checked lam vector;
+    returns the sample, the plan and the report fields both pipelines write."""
+    proxy = proxy_losses(data, clustering, oracle)
+    plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
+    sample = draw(plan, rng)
+    return sample, plan, {"epsilon": epsilon, "z": z, "s": plan.s,
+                          "queries_used": oracle.queries_used,
+                          "phi_lambda": weighted_cost(clustering, lam),
+                          "denom": plan.denom}
+
+
 def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
                 z: float, rng: RngStream, s: int | None = None):
-    """End-to-end one-round pipeline: clustering on data rows, center-loss
-    proxies, optional lambda estimation, sensitivity plan, draw.
+    """End-to-end one-round pipeline: clustering on data rows, optional
+    lambda estimation, center-loss proxies, sensitivity plan, draw.
 
     ``lam`` is a per-cluster vector, a scalar (broadcast), or AUTO to chain
-    the query-based estimator.  With a supplied lam the oracle is queried on
-    exactly the k center rows.  ``s`` overrides the sample count.  Returns
-    (sample, report, clustering, plan).
+    the query-based estimator.  The oracle gets one batch: the k center
+    rows, followed under AUTO by the estimator's member picks.  ``s``
+    overrides the sample count.  Returns (sample, report, clustering, plan).
     """
     auto = isinstance(lam, str) and lam == AUTO
     if not auto:
         lam = _lambda_vector(lam, k)  # reject a bad lam before any query
     clustering = cluster(data, k, z, rng)
-    proxy = proxy_losses(data, clustering, oracle)
-    queries_proxy = oracle.queries_used
+    # the batch fetches the uncached center rows first
+    centers = set(_require_row_centers(clustering).tolist())
+    queries_proxy = oracle.queries_used + len(centers - oracle.cache.keys())
     if auto:
         lam = estimate_lambda(data, clustering, oracle,
                               default_sample_count(k), rng.child("lambda"))
-    plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
-    sample = draw(plan, rng.child("draw"))
+    sample, plan, fields = _select_once(data, clustering, epsilon, lam, oracle,
+                                        z, rng.child("draw"), s)
     report = {
         "k": k,
-        "k_effective": int(np.count_nonzero(
-            np.bincount(clustering.assignment))),
-        "epsilon": epsilon,
-        "z": z,
-        "s": plan.s,
+        "k_effective": int(np.unique(clustering.assignment).size),
         "lambda_mode": AUTO if auto else "supplied",
         "lambda": [float(v) for v in lam],
-        "queries_used": oracle.queries_used,
         "queries_proxy": queries_proxy,
-        "queries_lambda": oracle.queries_used - queries_proxy,
-        "phi_lambda": weighted_cost(clustering, lam),
-        "denom": plan.denom,
+        "queries_lambda": fields["queries_used"] - queries_proxy,
+        **fields,
         "seed": rng.seed,
         "rng_label": rng.label,
     }
@@ -233,21 +241,10 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
     results = []
     for i in range(1, rounds + 1):
         clustering = assign(data, ordering.prefix(i * k), z)
-        proxy = proxy_losses(data, clustering, oracle)
-        lam_i = lam[: i * k]
-        plan = sensitivity_plan(proxy, clustering, lam_i, epsilon)
-        sample = draw(plan, rng.child(f"draw-round-{i}"))
-        report = {
-            "round": i,
-            "k": k,
-            "epsilon": epsilon,
-            "z": z,
-            "s": plan.s,
-            "queries_used": oracle.queries_used,
-            "phi_lambda": weighted_cost(clustering, lam_i),
-            "denom": plan.denom,
-        }
-        results.append((sample, report))
+        sample, _, fields = _select_once(data, clustering, epsilon,
+                                         lam[: i * k], oracle, z,
+                                         rng.child(f"draw-round-{i}"))
+        results.append((sample, {"round": i, "k": k, **fields}))
     return results
 
 

@@ -106,6 +106,37 @@ class TestDataErrors:
         assert not (tmp_path / "out").exists()
 
 
+class TestCoordinateLimit:
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_rows_too_large_to_square_are_a_data_error(self, tmp_path,
+                                                       capsys, k):
+        data = tmp_path / "huge.csv"
+        data.write_text("0\n1e200\n1.1e200\n3e200\n3.1e200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["cluster", "--data", str(data), "--k", k]) == 2
+        assert not caught
+        _one_data_error(capsys)
+
+    def test_rows_just_below_the_limit_select_without_warnings(self,
+                                                               tmp_path):
+        n, d = 5, 2
+        limit = np.sqrt(sys.float_info.max / (4 * n * d))
+        rows = np.random.default_rng(3).uniform(-1, 1, (n, d))
+        rows *= 0.99 * limit / np.abs(rows).max()
+        data = tmp_path / "edge.csv"
+        data.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows.tolist()))
+        losses = tmp_path / "losses.txt"
+        losses.write_text("0\n1\n2\n3\n4\n")
+        for lam in ("auto", "1"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["select", "--data", str(data), "--k", "2",
+                             "--epsilon", "0.5", "--lambda", lam,
+                             "--losses", str(losses),
+                             "--out-sample", str(tmp_path / "s.csv")]) == 0
+
+
 class TestSelect:
     def test_end_to_end_pairs(self, pairs, tmp_path):
         data, losses = pairs
@@ -471,6 +502,15 @@ class TestDiagnostics:
         assert set(out["percentiles"]) == {"50.0", "99.0"}
         assert out["ratio_count"] == 2
 
+    @pytest.mark.parametrize("percentiles", ["150", "-5", "50,100.5"])
+    def test_holder_diagnose_rejects_a_percentile_outside_0_to_100(
+            self, pairs, capsys, percentiles):
+        data, losses = pairs
+        assert main(["holder-diagnose", "--data", str(data), "--k", "2",
+                     "--losses", str(losses),
+                     "--percentiles", percentiles]) == 2
+        _one_data_error(capsys)
+
 
 class TestUnderflowingDistancePowers:
     # rows 0 and 1e-200 share a center, and 1e-200 ** 2 underflows to 0:
@@ -653,6 +693,33 @@ class TestLambdaValidation:
                 == "infinity"
         assert samples[0] == samples[1]
 
+    @pytest.mark.parametrize("lines, flag", [
+        (["2", "2"], ["--lambda", "2"]),
+        (["inf"], ["--lambda-inf"]),
+    ], ids=["k-lines", "one-inf-line"])
+    def test_regression_lambda_file_acts_as_its_values(self, tmp_path, lines,
+                                                       flag):
+        data, _ = _regression_files(tmp_path)
+        lam = tmp_path / "lam.txt"
+        lam.write_text("".join(f"{v}\n" for v in lines))
+        samples = []
+        for name, given in (("a", ["--lambda", str(lam)]), ("b", flag)):
+            path = tmp_path / f"{name}.csv"
+            assert main(["select-regression", "--data", str(data), "--k", "2",
+                         "--epsilon", "1", "--out-sample", str(path)]
+                        + given) == 0
+            samples.append(path.read_bytes())
+        assert samples[0] == samples[1]
+
+    def test_regression_lambda_auto_is_a_data_error(self, tmp_path, capsys):
+        data, _ = _regression_files(tmp_path)
+        assert main(["select-regression", "--data", str(data), "--k", "2",
+                     "--epsilon", "1", "--lambda", "auto",
+                     "--out-sample", str(tmp_path / "s.csv")]) == 2
+        _one_data_error(capsys,
+                        "select-regression needs a numeric lambda")
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestTargetsFile:
     def test_negative_targets_are_accepted(self, tmp_path):
@@ -700,6 +767,18 @@ class TestDegenerateSettings:
         assert main(["lowerbound-demo", "--n", "40", "--trials", "2",
                      "--epsilons", eps]) == 2
         _one_data_error(capsys)
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_is_a_data_error(self, tmp_path, capsys, trials):
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"pipeline = uniform_spike\ntrials = {trials}\n")
+        for argv in (["bench", "--config", str(config)],
+                     ["lowerbound-demo", "--n", "40", "--trials", trials]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 2
+            assert not caught
+            _one_data_error(capsys)
 
     def test_bench_regression_with_k_above_n(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"

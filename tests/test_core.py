@@ -147,14 +147,17 @@ class TestQueryMany:
         assert backend.batches == [] and oracle.queries_used == 0
 
     def test_pipeline_round_trips(self):
-        # one batch with a supplied lambda, two with AUTO, one per round
+        # one batch per selection, AUTO included, that starts with the k
+        # center rows; one batch of k per round
         rng = np.random.default_rng(8)
         data = Dataset(rng.normal(size=(80, 2)))
-        for lam, batches in ((1.0, 1), (AUTO, 2)):
+        for lam in (1.0, AUTO):
             backend = _BatchBackend(rng.random(data.n).tolist())
-            data_select(data, 3, 0.5, lam, LossOracle(backend, data.n), 2,
-                        RngStream(0, "trips"))
-            assert len(backend.batches) == batches
+            _, _, clustering, _ = data_select(
+                data, 3, 0.5, lam, LossOracle(backend, data.n), 2,
+                RngStream(0, "trips"))
+            assert len(backend.batches) == 1
+            assert backend.batches[0][:3] == clustering.centers.indices.tolist()
         backend = _BatchBackend(rng.random(data.n).tolist())
         data_select_rounds(data, 3, 4, 0.5, 1.0, LossOracle(backend, data.n),
                            2, RngStream(0, "trips"))

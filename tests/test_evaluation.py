@@ -79,6 +79,39 @@ class TestPlantedHolder:
         with pytest.raises(ValueError):
             planted_holder(100, 3, 4, 2, 10.0, 1.0, RngStream(0, "ph"))
 
+    @pytest.mark.parametrize("n, d, k, z, seed", [
+        (100, 6, 4, 2, 0), (50, 5, 3, 2, 3), (7, 3, 3, 1, 1), (10, 4, 4, 1, 2),
+        (2000, 10, 4, 2, 5), (1, 1, 1, 2, 0)])
+    def test_matches_the_per_cluster_loop(self, n, d, k, z, seed):
+        # reference: one normal draw per cluster block, center planted
+        # as the block's first row
+        g = RngStream(seed, "ph").generator()
+        centers = np.zeros((k, d))
+        centers[np.arange(k), np.arange(k)] = 20.0
+        sizes = np.full(k, n // k)
+        sizes[: n % k] += 1
+        base = g.uniform(0.5, 2.0, size=k)
+        rows, labels, center_rows = [], [], []
+        for i in range(k):
+            center_rows.append(sum(sizes[:i]))
+            block = centers[i] + g.standard_normal((sizes[i], d))
+            block[0] = centers[i]
+            rows.append(block)
+            labels.extend([i] * sizes[i])
+        data, labels = Dataset(np.vstack(rows)), np.asarray(labels)
+        dist = np.linalg.norm(data.rows - centers[labels], axis=1)
+        ref = assign(data, CenterList(centers, center_rows), z)
+        inst = planted_holder(n, d, k, z, 20.0, 0.5, RngStream(seed, "ph"))
+        assert inst.data.rows.tobytes() == data.rows.tobytes()
+        assert inst.losses.values.tobytes() == (
+            base[labels] + 0.5 * dist ** z).tobytes()
+        got = inst.clustering
+        np.testing.assert_array_equal(got.assignment, labels)
+        assert got.assignment.tobytes() == ref.assignment.tobytes()
+        assert got.cluster_cost.tobytes() == ref.cluster_cost.tobytes()
+        assert got.centers.indices.tolist() == center_rows
+        assert got.centers.positions.tobytes() == centers.tobytes()
+
 
 class TestRademacherInstance:
     def test_balanced_and_zero_sum(self):

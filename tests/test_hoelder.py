@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from senselect.core import (BudgetExceededError, Dataset, LossOracle,
                             LossTable, RngStream)
@@ -79,6 +80,19 @@ class TestHolderPercentiles:
             out = holder_percentiles(ratios, (10, 30, 50, 70, 90))
             vals = [out[p] for p in (10.0, 30.0, 50.0, 70.0, 90.0)]
             assert vals == sorted(vals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=40),
+           st.lists(st.floats(0, 100) | st.sampled_from([0.0, 100.0]),
+                    min_size=1, max_size=13))
+    def test_matches_the_nearest_rank_formula(self, ratios, percentiles):
+        # reference: the smallest ratio at rank ceil(p/100 * n), rank >= 1
+        ordered = sorted(ratios)
+        expected = {}
+        for p in percentiles:
+            rank = max(int(math.ceil(p / 100.0 * len(ordered))), 1)
+            expected[float(p)] = ordered[min(rank, len(ordered)) - 1]
+        assert holder_percentiles(ratios, percentiles) == expected
 
 
 class TestDefaultSampleCount:

@@ -166,6 +166,34 @@ class TestDataSelect:
             data_select(PAIRS, 2, 1.0, 1.0, oracle, 2, RngStream(0, "run"))
         assert oracle.queries_used == 0  # the abort spends nothing
 
+    def test_auto_lambda_over_budget_fetches_nothing(self):
+        # the centers and the estimator's picks share one batch, so a
+        # budget of k refuses it whole
+        rng = np.random.default_rng(15)
+        data = Dataset(rng.normal(size=(100, 2)))
+        oracle = LossOracle.from_table(rng.random(100), budget=3)
+        with pytest.raises(BudgetExceededError):
+            data_select(data, 3, 0.5, AUTO, oracle, 2, RngStream(1, "auto"))
+        assert oracle.queries_used == 0 and oracle.cache == {}
+
+    def test_query_split_counts_centers_not_cached_before(self):
+        rng = np.random.default_rng(15)
+        data = Dataset(rng.normal(size=(100, 2)))
+        losses = rng.random(100)
+        _, _, clustering, _ = data_select(
+            data, 3, 0.5, AUTO, LossOracle.from_table(losses), 2,
+            RngStream(1, "auto"))
+        centers = clustering.centers.indices.tolist()
+        other = min(set(range(100)) - set(centers))
+        oracle = LossOracle.from_table(losses)
+        oracle.query_many([centers[0], other])
+        _, report, _, _ = data_select(
+            data, 3, 0.5, AUTO, oracle, 2, RngStream(1, "auto"))
+        # the two earlier queries, then the two uncached centers
+        assert report["queries_proxy"] == 4
+        assert report["queries_used"] == oracle.queries_used
+        assert report["queries_lambda"] == oracle.queries_used - 4
+
     def test_deterministic_given_stream(self):
         rng = np.random.default_rng(16)
         data = Dataset(rng.normal(size=(80, 3)))
