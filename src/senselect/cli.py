@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -144,14 +146,15 @@ def cmd_select_rounds(args) -> int:
         results = data_select_rounds(data, args.k, args.rounds, args.epsilon,
                                      lam, oracle, args.z, rng)
     paths = [f"{args.out_prefix}_round{r['round']}.csv" for _, r in results]
-    for (sample, _), path in zip(results, paths):
-        sio.save_sample(sample, path)
-    return _save("select-rounds", {
-        "k": args.k, "rounds": args.rounds, "epsilon": args.epsilon,
-        "z": args.z, "seed": args.seed, "sample_paths": paths,
-        "rounds_detail": [r for _, r in results],
-        "elapsed_seconds": time.perf_counter() - t0,
-    }, args.out_report)
+    with _removed_on_error(paths):
+        for (sample, _), path in zip(results, paths):
+            sio.save_sample(sample, path)
+        return _save("select-rounds", {
+            "k": args.k, "rounds": args.rounds, "epsilon": args.epsilon,
+            "z": args.z, "seed": args.seed, "sample_paths": paths,
+            "rounds_detail": [r for _, r in results],
+            "elapsed_seconds": time.perf_counter() - t0,
+        }, args.out_report)
 
 
 def _load_regression(args) -> RegressionInstance:
@@ -404,15 +407,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _removed_on_error(paths):
+    """Remove each of `paths` that did not exist before the block if the
+    block raises, so a failed run leaves no partial output."""
+    created = [path for path in paths if not os.path.lexists(path)]
+    try:
+        yield
+    except BaseException:
+        for path in created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # every --out-* file; select-rounds guards its --out-prefix files
+    outputs = [path for name, path in vars(args).items()
+               if name.startswith("out_") and name != "out_prefix" and path]
     try:
         _check_z(args)
-        return args.func(args)
+        with _removed_on_error(outputs):
+            return args.func(args)
     except (BudgetExceededError, OracleProtocolError) as exc:
         print(f"senselect: oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE

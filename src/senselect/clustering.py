@@ -21,17 +21,13 @@ Refinement stops at the Lloyd fixed point: once an update leaves the
 assignment unchanged and reseeds no cluster, the next pass would rebuild the
 same centers from the same rows, so it is skipped.
 
-The z=1 medoid is exact and takes two steps.  The filter computes each
-distance once: square tiles cover the upper triangle of the cluster's
-distance matrix, and each tile adds its row sums to its row block and, off
-the diagonal, its column sums to its column block.  Those sums are rounded
-in another order than the row-by-row sums, so the re-check recomputes, row
-by row, the sums of every point within a rigorous rounding margin of the
-filtered minimum and returns the lowest index among the least of them: the
-medoid is the argmin of the full matrix's row sums, bit for bit.  Both steps
-run on one thread per CPU this process may use (``cdist`` releases the GIL),
-and the tile side and re-check blocks shrink with the thread count so the
-distances in flight stay at MEDOID_BLOCK rows.
+The z=1 medoids are exact (`_medoids`): a filter sums each cluster's
+distances once, over upper-triangle tiles, and a re-check sums row by row
+every point within a rigorous rounding margin of its cluster's least
+filtered sum, so each medoid is its full matrix's row-sum argmin, bit for
+bit.  Each step is one batch for all clusters, on a pool with a thread per
+CPU this process may use (``cdist`` releases the GIL); tiles and re-check
+blocks shrink with the thread count, keeping MEDOID_BLOCK rows in flight.
 """
 
 from __future__ import annotations
@@ -39,6 +35,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -103,8 +101,11 @@ class Clustering:
 
 
 def powered_distances(X: np.ndarray, C: np.ndarray, z: float) -> np.ndarray:
-    """All-pairs ||x - c||^z, shape (len(X), len(C))."""
-    return cdist(X, np.atleast_2d(C)) ** z
+    """All-pairs ||x - c||^z, shape (len(X), len(C)).  ``cdist`` takes the
+    centers as its first operand, which for one center is several times
+    faster than the other way round; each distance sums the same squares
+    in the same column order, so the bits are those of ``cdist(X, C)``."""
+    return cdist(np.atleast_2d(C), X).T ** z
 
 
 def _nearest(X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -195,77 +196,42 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
     return CenterList(X[chosen], np.asarray(chosen, dtype=np.intp))
 
 
-def _distance_sums(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
-                   workers: int = 1, rows: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """Row sums of the all-pairs Euclidean distance matrix of `points`, for
-    the rows indexed by `rows` (default: all).
-
-    The rows are taken in blocks of MEDOID_BLOCK // workers, spread over
-    `pool`, so at most MEDOID_BLOCK x len(points) distances exist at once;
-    sums that fit in one block are computed inline.  Each row sum is the one
-    the full matrix would give, bit for bit."""
-    rows = np.arange(points.shape[0]) if rows is None else rows
+def _distance_sums(points: np.ndarray, spans, rows,
+                   pool: ThreadPoolExecutor | None = None,
+                   workers: int = 1) -> list[np.ndarray]:
+    """Per span (lo, hi), the row sums of the Euclidean distance matrix of
+    points[lo:hi] for its row offsets in `rows`, bit for bit those of the
+    full matrix.  All spans' rows go to `pool` at once in blocks of
+    MEDOID_BLOCK // workers rows; a single block is computed inline."""
     block = max(1, MEDOID_BLOCK // workers)
-    sums = np.empty(rows.size)
+    jobs = [(lo, hi, r[start:start + block])
+            for (lo, hi), r in zip(spans, rows)
+            for start in range(0, r.size, block)]
 
-    def sum_rows(start: int):
-        stop = min(start + block, rows.size)
-        sums[start:stop] = np.sum(cdist(points[rows[start:stop]], points),
-                                  axis=1)
+    def sum_rows(job) -> np.ndarray:
+        lo, hi, r = job
+        return np.sum(cdist(points[lo + r], points[lo:hi]), axis=1)
 
-    starts = range(0, rows.size, block)
-    if pool is None or len(starts) == 1:
-        for start in starts:
-            sum_rows(start)
-    else:
-        list(pool.map(sum_rows, starts))  # re-raises a block's exception
-    return sums
+    run = map if pool is None or len(jobs) == 1 else pool.map
+    sums = run(sum_rows, jobs)  # pool.map re-raises a block's exception
+    return [np.concatenate([next(sums) for _ in range(0, r.size, block)])
+            for r in rows]
 
 
-def _triangle_sums(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
-                   workers: int = 1) -> np.ndarray:
-    """Row sums of the all-pairs Euclidean distance matrix of `points`,
-    computing each distance once.
+def _medoids(points: np.ndarray, bounds: np.ndarray, clusters,
+             pool: ThreadPoolExecutor | None = None,
+             workers: int = 1) -> np.ndarray:
+    """Row of `points` that is the medoid of each listed cluster i, whose
+    members are points[bounds[i]:bounds[i + 1]]: ties to the lowest row.
 
-    Square tiles of side MEDOID_BLOCK // workers cover the upper triangle;
-    a diagonal tile adds its row sums to its block, an off-diagonal tile
-    (I, J) its row sums to block I and its column sums to block J.  Tiles
-    are dealt round-robin to one task per worker, each adding into its own
-    vector, and the vectors are added in task order, so the result does not
-    depend on thread timing.  The sums round differently from
-    `_distance_sums`."""
-    m = points.shape[0]
-    side = max(1, MEDOID_BLOCK // workers)
-    starts = range(0, m, side)
-    tiles = [(a, b) for i, a in enumerate(starts) for b in starts[i:]]
-
-    def sum_tiles(share) -> np.ndarray:
-        partial = np.zeros(m)
-        for a, b in share:
-            D = cdist(points[a:a + side], points[b:b + side])
-            partial[a:a + side] += np.sum(D, axis=1)
-            if a != b:
-                partial[b:b + side] += np.sum(D, axis=0)
-        return partial
-
-    tasks = 1 if pool is None else min(workers, len(tiles))
-    if tasks == 1:
-        return sum_tiles(tiles)
-    shares = [tiles[t::tasks] for t in range(tasks)]
-    return np.sum(list(pool.map(sum_tiles, shares)), axis=0)
-
-
-def _medoid(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
-            workers: int = 1) -> int:
-    """Index (within `points`) of the point minimizing the sum of Euclidean
-    distances to the others; ties to the lowest index.
-
-    Filter: `_triangle_sums` computes every sum from each distance once.
-    Re-check: every row whose filtered sum is within a rounding margin of
-    the least one is summed again with `_distance_sums`, and the lowest
-    index among the least exact sums wins, so the result is
-    ``argmin(_distance_sums(points))`` bit for bit, exact ties included.
+    Filter: all clusters' upper-triangle tiles form one list, cut into one
+    contiguous run of about equal area per worker.  A cluster wholly in one
+    run gets its sums and candidates there; a run's first and last
+    cluster, which a cut may split, get a partial vector from each of their
+    runs, added in run order, so thread timing never changes a sum.
+    Re-check: `_distance_sums` of every candidate, and the lowest row among
+    each cluster's least exact sums wins, so each medoid is
+    ``argmin(np.sum(cdist(P, P), axis=1))`` of its members P.
 
     The margin is rigorous.  With u = eps / 2, a sum of m non-negative
     terms computed in any order is within (m - 1) u of their true sum,
@@ -273,15 +239,52 @@ def _medoid(points: np.ndarray, pool: ThreadPoolExecutor | None = None,
     distance.  So a row's filtered and exact sums are each within
     (m + d/2 + 1) u of its true sum, and the medoid's filtered sum exceeds
     the filtered minimum by at most about (2m + d + 2) u times it; the
-    margin, 8 (m + d + 8) eps times it, is 8 times that.  Memory stays
-    linear in the cluster size."""
-    m, d = points.shape
-    filtered = _triangle_sums(points, pool, workers)
-    low = np.min(filtered)
-    margin = 8 * (m + d + 8) * np.finfo(np.float64).eps * low
-    candidates = np.flatnonzero(filtered <= low + margin)
-    exact = _distance_sums(points, pool, workers, rows=candidates)
-    return int(candidates[np.argmin(exact)])
+    margin, 8 (m + d + 8) eps times it, is 8 times that."""
+    d = points.shape[1]
+    side = max(1, MEDOID_BLOCK // workers)
+    spans = [(bounds[i], bounds[i + 1]) for i in clusters]
+    tiles = [(c, a, b) for c, (lo, hi) in enumerate(spans)
+             for a in range(lo, hi, side) for b in range(a, hi, side)]
+    area = np.cumsum([min(side, spans[c][1] - a) * min(side, spans[c][1] - b)
+                      for c, a, b in tiles])
+    tasks = 1 if pool is None else min(workers, len(tiles))
+    cuts = [0, *np.searchsorted(area, area[-1] * np.arange(1, tasks) / tasks),
+            len(tiles)]
+    candidates = [None] * len(spans)  # row offsets within each cluster
+
+    def near_least(sums: np.ndarray) -> np.ndarray:
+        low = np.min(sums)
+        margin = 8 * (sums.size + d + 8) * np.finfo(np.float64).eps * low
+        return np.flatnonzero(sums <= low + margin)
+
+    def filter_run(run) -> list:
+        """Partial sums of the run's first and last (maybe split) cluster."""
+        partials = []
+        for c, group in groupby(run, key=itemgetter(0)):
+            lo, hi = spans[c]
+            sums = np.zeros(hi - lo)
+            for _, a, b in group:
+                D = cdist(points[a:min(a + side, hi)],
+                          points[b:min(b + side, hi)])
+                sums[a - lo:a - lo + side] += np.sum(D, axis=1)
+                if a != b:
+                    sums[b - lo:b - lo + side] += np.sum(D, axis=0)
+            if c in (run[0][0], run[-1][0]):
+                partials.append((c, sums))
+            else:
+                candidates[c] = near_least(sums)
+        return partials
+
+    runs = [tiles[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    shared = {}
+    for partials in (map if tasks == 1 else pool.map)(filter_run, runs):
+        for c, sums in partials:
+            shared[c] = shared[c] + sums if c in shared else sums
+    for c, sums in shared.items():
+        candidates[c] = near_least(sums)
+    exact = _distance_sums(points, spans, candidates, pool, workers)
+    return np.array([lo + r[np.argmin(e)]
+                     for (lo, _), r, e in zip(spans, candidates, exact)])
 
 
 def _cluster_sums(X: np.ndarray, order: np.ndarray,
@@ -355,12 +358,9 @@ def refine(data: Dataset, centers: CenterList, z: float,
             else:
                 indices = np.empty(current.k, dtype=np.intp)
                 # the medoids read their members' rows from one gathered copy
-                grouped = X[order]
-                for i in filled:
-                    lo, hi = bounds[i], bounds[i + 1]
-                    m = order[lo + _medoid(grouped[lo:hi], pool, workers)]
-                    positions[i] = X[m]
-                    indices[i] = m
+                indices[filled] = order[_medoids(X[order], bounds, filled,
+                                                 pool, workers)]
+                positions[filled] = X[indices[filled]]
             mind = None  # per-point distance^z to the current centers
             for i in np.flatnonzero(counts == 0):
                 if mind is None:

@@ -220,12 +220,29 @@ def run_trials(config: dict) -> TrialReport:
         raise ValueError(f"trials must be >= 1, got {trials}")
     master = RngStream(int(config.get("master_seed", 0)), "bench")
     report = TrialReport(pipeline)
-    run = {"data_select": _trials_data_select, "rounds": _trials_rounds,
-           "uniform_spike": _trials_uniform_spike,
-           "uniform_rademacher": _trials_rademacher,
-           "regression": _trials_regression}.get(pipeline)
+    # each pipeline and the keys it reads, besides pipeline, trials and
+    # master_seed; any other key is a typo that would silently do nothing
+    planted = {"n", "d", "k", "z", "separation", "lambda_true", "epsilon"}
+    run, keys = {
+        "data_select": (_trials_data_select, planted | {"lambda_mode"}),
+        "rounds": (_trials_rounds, planted | {"rounds"}),
+        "uniform_spike": (_trials_uniform_spike,
+                          {"n", "epsilon", "s", "spike"}),
+        "uniform_rademacher": (_trials_rademacher,
+                               {"n", "s", "threshold_const"}),
+        "regression": (_trials_regression,
+                       {"n", "d", "k", "epsilon", "delta", "lambda_true"}),
+    }.get(pipeline, (None, None))
     if run is None:
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    unknown = sorted(set(config) - keys
+                     - {"pipeline", "trials", "master_seed"})
+    if unknown:
+        raise ValueError(f"unknown config key(s) for pipeline {pipeline!r}: "
+                         + ", ".join(map(repr, unknown)))
+    if str(config.get("lambda_mode", "supplied")) not in ("supplied", "auto"):
+        raise ValueError(f"lambda_mode must be 'supplied' or 'auto', got "
+                         f"{config['lambda_mode']!r}")
     run(config, trials, master, report)
     return report
 

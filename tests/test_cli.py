@@ -452,6 +452,47 @@ class TestSelectRounds:
         assert code == 2
 
 
+class TestNoPartialOutput:
+    """A run that exits non-zero leaves none of the files it created."""
+
+    def test_select_with_an_unwritable_report(self, pairs, tmp_path,
+                                              capsys):
+        data, losses = pairs
+        sample = tmp_path / "s.csv"
+        centers = tmp_path / "c.csv"
+        code = main(["select", "--data", str(data), "--k", "2",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--losses", str(losses), "--out-sample", str(sample),
+                     "--out-centers", str(centers),
+                     "--out-report", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        _one_data_error(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv",
+                                                               "losses.txt"]
+
+    def test_an_existing_output_is_not_removed(self, pairs, tmp_path):
+        data, losses = pairs
+        sample = tmp_path / "s.csv"
+        sample.write_text("kept\n")
+        code = main(["select", "--data", str(data), "--k", "2",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--losses", str(losses), "--out-sample", str(sample),
+                     "--out-report", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert sample.exists()
+
+    def test_select_rounds_with_an_unwritable_report(self, pairs, tmp_path):
+        data, losses = pairs
+        code = main(["select-rounds", "--data", str(data), "--k", "2",
+                     "--rounds", "2", "--epsilon", "1", "--lambda", "1",
+                     "--losses", str(losses),
+                     "--out-prefix", str(tmp_path / "out"),
+                     "--out-report", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv",
+                                                               "losses.txt"]
+
+
 class TestSelectRegression:
     def test_last_column_targets(self, tmp_path):
         rng = np.random.default_rng(33)
@@ -618,6 +659,21 @@ class TestBench:
         config = tmp_path / "bench.cfg"
         config.write_text("pipeline uniform_spike\n")
         assert main(["bench", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("text, named", [
+        ("pipeline = data_select\nepsilom = 0.05\n", "'epsilom'"),
+        # a key of another pipeline does nothing here either
+        ("pipeline = uniform_spike\nrounds = 3\n", "'rounds'"),
+        ("pipeline = data_select\nlambda_mode = atuo\n", "'atuo'"),
+    ])
+    def test_config_typo_is_a_data_error(self, tmp_path, capsys, text,
+                                         named):
+        config = tmp_path / "bench.cfg"
+        config.write_text(text + "trials = 1\nn = 40\n")
+        assert main(["bench", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("senselect: data error: ") and named in err
 
 
 class TestLowerboundDemo:

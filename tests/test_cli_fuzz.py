@@ -1,10 +1,12 @@
 """Every subcommand, fed argv drawn from a small vocabulary of valid, garbled
 and out-of-range values, missing and empty files and rows too large to
 square, keeps the exit-code contract: a code in {0, 1, 2, 3}, no exception,
-and no traceback or RuntimeWarning on stderr."""
+and no traceback or RuntimeWarning on stderr.  A `select` that exits
+non-zero leaves no file behind."""
 
 import contextlib
 import io
+import os
 import warnings
 
 import pytest
@@ -146,6 +148,10 @@ def in_fuzz_dir(tmp_path_factory):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv())
 def test_every_run_keeps_the_exit_code_contract(in_fuzz_dir, args):
+    # every output flag names out.csv, so a file the run creates is new
+    with contextlib.suppress(FileNotFoundError):
+        os.remove("out.csv")
+    before = set(os.listdir())
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr), \
@@ -157,3 +163,5 @@ def test_every_run_keeps_the_exit_code_contract(in_fuzz_dir, args):
     assert "Traceback" not in err and "RuntimeWarning" not in err, (args, err)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
         (args, [str(w.message) for w in caught])
+    if args[0] == "select" and code != 0:
+        assert set(os.listdir()) <= before, (args, err)

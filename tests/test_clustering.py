@@ -408,6 +408,13 @@ class TestSnapClaims:
                                reference_snap(data, clustering))
 
 
+def one_medoid(points, pool=None, workers=1) -> int:
+    """The medoid of `points` as one cluster, by the all-cluster helper."""
+    bounds = np.array([0, points.shape[0]])
+    return int(clustering_module._medoids(points, bounds, [0], pool,
+                                          workers)[0])
+
+
 class TestMedoid:
     @pytest.mark.parametrize("m", [1, MEDOID_BLOCK - 1, MEDOID_BLOCK,
                                    MEDOID_BLOCK + 1])
@@ -417,14 +424,14 @@ class TestMedoid:
                        # integer points: many exactly tied distance sums
                        g.integers(-2, 3, size=(m, 2)).astype(float)):
             full = int(np.argmin(np.sum(cdist(points, points), axis=1)))
-            assert clustering_module._medoid(points) == full
+            assert one_medoid(points) == full
 
     def test_memory_is_linear_in_the_cluster_size(self):
         m = 6000  # the m x m matrix would take 288 MB
         points = np.random.default_rng(0).normal(size=(m, 2))
         tracemalloc.start()
         try:
-            clustering_module._medoid(points)
+            one_medoid(points)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -592,9 +599,9 @@ class TestThreadedMedoid:
                            g.integers(-2, 3, size=(m, 2)).astype(float)):
                 full = np.sum(cdist(points, points), axis=1)
                 with ThreadPoolExecutor(workers) as pool:
-                    sums = clustering_module._distance_sums(points, pool,
-                                                            workers)
-                    medoid = clustering_module._medoid(points, pool, workers)
+                    [sums] = clustering_module._distance_sums(
+                        points, [(0, m)], [np.arange(m)], pool, workers)
+                    medoid = one_medoid(points, pool, workers)
                 np.testing.assert_array_equal(sums, full)
                 assert medoid == int(np.argmin(full))
         finally:
@@ -640,22 +647,86 @@ class TestExactMedoid:
     def test_equals_the_full_matrix_argmin(self, workers, points):
         # tiles of 30 // workers rows, so the filter's sums are rounded in
         # another order than the full matrix's row sums
-        real_medoid = clustering_module._medoid
+        real_medoids = clustering_module._medoids
         found = []
 
         def spy(*args):
-            found.append(real_medoid(*args))
-            return found[-1]
+            medoids = real_medoids(*args)
+            found.extend(medoids.tolist())
+            return medoids
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering_module, "MEDOID_BLOCK", 30)
             mp.setattr(clustering_module, "_cpu_count", lambda: workers)
-            mp.setattr(clustering_module, "_medoid", spy)
+            mp.setattr(clustering_module, "_medoids", spy)
             # one center: its cluster is every row, in row order
             refine(Dataset(points), CenterList(points[:1], [0]), 1,
                    max_iters=1)
         full = np.sum(cdist(points, points), axis=1)
         assert found == [int(np.argmin(full))]
+
+
+@st.composite
+def _partitions(draw):
+    """Medoid points cut into consecutive clusters: singletons, very unequal
+    sizes, and clusters whose distance sums tie."""
+    points = draw(_medoid_points())
+    cuts = draw(st.lists(st.integers(1, max(1, points.shape[0] - 1)),
+                         max_size=6, unique=True))
+    cuts = sorted(c for c in cuts if c < points.shape[0])
+    return points, np.array([0, *cuts, points.shape[0]])
+
+
+class TestAllClusterMedoids:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @settings(max_examples=100, deadline=None)
+    @given(case=_partitions())
+    def test_equal_the_per_cluster_full_matrix_argmin(self, workers, case):
+        points, bounds = case
+        want = [lo + int(np.argmin(np.sum(cdist(points[lo:hi],
+                                                points[lo:hi]), axis=1)))
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # the threads write disjoint slots of one list; a short switch
+        # interval makes a lost or misplaced write likelier to show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp, \
+                    ThreadPoolExecutor(workers) as pool:
+                # tiles of 30 // workers rows, so runs cut through clusters
+                mp.setattr(clustering_module, "MEDOID_BLOCK", 30)
+                got = clustering_module._medoids(points, bounds,
+                                                 np.arange(bounds.size - 1),
+                                                 pool, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tolist() == want
+
+
+@st.composite
+def _dataset_and_point(draw):
+    """Rows that `Dataset` accepts, mixing zeros, subnormals, ordinary
+    values and coordinates near the size limit, and one of its rows."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 64))
+    limit = float(np.sqrt(np.finfo(float).max / (4 * n * d)))
+    entry = st.one_of(st.just(0.0), st.floats(-1e-308, 1e-308),
+                      st.floats(-1e3, 1e3),
+                      st.floats(-limit, limit, allow_nan=False))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                  min_size=n, max_size=n)))
+    rows = Dataset(rows.reshape(n, d)).rows
+    return rows, rows[draw(st.integers(0, n - 1))]
+
+
+class TestPoweredDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_dataset_and_point(), z=st.sampled_from([1, 2]))
+    def test_equal_cdist_from_the_rows_bit_for_bit(self, case, z):
+        X, x = case
+        got, want = powered_distances(X, x, z), cdist(X, x[None]) ** z
+        # tobytes also tells -0.0 from 0.0
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestRefineBlasCap:
@@ -668,13 +739,13 @@ class TestRefineBlasCap:
                      lambda n: lib.__setitem__("count", n)),)
         monkeypatch.setattr(core_module, "_openblas_controls",
                             lambda: controls)
-        real_medoid = clustering_module._medoid
+        real_medoids = clustering_module._medoids
 
         def spy(*args):
             lib["seen"].append(lib["count"])
-            return real_medoid(*args)
+            return real_medoids(*args)
 
-        monkeypatch.setattr(clustering_module, "_medoid", spy)
+        monkeypatch.setattr(clustering_module, "_medoids", spy)
         return lib
 
     @pytest.mark.parametrize("workers, cap", [(1, 2), (2, 1), (4, 1)])
@@ -692,7 +763,7 @@ class TestRefineBlasCap:
         def fail(*args):
             raise MemoryError("medoid")
 
-        monkeypatch.setattr(clustering_module, "_medoid", fail)
+        monkeypatch.setattr(clustering_module, "_medoids", fail)
         data = blobs(60, [[0, 0], [5, 0]], seed=3)
         with pytest.raises(MemoryError):
             refine(data, dz_seed(data, 2, 1, RngStream(1, "cap")), 1)
