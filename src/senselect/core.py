@@ -419,39 +419,18 @@ class _ProcessBackend:
 
     def close(self):
         """End input and wait for the child to exit; kill it after
-        CLOSE_TIMEOUT_S.  The wait wakes on the exit itself through a pidfd
-        (``Popen.wait`` polls with growing sleeps, up to 16 ms late), and
-        not on end of output, which a grandchild may hold open."""
+        CLOSE_TIMEOUT_S.  The wait is on the process, not on end of output,
+        which a grandchild may hold open."""
         if self._proc is not None:
             try:
                 self._proc.stdin.close()
-                if not _exited(self._proc, CLOSE_TIMEOUT_S):
-                    raise OracleProtocolError(
-                        f"oracle process still running {CLOSE_TIMEOUT_S} s "
-                        "after end of input; killed it")
+                self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                raise OracleProtocolError(
+                    f"oracle process still running {CLOSE_TIMEOUT_S} s after "
+                    "end of input; killed it") from None
             finally:
                 self.kill()
-
-
-def _exited(proc: subprocess.Popen, timeout: float) -> bool:
-    """Whether `proc` exits within `timeout` seconds; falls back to
-    ``Popen.wait`` where the OS has no pidfds."""
-    if proc.returncode is not None:
-        return True  # reaped already: its pid may name another process now
-    try:
-        pidfd = os.pidfd_open(proc.pid)
-    except (AttributeError, OSError):
-        try:
-            proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return False
-        return True
-    try:
-        with selectors.DefaultSelector() as sel:
-            sel.register(pidfd, selectors.EVENT_READ)
-            return bool(sel.select(timeout))
-    finally:
-        os.close(pidfd)
 
 
 def _parse_reply(line: bytes) -> float:

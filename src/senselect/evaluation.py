@@ -220,19 +220,7 @@ def run_trials(config: dict) -> TrialReport:
         raise ValueError(f"trials must be >= 1, got {trials}")
     master = RngStream(int(config.get("master_seed", 0)), "bench")
     report = TrialReport(pipeline)
-    # each pipeline and the keys it reads, besides pipeline, trials and
-    # master_seed; any other key is a typo that would silently do nothing
-    planted = {"n", "d", "k", "z", "separation", "lambda_true", "epsilon"}
-    run, keys = {
-        "data_select": (_trials_data_select, planted | {"lambda_mode"}),
-        "rounds": (_trials_rounds, planted | {"rounds"}),
-        "uniform_spike": (_trials_uniform_spike,
-                          {"n", "epsilon", "s", "spike"}),
-        "uniform_rademacher": (_trials_rademacher,
-                               {"n", "s", "threshold_const"}),
-        "regression": (_trials_regression,
-                       {"n", "d", "k", "epsilon", "delta", "lambda_true"}),
-    }.get(pipeline, (None, None))
+    run, keys = _PIPELINES.get(pipeline, (None, None))
     if run is None:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     unknown = sorted(set(config) - keys
@@ -240,9 +228,6 @@ def run_trials(config: dict) -> TrialReport:
     if unknown:
         raise ValueError(f"unknown config key(s) for pipeline {pipeline!r}: "
                          + ", ".join(map(repr, unknown)))
-    if str(config.get("lambda_mode", "supplied")) not in ("supplied", "auto"):
-        raise ValueError(f"lambda_mode must be 'supplied' or 'auto', got "
-                         f"{config['lambda_mode']!r}")
     run(config, trials, master, report)
     return report
 
@@ -257,10 +242,14 @@ def _planted_from_config(config, master) -> PlantedInstance:
 
 
 def _trials_data_select(config, trials, master, report):
+    mode = str(config.get("lambda_mode", "supplied"))
+    if mode not in ("supplied", "auto"):
+        raise ValueError(f"lambda_mode must be 'supplied' or 'auto', got "
+                         f"{mode!r}")
+    auto = mode == "auto"
     inst = _planted_from_config(config, master)
     eps = float(config.get("epsilon", 0.2))
     k = int(config.get("k", 4))
-    auto = str(config.get("lambda_mode", "supplied")) == "auto"
     for t in range(trials):
         budget = None if auto else k
         oracle = LossOracle.from_table(inst.losses, budget=budget)
@@ -343,3 +332,18 @@ def _trials_regression(config, trials, master, report):
         bound = eps * (full + phi)
         report.add(seed=t, delta=err, bound=bound,
                    success=bool(err <= bound), queries_used=k)
+
+
+# each pipeline and the keys it reads, besides pipeline, trials and
+# master_seed; any other key is a typo that would silently do nothing
+# (tests/test_evaluation.py checks these sets against the keys each run reads)
+_PLANTED_KEYS = {"n", "d", "k", "z", "separation", "lambda_true", "epsilon"}
+_PIPELINES = {
+    "data_select": (_trials_data_select, _PLANTED_KEYS | {"lambda_mode"}),
+    "rounds": (_trials_rounds, _PLANTED_KEYS | {"rounds"}),
+    "uniform_spike": (_trials_uniform_spike, {"n", "epsilon", "s", "spike"}),
+    "uniform_rademacher": (_trials_rademacher,
+                           {"n", "s", "threshold_const"}),
+    "regression": (_trials_regression,
+                   {"n", "d", "k", "epsilon", "delta", "lambda_true"}),
+}

@@ -5,6 +5,7 @@ import pytest
 
 from senselect.core import Dataset, LossOracle, LossTable, RngStream
 from senselect.clustering import CenterList, assign
+from senselect import evaluation
 from senselect.evaluation import (TrialReport, delta_error,
                                   exact_expectation_gap, planted_holder,
                                   planted_regression, r2_benchmark,
@@ -220,6 +221,29 @@ class TestRunTrials:
             assert row["bound"] == pytest.approx(0.2 * 400 / 4)
             # success means the estimator magnitude clears the threshold
             assert row["success"] == (row["delta"] >= row["bound"])
+
+    @pytest.mark.parametrize("config", [
+        {"pipeline": "data_select", "n": 60, "d": 3, "k": 2},
+        {"pipeline": "data_select", "n": 60, "d": 3, "k": 2,
+         "lambda_mode": "auto"},
+        {"pipeline": "rounds", "n": 60, "d": 3, "k": 2, "rounds": 2},
+        {"pipeline": "uniform_spike", "n": 50, "epsilon": 0.5},
+        {"pipeline": "uniform_rademacher", "n": 50, "s": 4},
+        {"pipeline": "regression", "n": 60, "d": 3, "k": 3},
+    ], ids=lambda c: c["pipeline"] + "-" + c.get("lambda_mode", ""))
+    def test_accepted_keys_are_the_keys_read(self, config):
+        # a key the table lacks would be rejected though it is read; a key
+        # it has but no run reads would let that typo pass silently
+        read = set()
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        run_trials(Recording(config, trials=1))
+        _, keys = evaluation._PIPELINES[config["pipeline"]]
+        assert read - {"pipeline", "trials", "master_seed"} == keys
 
     def test_regression_smoke(self):
         report = run_trials({"pipeline": "regression", "trials": 3,
