@@ -7,14 +7,15 @@ queries; includes the regression specialization and an evaluation harness.
 
 from .core import (BudgetExceededError, Dataset, LossOracle, LossTable,
                    OracleProtocolError, RngStream)
-from .clustering import (CenterList, Clustering, assign, cost, dz_seed,
-                         kmedoids, refine, snap_centers, weighted_cost)
+from .clustering import (CenterList, Clustering, assign, dz_seed, kmedoids,
+                         refine, snap_centers, weighted_cost)
 from .hoelder import (INFINITY, default_sample_count, estimate_lambda,
                       holder_percentiles, holder_ratios)
 from .selection import (AUTO, ProxyLoss, SamplingPlan, WeightedSample,
                         cluster, data_select, data_select_rounds,
                         diversity_select, draw, kcenter_select, proxy_losses,
-                        sample_size, sensitivity_plan, uniform_select)
+                        sample_size, sensitivity_plan, uniform_sample_size,
+                        uniform_select)
 from .regression import (ConstantTargetError, RegressionInstance,
                          RegressionPlan, coreset_objective_error,
                          leverage_scores, leverage_select, r2_score,

@@ -8,6 +8,7 @@ for the diagnostic subcommands.
 from __future__ import annotations
 
 import argparse
+import glob
 import math
 import os
 import sys
@@ -25,7 +26,7 @@ from .evaluation import delta_error, rademacher_instance, run_trials
 from .regression import (RegressionInstance, r2_score, regression_select,
                          solve_least_squares)
 from .selection import (AUTO, cluster, data_select, data_select_rounds,
-                        uniform_select)
+                        uniform_sample_size, uniform_select)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_ORACLE = 0, 1, 2, 3
 
@@ -35,13 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _check_z(args):
-    """Reject a --z the clustering cannot refine before any input is read."""
-    z = getattr(args, "z", None)
-    if z is not None and z not in (1, 2):
-        raise ValueError(f"--z must be 1 or 2, got {z}")
 
 
 def _make_oracle(args, n: int) -> LossOracle:
@@ -100,9 +94,8 @@ def _save_clustering(clustering, out_centers=None, out_assignment=None):
 
 def cmd_cluster(args) -> int:
     data = sio.load_matrix(args.data)
-    rng = RngStream(args.seed, "cli/cluster")
     t0 = time.perf_counter()
-    clustering = cluster(data, args.k, args.z, rng)
+    clustering = cluster(data, args.k, args.z, args.rng)
     _save_clustering(clustering, args.out_centers, args.out_assignment)
     return _save("cluster", {
         "k": args.k, "z": args.z, "seed": args.seed,
@@ -125,11 +118,10 @@ def cmd_select(args) -> int:
         if k is None:
             raise sio.DataFormatError("need --k or --budget")
     lam = _parse_lambda(args, k)
-    rng = RngStream(args.seed, "cli/select")
     t0 = time.perf_counter()
     with _make_oracle(args, data.n) as oracle:
         sample, report, clustering, plan = data_select(
-            data, k, args.epsilon, lam, oracle, args.z, rng, s=s)
+            data, k, args.epsilon, lam, oracle, args.z, args.rng, s=s)
     elapsed = time.perf_counter() - t0
     sio.save_sample(sample, args.out_sample)
     _save_clustering(clustering, args.out_centers, args.out_assignment)
@@ -140,21 +132,19 @@ def cmd_select(args) -> int:
 def cmd_select_rounds(args) -> int:
     data = sio.load_matrix(args.data)
     lam = _parse_lambda(args, args.k * args.rounds)
-    rng = RngStream(args.seed, "cli/select-rounds")
     t0 = time.perf_counter()
     with _make_oracle(args, data.n) as oracle:
         results = data_select_rounds(data, args.k, args.rounds, args.epsilon,
-                                     lam, oracle, args.z, rng)
+                                     lam, oracle, args.z, args.rng)
     paths = [f"{args.out_prefix}_round{r['round']}.csv" for _, r in results]
-    with _removed_on_error(paths):
-        for (sample, _), path in zip(results, paths):
-            sio.save_sample(sample, path)
-        return _save("select-rounds", {
-            "k": args.k, "rounds": args.rounds, "epsilon": args.epsilon,
-            "z": args.z, "seed": args.seed, "sample_paths": paths,
-            "rounds_detail": [r for _, r in results],
-            "elapsed_seconds": time.perf_counter() - t0,
-        }, args.out_report)
+    for (sample, _), path in zip(results, paths):
+        sio.save_sample(sample, path)
+    return _save("select-rounds", {
+        "k": args.k, "rounds": args.rounds, "epsilon": args.epsilon,
+        "z": args.z, "seed": args.seed, "sample_paths": paths,
+        "rounds_detail": [r for _, r in results],
+        "elapsed_seconds": time.perf_counter() - t0,
+    }, args.out_report)
 
 
 def _load_regression(args) -> RegressionInstance:
@@ -172,9 +162,8 @@ def _load_regression(args) -> RegressionInstance:
 def cmd_select_regression(args) -> int:
     inst = _load_regression(args)
     lam = INFINITY if args.lambda_inf else _parse_lambda(args, args.k)
-    rng = RngStream(args.seed, "cli/select-regression")
     t0 = time.perf_counter()
-    sample, plan = regression_select(inst, args.k, args.epsilon, lam, rng,
+    sample, plan = regression_select(inst, args.k, args.epsilon, lam, args.rng,
                                      delta=args.delta)
     sio.save_sample(sample, args.out_sample)
     return _save("select-regression", {
@@ -190,13 +179,12 @@ def cmd_select_regression(args) -> int:
 
 def cmd_lambda_estimate(args) -> int:
     data = sio.load_matrix(args.data)
-    rng = RngStream(args.seed, "cli/lambda-estimate")
     t = args.t if args.t is not None else default_sample_count(args.k, args.p)
     # an oracle process starts up while the data are clustered
     with _make_oracle(args, data.n) as oracle:
-        clustering = cluster(data, args.k, args.z, rng)
+        clustering = cluster(data, args.k, args.z, args.rng)
         lam = estimate_lambda(data, clustering, oracle, t,
-                              rng.child("estimate"))
+                              args.rng.child("estimate"))
     result = {"lambda": [float(v) for v in lam], "t": t,
               "queries_used": oracle.queries_used, "k": args.k, "z": args.z,
               "seed": args.seed}
@@ -206,8 +194,7 @@ def cmd_lambda_estimate(args) -> int:
 def cmd_holder_diagnose(args) -> int:
     data = sio.load_matrix(args.data)
     table = sio.load_losses(args.losses, n=data.n)
-    rng = RngStream(args.seed, "cli/holder-diagnose")
-    clustering = cluster(data, args.k, args.z, rng)
+    clustering = cluster(data, args.k, args.z, args.rng)
     ratios = holder_ratios(data, clustering, table, args.z)
     percentiles = [float(p) for p in args.percentiles.split(",")]
     result = {"percentiles": holder_percentiles(ratios, percentiles),
@@ -268,18 +255,15 @@ def cmd_bench(args) -> int:
 
 def cmd_lowerbound_demo(args) -> int:
     data, signed = rademacher_instance(args.n)
-    rng = RngStream(args.seed, "cli/lowerbound-demo")
     epsilons = [float(e) for e in args.epsilons.split(",")]
-    if not all(math.isfinite(eps) and eps > 0 for eps in epsilons):
-        raise ValueError(f"--epsilons must be finite and > 0: {args.epsilons}")
+    counts = [uniform_sample_size(eps) for eps in epsilons]
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     sweep = []
-    for eps in epsilons:
-        s = int(math.ceil(1 / eps ** 2))
+    for eps, s in zip(epsilons, counts):
         estimates = []
         for t in range(args.trials):
-            sample = uniform_select(data, s, rng.child(f"eps{eps}-t{t}"))
+            sample = uniform_select(data, s, args.rng.child(f"eps{eps}-t{t}"))
             estimates.append(delta_error(signed, sample))
         median = float(np.median(estimates))
         sweep.append({"epsilon": eps, "s": s, "median_abs_estimator": median,
@@ -287,6 +271,21 @@ def cmd_lowerbound_demo(args) -> int:
     result = {"n": args.n, "trials": args.trials, "sweep": sweep,
               "seed": args.seed}
     return _emit("lowerbound-demo", result, args.out_report)
+
+
+#: options of the flags several subcommands share, each written once
+_SHARED = {"--data": {"required": True},
+           "--k": {"type": int, "required": True},
+           "--epsilon": {"type": float, "required": True},
+           "--z": {"type": float, "default": 2},
+           "--seed": {"type": int, "default": 0},
+           "--out-sample": {"required": True}}
+
+
+def _add_flags(p, *flags):
+    """Add each flag with its `_SHARED` options, or none if it has none."""
+    for flag in flags:
+        p.add_argument(flag, **_SHARED.get(flag, {}))
 
 
 def _add_oracle_flags(p):
@@ -301,43 +300,32 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="D^z seeding + refinement + snapping")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", type=float, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-centers")
-    p.add_argument("--out-assignment")
-    p.add_argument("--out-report")
+    _add_flags(p, "--data", "--k", "--z", "--seed", "--out-centers",
+               "--out-assignment", "--out-report")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("select", help="one-round sensitivity selection")
-    p.add_argument("--data", required=True)
+    _add_flags(p, "--data")
     p.add_argument("--k", type=int)
     p.add_argument("--budget", type=int,
                    help="total selection budget B: k=ceil(0.2B), s=B-k")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--z", type=float, default=2)
+    _add_flags(p, "--epsilon", "--z")
     p.add_argument("--lambda", dest="lam", default="auto",
                    help="per-cluster file, scalar value, or 'auto'")
     _add_oracle_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-sample", required=True)
-    p.add_argument("--out-report")
-    p.add_argument("--out-centers")
-    p.add_argument("--out-assignment")
+    _add_flags(p, "--seed", "--out-sample", "--out-report", "--out-centers",
+               "--out-assignment")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("select-rounds", help="r-round adaptive selection")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
+    _add_flags(p, "--data", "--k")
     p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--z", type=float, default=2)
+    _add_flags(p, "--epsilon", "--z")
     p.add_argument("--lambda", dest="lam", required=True)
     _add_oracle_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, "--seed")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--out-report")
+    _add_flags(p, "--out-report")
     p.set_defaults(func=cmd_select_rounds)
 
     p = sub.add_parser("select-regression",
@@ -345,54 +333,43 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True,
                    help="CSV with features + final target column, or matrix "
                         "file plus --targets")
-    p.add_argument("--targets")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    _add_flags(p, "--targets", "--k", "--epsilon")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--lambda", dest="lam", default="1.0")
     p.add_argument("--lambda-inf", action="store_true",
                    help="distance-only mode")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-sample", required=True)
-    p.add_argument("--out-report")
+    _add_flags(p, "--seed", "--out-sample", "--out-report")
     p.set_defaults(func=cmd_select_regression)
 
     p = sub.add_parser("lambda-estimate",
                        help="query-budgeted per-cluster constant estimation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", type=float, default=2)
+    _add_flags(p, "--data", "--k", "--z")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--p", type=float, default=0.2)
     _add_oracle_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-report")
+    _add_flags(p, "--seed", "--out-report")
     p.set_defaults(func=cmd_lambda_estimate)
 
     p = sub.add_parser("holder-diagnose",
                        help="ratio percentiles over a full loss table")
-    p.add_argument("--data", required=True)
+    _add_flags(p, "--data")
     p.add_argument("--losses", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", type=float, default=2)
+    _add_flags(p, "--k", "--z")
     p.add_argument("--percentiles",
                    default=",".join(str(p) for p in DEFAULT_PERCENTILES))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-report")
+    _add_flags(p, "--seed", "--out-report")
     p.set_defaults(func=cmd_holder_diagnose)
 
     p = sub.add_parser("evaluate", help="exact Delta(S) or regression R^2")
     p.add_argument("--sample", required=True)
     p.add_argument("--losses")
     p.add_argument("--data")
-    p.add_argument("--targets")
-    p.add_argument("--out-report")
+    _add_flags(p, "--targets", "--out-report")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="seeded Monte-Carlo trial runner")
     p.add_argument("--config", required=True)
-    p.add_argument("--out-report")
-    p.add_argument("--out-csv")
+    _add_flags(p, "--out-report", "--out-csv")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("lowerbound-demo",
@@ -400,22 +377,25 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=10 ** 4)
     p.add_argument("--epsilons", default="0.1")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-report")
+    _add_flags(p, "--seed", "--out-report")
     p.set_defaults(func=cmd_lowerbound_demo)
 
     return parser
 
 
 @contextmanager
-def _removed_on_error(paths):
-    """Remove each of `paths` that did not exist before the block if the
-    block raises, so a failed run leaves no partial output."""
-    created = [path for path in paths if not os.path.lexists(path)]
+def _removed_on_error(patterns):
+    """Remove each file matching a glob in `patterns` that did not exist
+    before the block if the block raises, so a failed run leaves no partial
+    output."""
+    def matches():
+        return {path for pattern in patterns for path in glob.glob(pattern)}
+
+    before = matches()
     try:
         yield
     except BaseException:
-        for path in created:
+        for path in matches() - before:
             with suppress(OSError):
                 os.remove(path)
         raise
@@ -427,18 +407,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # every --out-* file; select-rounds guards its --out-prefix files
-    outputs = [path for name, path in vars(args).items()
+    # every --out-* file, and (by glob: --rounds may be huge) round files
+    outputs = [glob.escape(path) for name, path in vars(args).items()
                if name.startswith("out_") and name != "out_prefix" and path]
+    if args.command == "select-rounds":
+        outputs.append(glob.escape(args.out_prefix) + "_round[0-9]*.csv")
+    if "seed" in args:  # one stream per run, labelled by its subcommand
+        args.rng = RngStream(args.seed, f"cli/{args.command}")
     try:
-        _check_z(args)
+        # a --z the clustering cannot refine fails before any input is read
+        if getattr(args, "z", 2) not in (1, 2):
+            raise ValueError(f"--z must be 1 or 2, got {args.z}")
         with _removed_on_error(outputs):
             return args.func(args)
     except (BudgetExceededError, OracleProtocolError) as exc:
         print(f"senselect: oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (sio.DataFormatError, OSError, ValueError) as exc:
-        print(f"senselect: data error: {exc}", file=sys.stderr)
+    except (sio.DataFormatError, OSError, ValueError, MemoryError) as exc:
+        print(f"senselect: data error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_DATA
 
 

@@ -154,13 +154,6 @@ def assign(data: Dataset, centers: CenterList, z: float) -> Clustering:
     return Clustering(centers, labels, cluster_cost, float(z))
 
 
-def cost(data: Dataset, centers: CenterList, z: float) -> float:
-    """Total (k,z)-clustering cost of the given centers on the dataset."""
-    if len(centers) == 0:
-        raise ValueError("empty center list")
-    return assign(data, centers, z).total_cost
-
-
 def weighted_cost(clustering: Clustering, lam) -> float:
     """Per-cluster weighted cost lam . Phi; inf when it overflows."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)

@@ -13,7 +13,7 @@ from .core import Dataset, LossOracle, LossTable, RngStream, as_generator
 from .clustering import CenterList, Clustering, assign, weighted_cost
 from . import regression as reg
 from .selection import (WeightedSample, data_select, data_select_rounds,
-                        uniform_select)
+                        uniform_sample_size, uniform_select)
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def planted_holder(n: int, d: int, k: int, z: float, separation: float,
     along distinct axes.  The first row of each cluster sits exactly at the
     center, so the ground-truth clustering has data-row centers and the
     smoothness ratios equal lambda_true everywhere."""
-    if k > min(n, d):
-        raise ValueError("need k <= n and k <= d for axis-aligned centers")
+    if not 1 <= k <= min(n, d):
+        raise ValueError("need 1 <= k <= min(n, d) for axis-aligned centers")
     g = as_generator(rng)
     centers = np.zeros((k, d))
     centers[np.arange(k), np.arange(k)] = separation
@@ -211,8 +211,9 @@ def run_trials(config: dict) -> TrialReport:
     """Execute seeded trials of a named pipeline and compare each trial's
     error to the matching bound.
 
-    Required keys: pipeline, trials, master_seed; remaining keys depend on
-    the pipeline (see the bench docs).  Deterministic given master_seed.
+    Required keys: pipeline, trials, master_seed; the others, with their
+    defaults, are the pipeline's `_PIPELINES` entry.  Deterministic given
+    master_seed.
     """
     pipeline = config.get("pipeline")
     trials = int(config.get("trials", 100))
@@ -220,36 +221,34 @@ def run_trials(config: dict) -> TrialReport:
         raise ValueError(f"trials must be >= 1, got {trials}")
     master = RngStream(int(config.get("master_seed", 0)), "bench")
     report = TrialReport(pipeline)
-    run, keys = _PIPELINES.get(pipeline, (None, None))
+    run, defaults = _PIPELINES.get(pipeline, (None, None))
     if run is None:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    unknown = sorted(set(config) - keys
+    unknown = sorted(set(config) - set(defaults)
                      - {"pipeline", "trials", "master_seed"})
     if unknown:
         raise ValueError(f"unknown config key(s) for pipeline {pipeline!r}: "
                          + ", ".join(map(repr, unknown)))
-    run(config, trials, master, report)
+    params = {key: (int if default is None else type(default))(config[key])
+              if key in config else default
+              for key, default in defaults.items()}
+    run(params, trials, master, report)
     return report
 
 
-def _planted_from_config(config, master) -> PlantedInstance:
-    return planted_holder(
-        n=int(config.get("n", 2000)), d=int(config.get("d", 10)),
-        k=int(config.get("k", 4)), z=float(config.get("z", 2)),
-        separation=float(config.get("separation", 20)),
-        lambda_true=float(config.get("lambda_true", 0.5)),
-        rng=master.child("instance"))
+def _planted(p, master) -> PlantedInstance:
+    return planted_holder(p["n"], p["d"], p["k"], p["z"], p["separation"],
+                          p["lambda_true"], master.child("instance"))
 
 
-def _trials_data_select(config, trials, master, report):
-    mode = str(config.get("lambda_mode", "supplied"))
+def _trials_data_select(p, trials, master, report):
+    mode = p["lambda_mode"]
     if mode not in ("supplied", "auto"):
         raise ValueError(f"lambda_mode must be 'supplied' or 'auto', got "
                          f"{mode!r}")
     auto = mode == "auto"
-    inst = _planted_from_config(config, master)
-    eps = float(config.get("epsilon", 0.2))
-    k = int(config.get("k", 4))
+    inst = _planted(p, master)
+    eps, k = p["epsilon"], p["k"]
     for t in range(trials):
         budget = None if auto else k
         oracle = LossOracle.from_table(inst.losses, budget=budget)
@@ -263,11 +262,9 @@ def _trials_data_select(config, trials, master, report):
                    queries_used=oracle.queries_used)
 
 
-def _trials_rounds(config, trials, master, report):
-    inst = _planted_from_config(config, master)
-    eps = float(config.get("epsilon", 0.2))
-    k = int(config.get("k", 4))
-    rounds = int(config.get("rounds", 4))
+def _trials_rounds(p, trials, master, report):
+    inst = _planted(p, master)
+    eps, k, rounds = p["epsilon"], p["k"], p["rounds"]
     for t in range(trials):
         oracle = LossOracle.from_table(inst.losses, budget=k * rounds)
         results = data_select_rounds(inst.data, k, rounds, eps,
@@ -281,14 +278,13 @@ def _trials_rounds(config, trials, master, report):
                        queries_used=run_report["queries_used"])
 
 
-def _trials_uniform_spike(config, trials, master, report):
-    n = int(config.get("n", 1000))
-    eps = float(config.get("epsilon", 0.1))
-    s = int(config.get("s", math.ceil(1 / eps ** 2)))
-    spike = float(config.get("spike", 1.0))
+def _trials_uniform_spike(p, trials, master, report):
+    n, eps, spike = p["n"], p["epsilon"], p["spike"]
+    derived = uniform_sample_size(eps)  # checks epsilon even when s is given
+    s = derived if p["s"] is None else p["s"]
+    data = Dataset(np.zeros((n, 1)))  # rejects n < 1 before losses[0]
     losses = np.zeros(n)
     losses[0] = spike
-    data = Dataset(np.zeros((n, 1)))
     bound = eps * n * spike
     for t in range(trials):
         sample = uniform_select(data, s, master.child(f"trial-{t}"))
@@ -297,33 +293,26 @@ def _trials_uniform_spike(config, trials, master, report):
                    success=bool(delta <= bound), queries_used=0)
 
 
-def _trials_rademacher(config, trials, master, report):
-    n = int(config.get("n", 10 ** 4))
-    s = int(config.get("s", 100))
-    threshold_const = float(config.get("threshold_const", 0.2))
+def _trials_rademacher(p, trials, master, report):
+    n, s = p["n"], p["s"]
     data, signed = rademacher_instance(n)
-    threshold = threshold_const * n / math.sqrt(s)
     for t in range(trials):
         sample = uniform_select(data, s, master.child(f"trial-{t}"))
+        threshold = p["threshold_const"] * n / math.sqrt(s)  # s >= 1 here
         # sum of losses is 0, so delta equals |estimator|
         delta = delta_error(signed, sample)
         report.add(seed=t, delta=delta, bound=threshold,
                    success=bool(delta >= threshold), queries_used=0)
 
 
-def _trials_regression(config, trials, master, report):
-    n = int(config.get("n", 2000))
-    d = int(config.get("d", 8))
-    k = int(config.get("k", 10))
-    eps = float(config.get("epsilon", 0.5))
-    delta_prob = float(config.get("delta", 0.1))
-    lambda_true = float(config.get("lambda_true", 1.0))
-    inst, _, _, lam = planted_regression(n, d, k, lambda_true,
+def _trials_regression(p, trials, master, report):
+    k, eps, lambda_true = p["k"], p["epsilon"], p["lambda_true"]
+    inst, _, _, lam = planted_regression(p["n"], p["d"], k, lambda_true,
                                          master.child("instance"))
     for t in range(trials):
         sample, plan = reg.regression_select(inst, k, eps, lam,
                                              master.child(f"trial-{t}"),
-                                             delta=delta_prob)
+                                             delta=p["delta"])
         x = plan.x0  # admissible by construction
         err = reg.coreset_objective_error(inst, sample, x)
         full = float(np.sum((inst.A @ x - inst.b) ** 2))
@@ -334,16 +323,21 @@ def _trials_regression(config, trials, master, report):
                    success=bool(err <= bound), queries_used=k)
 
 
-# each pipeline and the keys it reads, besides pipeline, trials and
-# master_seed; any other key is a typo that would silently do nothing
-# (tests/test_evaluation.py checks these sets against the keys each run reads)
-_PLANTED_KEYS = {"n", "d", "k", "z", "separation", "lambda_true", "epsilon"}
+# each pipeline, and the keys it reads besides pipeline, trials and
+# master_seed, with defaults whose types given values are cast to (int for
+# None: uniform_spike's s, by default ceil(1/epsilon^2)); any other key is a
+# typo that would do nothing (tests/test_evaluation.py checks the reads)
+_PLANTED = {"n": 2000, "d": 10, "k": 4, "z": 2.0, "separation": 20.0,
+            "lambda_true": 0.5, "epsilon": 0.2}
 _PIPELINES = {
-    "data_select": (_trials_data_select, _PLANTED_KEYS | {"lambda_mode"}),
-    "rounds": (_trials_rounds, _PLANTED_KEYS | {"rounds"}),
-    "uniform_spike": (_trials_uniform_spike, {"n", "epsilon", "s", "spike"}),
+    "data_select": (_trials_data_select,
+                    {**_PLANTED, "lambda_mode": "supplied"}),
+    "rounds": (_trials_rounds, {**_PLANTED, "rounds": 4}),
+    "uniform_spike": (_trials_uniform_spike,
+                      {"n": 1000, "epsilon": 0.1, "s": None, "spike": 1.0}),
     "uniform_rademacher": (_trials_rademacher,
-                           {"n", "s", "threshold_const"}),
+                           {"n": 10 ** 4, "s": 100, "threshold_const": 0.2}),
     "regression": (_trials_regression,
-                   {"n", "d", "k", "epsilon", "delta", "lambda_true"}),
+                   {"n": 2000, "d": 8, "k": 10, "epsilon": 0.5, "delta": 0.1,
+                    "lambda_true": 1.0}),
 }

@@ -14,8 +14,8 @@ import scipy.linalg
 from .core import Dataset, RngStream
 from .clustering import Clustering, center_distances, kmedoids
 from .hoelder import INFINITY
-from .selection import (ProxyLoss, WeightedSample, _plan_from_scores, draw,
-                        sensitivity_plan)
+from .selection import (ProxyLoss, WeightedSample, _count, _plan_from_scores,
+                        draw, sensitivity_plan)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def regression_sample_size(d: int, epsilon: float, delta: float = 0.1) -> int:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return int(math.ceil(8 * d * epsilon ** -2 * math.log(1 / delta)))
+    return _count(epsilon, lambda e: 8 * d * e ** -2 * math.log(1 / delta))
 
 
 def regression_select(instance: RegressionInstance, k: int, epsilon: float,

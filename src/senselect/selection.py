@@ -8,6 +8,7 @@ sum(lhat)) and `draw`; regression's sampler and baseline use them too."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -70,11 +71,31 @@ def proxy_losses(data: Dataset, clustering: Clustering,
     return ProxyLoss(lhat[clustering.assignment], v)
 
 
+def _count(epsilon: float, formula) -> int:
+    """ceil(formula(epsilon)), if that is a finite array length."""
+    try:
+        count = math.ceil(formula(epsilon))
+    except (OverflowError, ZeroDivisionError):
+        count = math.inf
+    if count > sys.maxsize:  # numpy's largest array length
+        raise ValueError(f"sample count {count:.3g} (epsilon {epsilon}) is "
+                         "above the largest array length")
+    return count
+
+
 def sample_size(epsilon: float) -> int:
     """Sample count ceil(eps^-2 * (2 + 2*eps/3))."""
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    return int(math.ceil(epsilon ** -2 * (2 + 2 * epsilon / 3)))
+    return _count(epsilon, lambda e: e ** -2 * (2 + 2 * e / 3))
+
+
+def uniform_sample_size(epsilon: float) -> int:
+    """Sample count ceil(1/eps^2) of uniform sampling, for any finite eps > 0
+    (1 above eps = 1, where eps^2 may overflow)."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    return 1 if epsilon > 1 else _count(epsilon, lambda e: 1 / e ** 2)
 
 
 def _plan_from_scores(scores: np.ndarray, denom: float, s: int) -> SamplingPlan:
@@ -202,6 +223,7 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
     auto = isinstance(lam, str) and lam == AUTO
     if not auto:
         lam = _lambda_vector(lam, k)  # reject a bad lam before any query
+    sample_size(epsilon)  # and a bad epsilon
     clustering = cluster(data, k, z, rng)
     # the batch fetches the uncached center rows first
     centers = set(_require_row_centers(clustering).tolist())
@@ -237,6 +259,7 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
     if k * rounds > data.n:
         raise ValueError(f"k*rounds = {k * rounds} exceeds n = {data.n}")
     lam = _lambda_vector(lam, k * rounds)
+    sample_size(epsilon)  # rejects a bad epsilon before any query
     ordering = dz_seed(data, k * rounds, z, rng.child("seed"))
     results = []
     for i in range(1, rounds + 1):
@@ -250,6 +273,8 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
 
 def uniform_select(data: Dataset, s: int, rng) -> WeightedSample:
     """s uniform draws with replacement, every weight n/s."""
+    if s < 1:
+        raise ValueError(f"uniform sample count must be >= 1, got {s}")
     g = as_generator(rng)
     idx = g.integers(data.n, size=s)
     return WeightedSample(idx, np.full(s, data.n / s))

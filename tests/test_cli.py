@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from senselect import core
+from senselect import core, selection
 from senselect.cli import main
 from senselect.io import load_report, load_sample
 
@@ -481,6 +481,31 @@ class TestNoPartialOutput:
         assert code == 2
         assert sample.exists()
 
+    def test_existing_round_files_are_kept(self, pairs, tmp_path):
+        data, losses = pairs
+        kept = tmp_path / "out_round2.csv"
+        kept.write_text("kept\n")
+        code = main(["select-rounds", "--data", str(data), "--k", "2",
+                     "--rounds", "2", "--epsilon", "1", "--lambda", "1",
+                     "--losses", str(losses),
+                     "--out-prefix", str(tmp_path / "out"),
+                     "--out-report", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.csv", "losses.txt", "out_round2.csv"]
+
+    def test_far_too_many_rounds_fail_at_once(self, pairs, tmp_path,
+                                              capsys):
+        # the guard lists no round paths, so --rounds costs nothing
+        data, losses = pairs
+        t0 = time.perf_counter()
+        assert main(["select-rounds", "--data", str(data), "--k", "1",
+                     "--rounds", str(10 ** 12), "--epsilon", "1",
+                     "--lambda", "1", "--losses", str(losses),
+                     "--out-prefix", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - t0 < 5
+        _one_data_error(capsys)
+
     def test_select_rounds_with_an_unwritable_report(self, pairs, tmp_path):
         data, losses = pairs
         code = main(["select-rounds", "--data", str(data), "--k", "2",
@@ -835,6 +860,60 @@ class TestDegenerateSettings:
                 assert main(argv) == 2
             assert not caught
             _one_data_error(capsys)
+
+    @pytest.mark.parametrize("text", [
+        "pipeline = uniform_spike\ns = 0\n",
+        "pipeline = uniform_spike\nn = 0\n",
+        "pipeline = uniform_spike\nepsilon = 0\n",
+        "pipeline = uniform_rademacher\ns = 0\n",
+        "pipeline = data_select\nk = 0\n",
+    ], ids=["spike-s0", "spike-n0", "spike-epsilon0", "rademacher-s0",
+            "data_select-k0"])
+    def test_bench_counts_below_one(self, tmp_path, capsys, text):
+        config = tmp_path / "bench.cfg"
+        config.write_text(text + "trials = 1\n")
+        assert main(["bench", "--config", str(config)]) == 2
+        _one_data_error(capsys)
+
+    @pytest.mark.parametrize("command", ["select", "select-rounds",
+                                         "select-regression",
+                                         "lowerbound-demo"])
+    def test_epsilon_with_no_finite_sample_count(self, tmp_path, capsys,
+                                                 command):
+        data = tmp_path / "data.csv"
+        data.write_text("0,0\n0,1\n5,5\n5,6\n9,9\n")
+        losses = tmp_path / "losses.txt"
+        losses.write_text("1\n2\n3\n4\n5\n")
+        out = str(tmp_path / "out")
+        select = ["--data", str(data), "--k", "2", "--epsilon", "1e-300"]
+        argv = {
+            "select": [*select, "--lambda", "1", "--losses", str(losses),
+                       "--out-sample", out],
+            "select-rounds": [*select, "--rounds", "2", "--lambda", "1",
+                              "--losses", str(losses), "--out-prefix", out],
+            "select-regression": [*select, "--out-sample", out],
+            "lowerbound-demo": ["--n", "4", "--trials", "1",
+                                "--epsilons", "1e-300"],
+        }[command]
+        assert main([command, *argv]) == 2
+        _one_data_error(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv",
+                                                               "losses.txt"]
+
+    def test_out_of_memory_is_a_data_error(self, pairs, tmp_path, capsys,
+                                           monkeypatch):
+        # what a sample count too large for memory raises; nothing is
+        # allocated here
+        def draw(plan, rng):
+            raise MemoryError()
+
+        monkeypatch.setattr(selection, "draw", draw)
+        data, losses = pairs
+        assert main(["select", "--data", str(data), "--k", "2",
+                     "--epsilon", "1", "--lambda", "1",
+                     "--losses", str(losses),
+                     "--out-sample", str(tmp_path / "s.csv")]) == 2
+        _one_data_error(capsys, "MemoryError")
 
     def test_bench_regression_with_k_above_n(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"

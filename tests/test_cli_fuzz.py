@@ -39,6 +39,14 @@ FILES = {
     "zero.cfg": "pipeline = uniform_spike\ntrials = 0\nn = 50\n",
     "badline.cfg": "pipeline uniform_spike\n",
     "unknown.cfg": "pipeline = nope\ntrials = 1\n",
+    "spike-s0.cfg": "pipeline = uniform_spike\ntrials = 1\ns = 0\n",
+    "spike-n0.cfg": "pipeline = uniform_spike\ntrials = 1\nn = 0\n",
+    "spike-eps0.cfg": "pipeline = uniform_spike\ntrials = 1\nn = 50\n"
+                      "epsilon = 0\n",
+    "rademacher-s0.cfg": "pipeline = uniform_rademacher\ntrials = 1\n"
+                         "n = 50\ns = 0\n",
+    "select-k0.cfg": "pipeline = data_select\ntrials = 1\nn = 40\nd = 4\n"
+                     "k = 0\n",
 }
 MISSING = "missing.csv"
 BAD_DIR = "no-such-dir/out.csv"
@@ -56,7 +64,7 @@ def opt(good, bad):
 
 COUNT = (["1", "2", "3", "9"], ["0", "-1", "x", ""])
 SEED = opt(["0", "1", "-1"], ["x", "1.5"])
-EPSILON = req(["1", "0.5"], ["0", "-0.5", "2", "nan", "inf", "x"])
+EPSILON = req(["1", "0.5"], ["0", "-0.5", "2", "nan", "inf", "x", "1e-300"])
 Z = opt(["1", "2"], ["3", "0.5", "nan", "x"])
 DATA = req(["pairs.csv", "reg.csv"],
            ["huge.csv", "garbled.csv", "empty.txt", MISSING, "."])
@@ -108,12 +116,15 @@ FLAGS = {
     "bench": {"--config": req(["spike.cfg", "select.cfg", "auto.cfg",
                                "rounds.cfg", "regression.cfg"],
                               ["zero.cfg", "badline.cfg", "unknown.cfg",
-                               "empty.txt", MISSING]),
+                               "empty.txt", MISSING, "spike-s0.cfg",
+                               "spike-n0.cfg", "spike-eps0.cfg",
+                               "rademacher-s0.cfg", "select-k0.cfg"]),
               "--out-report": opt(*OUT), "--out-csv": opt(*OUT)},
     # --n and --trials are always given, so no run takes the slow defaults
     "lowerbound-demo": {"--n": (["40", "8"], ["7", "0", "-2", "x"]),
                         "--trials": (["2"], ["0", "-1", "x"]),
-                        "--epsilons": opt(["0.5", "0.25,0.5"], ["0", "x"]),
+                        "--epsilons": opt(["0.5", "0.25,0.5"],
+                                          ["0", "x", "1e-300"]),
                         "--seed": SEED, "--out-report": opt(*OUT)},
 }
 

@@ -14,7 +14,7 @@ from senselect import clustering as clustering_module
 from senselect import core as core_module
 from senselect.core import Dataset, RngStream
 from senselect.clustering import (MEDOID_BLOCK, REFINE_TOL, CenterList,
-                                  Clustering, assign, cost, dz_seed, kmedoids,
+                                  Clustering, assign, dz_seed, kmedoids,
                                   powered_distances, refine, snap_centers,
                                   weighted_cost)
 
@@ -51,25 +51,26 @@ PAIRS = Dataset([[0.0], [1.0], [10.0], [11.0]])
 
 class TestCost:
     def test_two_points_one_center(self):
-        assert cost(Dataset([[0.0], [2.0]]), CenterList([[1.0]]), 2) == 2
+        clustering = assign(Dataset([[0.0], [2.0]]), CenterList([[1.0]]), 2)
+        assert clustering.total_cost == 2
 
     def test_centers_cover_points(self):
         data = Dataset([[0.0], [1.0], [5.0]])
-        assert cost(data, CenterList(data.rows), 2) == 0
+        assert assign(data, CenterList(data.rows), 2).total_cost == 0
 
     def test_pairs_instance(self):
-        assert cost(PAIRS, CenterList([[0.0], [10.0]]), 2) == 2
+        assert assign(PAIRS, CenterList([[0.0], [10.0]]), 2).total_cost == 2
 
     def test_empty_centers(self):
         with pytest.raises(ValueError):
-            cost(PAIRS, CenterList(np.empty((0, 1))), 2)
+            assign(PAIRS, CenterList(np.empty((0, 1))), 2)
 
 
 class TestWeightedCost:
     def test_all_ones_is_plain_cost(self):
         clustering = assign(PAIRS, CenterList([[0.0], [10.0]]), 2)
         assert weighted_cost(clustering, [1, 1]) == pytest.approx(
-            cost(PAIRS, clustering.centers, 2))
+            assign(PAIRS, clustering.centers, 2).total_cost)
 
     def test_zeros(self):
         clustering = assign(PAIRS, CenterList([[0.0], [10.0]]), 2)
@@ -109,8 +110,8 @@ class TestAssign:
         data = Dataset(rng.normal(size=(80, 3)))
         centers = CenterList(rng.normal(size=(4, 3)))
         clustering = assign(data, centers, 2)
-        assert clustering.total_cost == pytest.approx(
-            cost(data, centers, 2), rel=1e-9)
+        best = np.min(cdist(data.rows, centers.positions) ** 2, axis=1)
+        assert clustering.total_cost == pytest.approx(np.sum(best), rel=1e-9)
 
 
 class TestDzSeed:
@@ -118,12 +119,12 @@ class TestDzSeed:
         data = Dataset(np.ones((5, 2)))
         centers = dz_seed(data, 1, 2, RngStream(0, "s"))
         np.testing.assert_array_equal(centers.positions[0], [1, 1])
-        assert cost(data, centers, 2) == 0
+        assert assign(data, centers, 2).total_cost == 0
 
     def test_k_equals_n(self):
         data = Dataset([[0.0], [1.0], [2.0]])
         centers = dz_seed(data, 3, 2, RngStream(1, "s"))
-        assert cost(data, centers, 2) == 0
+        assert assign(data, centers, 2).total_cost == 0
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -137,8 +138,8 @@ class TestDzSeed:
         data = Dataset([[0.0], [1.0], [100.0]])
         opt = brute_force_kmeans_cost(data.rows, 2)
         assert opt == pytest.approx(0.5)
-        costs = [cost(data, dz_seed(data, 2, 2, RngStream(seed, "dz")), 2)
-                 for seed in range(1000)]
+        costs = [assign(data, dz_seed(data, 2, 2, RngStream(seed, "dz")),
+                        2).total_cost for seed in range(1000)]
         assert np.mean(costs) <= 8 * (math.log(2) + 2) * opt
 
     def test_prefix_guarantee_statistical(self):
@@ -154,7 +155,8 @@ class TestDzSeed:
         for seed in range(200):
             centers = dz_seed(data, 4, 2, RngStream(seed, "prefix"))
             for j in (1, 2, 4):
-                ratios[j].append(cost(data, centers.prefix(j), 2) / opt[j])
+                prefix_cost = assign(data, centers.prefix(j), 2).total_cost
+                ratios[j].append(prefix_cost / opt[j])
         for j in (1, 2, 4):
             assert np.mean(ratios[j]) <= 8 * (math.log(j) + 2)
 
@@ -242,7 +244,7 @@ class TestKMedoids:
 
     def test_pairs_optimal(self):
         # exhaustive check over all medoid pairs: best cost is 2
-        best = min(cost(PAIRS, CenterList(PAIRS.rows[[i, j]]), 1)
+        best = min(assign(PAIRS, CenterList(PAIRS.rows[[i, j]]), 1).total_cost
                    for i, j in itertools.combinations(range(4), 2))
         assert best == pytest.approx(2.0)
         for seed in range(10):
@@ -313,7 +315,7 @@ class TestAssignKernel:
             np.bincount(np.argmin(ref, axis=1), weights=best,
                         minlength=len(C)),
             rtol=1e-9, atol=0)
-        assert cost(data, CenterList(C), z) == pytest.approx(
+        assert clustering.total_cost == pytest.approx(
             float(np.sum(best)), rel=1e-9, abs=0)
 
     @settings(max_examples=100, deadline=None)

@@ -231,19 +231,53 @@ class TestRunTrials:
         {"pipeline": "uniform_rademacher", "n": 50, "s": 4},
         {"pipeline": "regression", "n": 60, "d": 3, "k": 3},
     ], ids=lambda c: c["pipeline"] + "-" + c.get("lambda_mode", ""))
-    def test_accepted_keys_are_the_keys_read(self, config):
+    def test_accepted_keys_are_the_keys_read(self, config, monkeypatch):
         # a key the table lacks would be rejected though it is read; a key
         # it has but no run reads would let that typo pass silently
         read = set()
 
         class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
             def get(self, key, default=None):
                 read.add(key)
                 return super().get(key, default)
 
-        run_trials(Recording(config, trials=1))
-        _, keys = evaluation._PIPELINES[config["pipeline"]]
-        assert read - {"pipeline", "trials", "master_seed"} == keys
+        run, defaults = evaluation._PIPELINES[config["pipeline"]]
+        monkeypatch.setitem(
+            evaluation._PIPELINES, config["pipeline"],
+            (lambda params, *rest: run(Recording(params), *rest), defaults))
+        run_trials({**config, "trials": 1})
+        assert read == set(defaults)
+
+    @pytest.mark.parametrize("config", [
+        {"pipeline": "uniform_spike", "n": "50", "epsilon": "0.5",
+         "s": "3", "spike": "2"},
+        {"pipeline": "regression", "n": "60", "d": "3", "k": "3",
+         "epsilon": "1", "delta": "0.5", "lambda_true": "2"},
+    ], ids=lambda c: c["pipeline"])
+    def test_values_take_their_defaults_types(self, config, monkeypatch):
+        # a bench config's values are strings; each pipeline gets them as
+        # the types of the table's defaults
+        got = {}
+        run, defaults = evaluation._PIPELINES[config["pipeline"]]
+        monkeypatch.setitem(
+            evaluation._PIPELINES, config["pipeline"],
+            (lambda params, *rest: got.update(params), defaults))
+        run_trials({**config, "trials": "1"})
+        assert got.keys() == defaults.keys()
+        for key, value in got.items():
+            assert type(value) is (int if defaults[key] is None
+                                   else type(defaults[key]))
+            assert value == float(config[key])
+
+    def test_explicit_zero_s_is_rejected(self):
+        # s = 0 does not mean "derive s from epsilon"
+        with pytest.raises(ValueError, match=">= 1"):
+            run_trials({"pipeline": "uniform_spike", "trials": 1, "n": 50,
+                        "s": 0})
 
     def test_regression_smoke(self):
         report = run_trials({"pipeline": "regression", "trials": 3,

@@ -102,6 +102,16 @@ class TestRegressionSampleSize:
         with pytest.raises(ValueError):
             regression_sample_size(2, 0.5, delta=1.0)
 
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-10])
+    def test_rejects_a_count_no_array_can_hold(self, eps):
+        with pytest.raises(ValueError, match="largest array length"):
+            regression_sample_size(2, eps)
+
+    def test_rejects_a_delta_whose_count_is_not_finite(self):
+        # 1/delta overflows to inf
+        with pytest.raises(ValueError, match="largest array length"):
+            regression_sample_size(2, 0.5, delta=1e-320)
+
 
 class TestRegressionSelect:
     def test_distance_only_mode(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from senselect.clustering import CenterList, assign
 from senselect.selection import (AUTO, data_select, data_select_rounds,
                                  diversity_select, draw, kcenter_select,
                                  proxy_losses, sample_size, sensitivity_plan,
-                                 uniform_select)
+                                 uniform_sample_size, uniform_select)
 
 PAIRS = Dataset([[0.0], [1.0], [10.0], [11.0]])
 
@@ -29,6 +31,38 @@ class TestSampleSize:
         for eps in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 sample_size(eps)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-10])
+    def test_rejects_a_count_no_array_can_hold(self, eps):
+        # eps^-2 overflows, or the count is above the largest array length
+        with pytest.raises(ValueError, match="largest array length"):
+            sample_size(eps)
+        with pytest.raises(ValueError, match="largest array length"):
+            uniform_sample_size(eps)
+
+
+class TestUniformSampleSize:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-9, 1e150))
+    def test_is_ceil_of_inverse_square(self, eps):
+        assert uniform_sample_size(eps) == math.ceil(1 / eps ** 2)
+
+    def test_known_values(self):
+        assert uniform_sample_size(0.1) == 100
+        assert uniform_sample_size(0.25) == 16
+        assert uniform_sample_size(1.0) == 1
+        assert uniform_sample_size(2.0) == 1
+        assert uniform_sample_size(1e200) == 1  # where eps^2 overflows
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_out_of_range(self, eps):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            uniform_sample_size(eps)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_uniform_select_rejects_no_draws(self, s):
+        with pytest.raises(ValueError, match=">= 1"):
+            uniform_select(PAIRS, s, RngStream(0, "u"))
 
 
 class TestProxyLosses:
@@ -138,6 +172,17 @@ class TestDataSelect:
         assert report["lambda_mode"] == "supplied"
         assert len(sample) == 3
         assert set(sample.indices.tolist()) <= {1, 2, 3}
+
+    @pytest.mark.parametrize("lam", [1.0, AUTO])
+    @pytest.mark.parametrize("eps", [0.0, 2.0, 1e-300])
+    def test_bad_epsilon_spends_no_query(self, lam, eps):
+        oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
+        with pytest.raises(ValueError, match="epsilon"):
+            data_select(PAIRS, 2, eps, lam, oracle, 2, RngStream(0, "run"))
+        with pytest.raises(ValueError, match="epsilon"):
+            data_select_rounds(PAIRS, 1, 2, eps, 1.0, oracle, 2,
+                               RngStream(0, "run"))
+        assert oracle.queries_used == 0
 
     def test_sample_count_override(self):
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
