@@ -20,7 +20,7 @@ import numpy as np
 from . import io as sio
 from .core import (BudgetExceededError, LossOracle, OracleProtocolError,
                    RngStream)
-from .hoelder import (INFINITY, default_sample_count, estimate_lambda,
+from .hoelder import (INFINITY, _count, default_sample_count, estimate_lambda,
                       holder_percentiles, holder_ratios, DEFAULT_PERCENTILES)
 from .evaluation import delta_error, rademacher_instance, run_trials
 from .regression import (RegressionInstance, r2_score, regression_select,
@@ -106,9 +106,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_select(args) -> int:
-    data = sio.load_matrix(args.data)
     if args.budget is not None:
-        k = int(math.ceil(0.2 * args.budget))
+        k = math.ceil(0.2 * _count(args.budget, int, "--budget"))
         s = args.budget - k
         if s < 1:
             raise sio.DataFormatError(f"--budget {args.budget} leaves no "
@@ -117,6 +116,7 @@ def cmd_select(args) -> int:
         k, s = args.k, None
         if k is None:
             raise sio.DataFormatError("need --k or --budget")
+    data = sio.load_matrix(args.data)
     lam = _parse_lambda(args, k)
     t0 = time.perf_counter()
     with _make_oracle(args, data.n) as oracle:
@@ -178,8 +178,9 @@ def cmd_select_regression(args) -> int:
 
 
 def cmd_lambda_estimate(args) -> int:
+    t = (default_sample_count(args.k, args.p) if args.t is None
+         else _count(args.t, int, "--t"))
     data = sio.load_matrix(args.data)
-    t = args.t if args.t is not None else default_sample_count(args.k, args.p)
     # an oracle process starts up while the data are clustered
     with _make_oracle(args, data.n) as oracle:
         clustering = cluster(data, args.k, args.z, args.rng)

@@ -10,8 +10,9 @@ to its assigned center, ||x - c||^z, so a point that coincides with its
 center costs exactly 0.  The GEMM scores carry rounding error of order
 eps * (||x||^2 + ||c||^2), so two centers whose distances to a point differ
 by less than that may be resolved differently than an exact all-pairs
-``cdist`` would; equal scores go to the lowest cluster id.  Seeding,
-snapping and medoids keep ``cdist``.
+``cdist`` would; equal scores go to the lowest cluster id.  Such near-ties
+can also fall differently on another BLAS thread count, which can change
+a GEMM's last bits.  Seeding and snapping keep ``cdist``.
 
 The z=2 update copies no rows: `_cluster_sums` adds each cluster's members
 with one sparse indicator product, in the order numpy's ``mean(axis=0)``
@@ -22,11 +23,12 @@ assignment unchanged and reseeds no cluster, the next pass would rebuild the
 same centers from the same rows, so it is skipped.
 
 The z=1 medoids are exact (`_medoids`): a filter sums each cluster's
-distances once, over upper-triangle tiles, and a re-check sums row by row
-every point within a rigorous rounding margin of its cluster's least
-filtered sum, so each medoid is its full matrix's row-sum argmin, bit for
-bit.  Each step is one batch for all clusters, on a pool with a thread per
-CPU this process may use (``cdist`` releases the GIL); tiles and re-check
+distances once, over upper-triangle float32 GEMM tiles, and a re-check
+sums with ``cdist`` row by row every point within a rigorous rounding
+margin of its cluster's least filtered sum, so each medoid is its full
+matrix's row-sum argmin, bit for bit, whatever bits the GEMM gives.  Each
+step is one batch for all clusters, on a pool with a thread per CPU this
+process may use (BLAS and ``cdist`` release the GIL); tiles and re-check
 blocks shrink with the thread count, keeping MEDOID_BLOCK rows in flight.
 """
 
@@ -217,22 +219,43 @@ def _medoids(points: np.ndarray, bounds: np.ndarray, clusters,
     """Row of `points` that is the medoid of each listed cluster i, whose
     members are points[bounds[i]:bounds[i + 1]]: ties to the lowest row.
 
-    Filter: all clusters' upper-triangle tiles form one list, cut into one
-    contiguous run of about equal area per worker.  A cluster wholly in one
-    run gets its sums and candidates there; a run's first and last
-    cluster, which a cut may split, get a partial vector from each of their
-    runs, added in run order, so thread timing never changes a sum.
-    Re-check: `_distance_sums` of every candidate, and the lowest row among
-    each cluster's least exact sums wins, so each medoid is
-    ``argmin(np.sum(cdist(P, P), axis=1))`` of its members P.
+    Filter: each cluster's rows, centred on their mean, are scaled by 2**-e
+    below 1 in magnitude and cast to float32 (q) in the task that sums the
+    cluster; one product [q, |q|^2, 1] @ [-2q, 1, |q|^2].T gives a tile of
+    squared distances, clamped at 0 before the sqrt.  All clusters'
+    upper-triangle tiles form one list, cut into one contiguous run of
+    about equal area per worker.  A cluster wholly in one run gets its sums
+    and candidates there; a run's first and last cluster, which a cut may
+    split, get a partial vector from each of their runs, added in run
+    order, so thread timing never changes a sum.  Re-check: `_distance_sums`
+    of every candidate, and the lowest row among each cluster's least exact
+    sums wins, so each medoid is ``argmin(np.sum(cdist(P, P), axis=1))`` of
+    its members P.
 
-    The margin is rigorous.  With u = eps / 2, a sum of m non-negative
-    terms computed in any order is within (m - 1) u of their true sum,
-    relatively, and a computed distance within (d/2 + 2) u of the true
-    distance.  So a row's filtered and exact sums are each within
-    (m + d/2 + 1) u of its true sum, and the medoid's filtered sum exceeds
-    the filtered minimum by at most about (2m + d + 2) u times it; the
-    margin, 8 (m + d + 8) eps times it, is 8 times that."""
+    The margin is rigorous, and one row's is not widened by another far
+    row.  In scaled units, with u = 2**-24, g = (d + 2) u / (1 - (d + 2) u),
+    U = 2**-53 and t_ij, T_i the true distances and row sums: centring and
+    the cast move row i by at most 1.01 u |q_i|, plus 2**-126 an entry
+    where BLAS flushes an underflow to zero.  A GEMM entry, a float32 dot
+    product of length d + 2, is within g (2 |q_i| |q_j| + s_i + s_j), and
+    the float32 norm s_i within g |q_i|**2, so a squared distance is within
+    3 g (|q_i| + |q_j|)**2 plus (d + 1) 2**-123 of underflow.  As
+    |sqrt(x) - sqrt(y)| <= sqrt(|x - y|), a distance is within
+    1.01 sqrt(3 g) (|q_i| + |q_j|) + h + u t_ij of t_ij, h = sqrt(d + 2)
+    2**-60.  Float32 sums inside a tile (at most `side` terms) and float64
+    sums across tiles add a relative a = (2 side + 1) u + m U, so a
+    filtered row sum F_i is within 1.01 k_i + a T_i of T_i, with
+    k_i = 1.01 sqrt(3 g) (m |q_i| + sum_j |q_j|) + m h.  A ``cdist``
+    distance is within (d/2 + 3) U t of t plus sqrt(d) 2**-537 in the
+    data's units, as a square below 2**-1074 vanishes (subnormal rows may
+    read at distance 0): b = sqrt(d) 2**(-537 - e) scaled, and an exact
+    sum is within m b + c T of T, c = (m + d + 8) U.  For i an exact argmin
+    and any row j, T_i - T_j <= 2 m b + c (T_i + T_j) and T_i + T_j <=
+    2.01 (F_j + 1.01 k_j + m b), so F_i - F_j is at most 1.02 (k_i + k_j)
+    + 2.01 m b + 2.03 (a + c) F_j.  With err_i = 1.1 (k_i + m b), and
+    sqrt(s_i) for |q_i| (the 1.1 covers that), row i is kept when
+    F_i - err_i <= (1 + 5 (a + c)) F_j + err_j for the j that makes the
+    right side least."""
     d = points.shape[1]
     side = max(1, MEDOID_BLOCK // workers)
     spans = [(bounds[i], bounds[i + 1]) for i in clusters]
@@ -244,37 +267,52 @@ def _medoids(points: np.ndarray, bounds: np.ndarray, clusters,
     cuts = [0, *np.searchsorted(area, area[-1] * np.arange(1, tasks) / tasks),
             len(tiles)]
     candidates = [None] * len(spans)  # row offsets within each cluster
+    u = 2.0 ** -24
+    g = (d + 2) * u / (1 - (d + 2) * u)
 
-    def near_least(sums: np.ndarray) -> np.ndarray:
-        low = np.min(sums)
-        margin = 8 * (sums.size + d + 8) * np.finfo(np.float64).eps * low
-        return np.flatnonzero(sums <= low + margin)
+    def operands(lo: int, hi: int):
+        """err and the GEMM operands of the cluster points[lo:hi]."""
+        R = points[lo:hi] - points[lo:hi].mean(axis=0)
+        e = np.frexp(np.max(np.abs(R)))[1]
+        q = np.ldexp(R, -e).astype(np.float32)
+        sq = np.einsum("ij,ij->i", q, q)[:, None]
+        one = np.ones_like(sq)
+        norm, m = np.sqrt(sq[:, 0], dtype=np.float64), hi - lo
+        k = (1.01 * np.sqrt(3 * g) * (m * norm + np.sum(norm))
+             + m * np.sqrt(d + 2) * 2.0 ** -60)
+        err = 1.1 * (k + m * np.sqrt(d) * np.ldexp(1.0, -537 - e))
+        return err, np.hstack([q, sq, one]), np.hstack([-2 * q, one, sq])
+
+    def near_least(err: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        rel = 5 * ((2 * side + 1) * u + (2 * sums.size + d + 8) * 2.0 ** -53)
+        return np.flatnonzero(sums - err <= np.min((1 + rel) * sums + err))
 
     def filter_run(run) -> list:
         """Partial sums of the run's first and last (maybe split) cluster."""
         partials = []
         for c, group in groupby(run, key=itemgetter(0)):
             lo, hi = spans[c]
+            err, left, right = operands(lo, hi)
             sums = np.zeros(hi - lo)
             for _, a, b in group:
-                D = cdist(points[a:min(a + side, hi)],
-                          points[b:min(b + side, hi)])
+                D = left[a - lo:a - lo + side] @ right[b - lo:b - lo + side].T
+                np.sqrt(np.maximum(D, 0, out=D), out=D)
                 sums[a - lo:a - lo + side] += np.sum(D, axis=1)
                 if a != b:
                     sums[b - lo:b - lo + side] += np.sum(D, axis=0)
             if c in (run[0][0], run[-1][0]):
-                partials.append((c, sums))
+                partials.append((c, err, sums))
             else:
-                candidates[c] = near_least(sums)
+                candidates[c] = near_least(err, sums)
         return partials
 
     runs = [tiles[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
     shared = {}
     for partials in (map if tasks == 1 else pool.map)(filter_run, runs):
-        for c, sums in partials:
-            shared[c] = shared[c] + sums if c in shared else sums
-    for c, sums in shared.items():
-        candidates[c] = near_least(sums)
+        for c, err, sums in partials:
+            shared[c] = (err, shared[c][1] + sums if c in shared else sums)
+    for c, (err, sums) in shared.items():
+        candidates[c] = near_least(err, sums)
     exact = _distance_sums(points, spans, candidates, pool, workers)
     return np.array([lo + r[np.argmin(e)]
                      for (lo, _), r, e in zip(spans, candidates, exact)])

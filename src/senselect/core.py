@@ -183,10 +183,11 @@ def blas_threads(n: int):
     Process-wide and re-entrant: holders may nest or overlap, from any
     thread, the least of their counts applies, and each library's count
     from before the first holder comes back when the last one exits.  A
-    no-op without OpenBLAS.  The pipeline's results do not depend on the
-    count: OpenBLAS splits a GEMM's output, not its dot products, over its
-    threads.  OpenBLAS does not guard a count change against a concurrent
-    BLAS call, so enter and exit where no other thread is in one."""
+    no-op without OpenBLAS.  A GEMM's last bits can depend on the count
+    (``X @ C.T`` at n=20000, d=15, k=195 differed in a few dozen of 3.9M
+    entries between 1 and 2 threads), so assignment near-ties can too.
+    OpenBLAS does not guard a count change against a concurrent BLAS call,
+    so enter and exit where no other thread is in one."""
     if n < 1:
         raise ValueError(f"need at least one BLAS thread, got {n}")
     controls = _openblas_controls()

@@ -63,6 +63,18 @@ def holder_percentiles(ratios: np.ndarray,
     return {float(p): float(v) for p, v in zip(percentiles, values)}
 
 
+def _count(value, formula, name: str = "epsilon") -> int:
+    """ceil(formula(value)), if that is a finite array length."""
+    try:
+        count = math.ceil(formula(value))
+    except (OverflowError, ZeroDivisionError):
+        count = math.inf
+    if count > sys.maxsize:  # numpy's largest array length
+        raise ValueError(f"sample count from {name} is above the largest "
+                         "array length")
+    return count
+
+
 def default_sample_count(k: int, p: float = 0.2) -> int:
     """Per-cluster sample count t = ceil(ln(100k) / -ln(1-p)).
 
@@ -71,7 +83,7 @@ def default_sample_count(k: int, p: float = 0.2) -> int:
     """
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0,1), got {p}")
-    return int(math.ceil(math.log(100 * k) / -math.log1p(-p)))
+    return _count(p, lambda p: math.log(100 * k) / -math.log1p(-p), "p")
 
 
 def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,

@@ -13,9 +13,9 @@ import scipy.linalg
 
 from .core import Dataset, RngStream
 from .clustering import Clustering, center_distances, kmedoids
-from .hoelder import INFINITY
-from .selection import (ProxyLoss, WeightedSample, _count, _plan_from_scores,
-                        draw, sensitivity_plan)
+from .hoelder import INFINITY, _count
+from .selection import (ProxyLoss, WeightedSample, _plan_from_scores, draw,
+                        sensitivity_plan)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ sum(lhat)) and `draw`; regression's sampler and baseline use them too."""
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -18,7 +17,7 @@ from .core import Dataset, LossOracle, RngStream, as_generator
 from .clustering import (Clustering, assign, center_distances, dz_seed,
                          powered_distances, refine, snap_centers,
                          weighted_cost)
-from .hoelder import (_require_row_centers, default_sample_count,
+from .hoelder import (_count, _require_row_centers, default_sample_count,
                       estimate_lambda)
 
 AUTO = "auto"
@@ -69,18 +68,6 @@ def proxy_losses(data: Dataset, clustering: Clustering,
     lhat = oracle.query_many(_require_row_centers(clustering))
     v = center_distances(data.rows, clustering) ** clustering.z
     return ProxyLoss(lhat[clustering.assignment], v)
-
-
-def _count(epsilon: float, formula) -> int:
-    """ceil(formula(epsilon)), if that is a finite array length."""
-    try:
-        count = math.ceil(formula(epsilon))
-    except (OverflowError, ZeroDivisionError):
-        count = math.inf
-    if count > sys.maxsize:  # numpy's largest array length
-        raise ValueError(f"sample count {count:.3g} (epsilon {epsilon}) is "
-                         "above the largest array length")
-    return count
 
 
 def sample_size(epsilon: float) -> int:

@@ -735,6 +735,15 @@ def _one_data_error(capsys, message=None):
         assert lines[0] == f"senselect: data error: {message}"
 
 
+def _one_count_error(capsys):
+    """One data error line: a sample count above the largest array length."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("senselect: data error: sample count ")
+    assert line.endswith(" is above the largest array length")
+
+
 class TestLambdaValidation:
     @pytest.mark.parametrize("lam", ["-1", "-100", "nan"])
     @pytest.mark.parametrize("command", [
@@ -899,6 +908,40 @@ class TestDegenerateSettings:
         _one_data_error(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv",
                                                                "losses.txt"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "1e-300"), ("--t", "100000000000000000000"),
+        ("--t", "9" * 400)], ids=["p", "t-1e20", "t-400-digits"])
+    def test_lambda_estimate_with_no_finite_sample_count(self, pairs,
+                                                         capsys, flag,
+                                                         value):
+        data, losses = pairs
+        assert main(["lambda-estimate", "--data", str(data), "--k", "2",
+                     "--losses", str(losses), flag, value]) == 2
+        _one_count_error(capsys)
+
+    @pytest.mark.parametrize("budget", ["100000000000000000000", "9" * 400],
+                             ids=["1e20", "400-digits"])
+    def test_budget_with_no_finite_sample_count(self, pairs, tmp_path,
+                                                capsys, monkeypatch,
+                                                budget):
+        # refused before the data are read, so before any oracle query
+        queries = []
+        real_query_many = core.LossOracle.query_many
+
+        def spy(self, indices):
+            queries.append(indices)
+            return real_query_many(self, indices)
+
+        monkeypatch.setattr(core.LossOracle, "query_many", spy)
+        data, losses = pairs
+        assert main(["select", "--data", str(data), "--budget", budget,
+                     "--epsilon", "1", "--lambda", "1",
+                     "--losses", str(losses),
+                     "--out-sample", str(tmp_path / "s.csv")]) == 2
+        _one_count_error(capsys)
+        assert queries == []
+        assert not (tmp_path / "s.csv").exists()
 
     def test_out_of_memory_is_a_data_error(self, pairs, tmp_path, capsys,
                                            monkeypatch):

@@ -63,6 +63,7 @@ def opt(good, bad):
 
 
 COUNT = (["1", "2", "3", "9"], ["0", "-1", "x", ""])
+HUGE = "100000000000000000000"  # above the largest array length
 SEED = opt(["0", "1", "-1"], ["x", "1.5"])
 EPSILON = req(["1", "0.5"], ["0", "-0.5", "2", "nan", "inf", "x", "1e-300"])
 Z = opt(["1", "2"], ["3", "0.5", "nan", "x"])
@@ -81,7 +82,8 @@ FLAGS = {
     "cluster": {"--data": DATA, "--k": req(*COUNT), "--z": Z, "--seed": SEED,
                 "--out-centers": opt(*OUT), "--out-assignment": opt(*OUT),
                 "--out-report": opt(*OUT)},
-    "select": {"--data": DATA, "--k": opt(*COUNT), "--budget": opt(*COUNT),
+    "select": {"--data": DATA, "--k": opt(*COUNT),
+               "--budget": opt(COUNT[0], [*COUNT[1], HUGE, "9" * 400]),
                "--epsilon": EPSILON, "--z": Z, "--lambda": opt(*LAMBDA),
                **ORACLE, "--seed": SEED, "--out-sample": req(*OUT),
                "--out-report": opt(*OUT), "--out-centers": opt(*OUT),
@@ -100,7 +102,8 @@ FLAGS = {
                           "--seed": SEED, "--out-sample": req(*OUT),
                           "--out-report": opt(*OUT)},
     "lambda-estimate": {"--data": DATA, "--k": req(*COUNT), "--z": Z,
-                        "--t": opt(*COUNT), "--p": opt(["0.2"], ["0", "1"]),
+                        "--t": opt(COUNT[0], [*COUNT[1], HUGE]),
+                        "--p": opt(["0.2"], ["0", "1", "1e-300"]),
                         **ORACLE, "--seed": SEED,
                         "--out-report": opt(*OUT)},
     "holder-diagnose": {"--data": DATA, "--losses": req(*LOSSES),

@@ -706,6 +706,61 @@ class TestAllClusterMedoids:
 
 
 @st.composite
+def _filter_stress(draw):
+    """Clusters on which the float32 filter's rounding is largest next to
+    the gaps between distance sums: far from the origin (|mu| = 1e8, unit
+    spread), near-duplicate rows, subnormal and tiny scales, and entries
+    near `Dataset`'s coordinate limit, below the limit also with one row
+    2**20 times farther out; d from 1 to 64, cut into 1 to 3 clusters of
+    up to 40 rows."""
+    kind = draw(st.sampled_from(["offset", "near-duplicates", "tiny",
+                                 "limit"]))
+    m, d = draw(st.integers(1, 40)), draw(st.integers(1, 64))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "offset":
+        points = g.choice([-1e8, 1e8], size=d) + g.normal(size=(m, d))
+    elif kind == "near-duplicates":
+        # a few points, each copy's entries moved by a few ulps
+        base = g.normal(size=(draw(st.integers(1, 3)), d))
+        points = base[g.integers(base.shape[0], size=m)]
+        points *= 2.0 ** draw(st.integers(-30, 30))
+        points *= 1 + g.integers(-2, 3, size=(m, d)) * 2.0 ** -52
+    elif kind == "tiny":
+        scale = draw(st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300,
+                                      1e-160]))
+        points = g.normal(size=(m, d)) * scale
+    else:
+        limit = np.sqrt(np.finfo(float).max / (4 * m * d))
+        points = g.uniform(-1, 1, (m, d))
+        points *= 0.999 * limit / np.abs(points).max()
+    if kind != "limit" and draw(st.booleans()):
+        points[g.integers(m)] *= 2.0 ** 20  # the only far row
+    cuts = draw(st.lists(st.integers(1, max(1, m - 1)), max_size=2,
+                         unique=True))
+    bounds = np.array([0, *sorted(c for c in cuts if c < m), m])
+    return Dataset(points).rows, bounds
+
+
+class TestMedoidFilterMargin:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(case=_filter_stress())
+    def test_equals_the_full_matrix_argmin(self, workers, case):
+        points, bounds = case
+        want = [lo + int(np.argmin(np.sum(cdist(points[lo:hi],
+                                                points[lo:hi]), axis=1)))
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with pytest.MonkeyPatch.context() as mp, \
+                ThreadPoolExecutor(workers) as pool:
+            # tiles of 16 // workers rows, so clusters span several tiles
+            mp.setattr(clustering_module, "MEDOID_BLOCK", 16)
+            got = clustering_module._medoids(points, bounds,
+                                             np.arange(bounds.size - 1),
+                                             pool, workers)
+        assert got.tolist() == want
+
+
+@st.composite
 def _dataset_and_point(draw):
     """Rows that `Dataset` accepts, mixing zeros, subnormals, ordinary
     values and coordinates near the size limit, and one of its rows."""
