@@ -19,7 +19,7 @@ inst = planted_holder(n=1000, d=6, k=K, z=2, separation=20.0,
                       lambda_true=0.7, rng=RngStream(0, "lam/instance"))
 
 # full-table diagnostic: every ratio equals the planted constant
-ratios = holder_ratios(inst.data, inst.clustering, inst.losses, 2)
+ratios = holder_ratios(inst.data, inst.clustering, inst.losses)
 print("ratio percentiles over the full table:")
 for p, v in holder_percentiles(ratios).items():
     print(f"  {p:>4.0f}%: {v:.3f}")

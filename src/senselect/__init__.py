@@ -12,10 +12,9 @@ from .clustering import (CenterList, Clustering, assign, dz_seed, kmedoids,
 from .hoelder import (INFINITY, default_sample_count, estimate_lambda,
                       holder_percentiles, holder_ratios)
 from .selection import (AUTO, ProxyLoss, SamplingPlan, WeightedSample,
-                        cluster, data_select, data_select_rounds,
-                        diversity_select, draw, kcenter_select, proxy_losses,
-                        sample_size, sensitivity_plan, uniform_sample_size,
-                        uniform_select)
+                        cluster, data_select, data_select_rounds, draw,
+                        proxy_losses, sample_size, sensitivity_plan,
+                        uniform_sample_size, uniform_select)
 from .regression import (ConstantTargetError, RegressionInstance,
                          RegressionPlan, coreset_objective_error,
                          leverage_scores, leverage_select, r2_score,

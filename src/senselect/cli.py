@@ -180,6 +180,8 @@ def cmd_select_regression(args) -> int:
 def cmd_lambda_estimate(args) -> int:
     t = (default_sample_count(args.k, args.p) if args.t is None
          else _count(args.t, int, "--t"))
+    if t < 1:
+        raise ValueError(f"--t must be >= 1, got {t}")
     data = sio.load_matrix(args.data)
     # an oracle process starts up while the data are clustered
     with _make_oracle(args, data.n) as oracle:
@@ -196,7 +198,7 @@ def cmd_holder_diagnose(args) -> int:
     data = sio.load_matrix(args.data)
     table = sio.load_losses(args.losses, n=data.n)
     clustering = cluster(data, args.k, args.z, args.rng)
-    ratios = holder_ratios(data, clustering, table, args.z)
+    ratios = holder_ratios(data, clustering, table)
     percentiles = [float(p) for p in args.percentiles.split(",")]
     result = {"percentiles": holder_percentiles(ratios, percentiles),
               "ratio_count": int(ratios.size), "k": args.k, "z": args.z,

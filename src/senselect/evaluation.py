@@ -12,8 +12,9 @@ import numpy as np
 from .core import Dataset, LossOracle, LossTable, RngStream, as_generator
 from .clustering import CenterList, Clustering, assign, weighted_cost
 from . import regression as reg
-from .selection import (WeightedSample, data_select, data_select_rounds,
-                        uniform_sample_size, uniform_select)
+from .selection import (AUTO, WeightedSample, data_select,
+                        data_select_rounds, uniform_sample_size,
+                        uniform_select)
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,9 @@ def r2_benchmark(n: int, d: int, k: int, rng: RngStream) -> dict:
     out["sensitivity"] = fit_r2(sample.indices, sample.weights)
     sample = reg.leverage_select(inst, s, rng.child("leverage"))
     out["leverage"] = fit_r2(sample.indices, sample.weights)
-    idx = rng.child("uniform").generator().integers(inst.n, size=s)
-    out["uniform"] = fit_r2(idx)
+    # uniform_select reads only the row count; the fit stays unweighted
+    sample = uniform_select(inst, s, rng.child("uniform"))
+    out["uniform"] = fit_r2(sample.indices)
     return out
 
 
@@ -243,20 +245,19 @@ def _planted(p, master) -> PlantedInstance:
 
 def _trials_data_select(p, trials, master, report):
     mode = p["lambda_mode"]
-    if mode not in ("supplied", "auto"):
+    if mode not in ("supplied", AUTO):
         raise ValueError(f"lambda_mode must be 'supplied' or 'auto', got "
                          f"{mode!r}")
-    auto = mode == "auto"
     inst = _planted(p, master)
     eps, k = p["epsilon"], p["k"]
+    budget, lam = (None, AUTO) if mode == AUTO else (k, inst.lam)
     for t in range(trials):
-        budget = None if auto else k
         oracle = LossOracle.from_table(inst.losses, budget=budget)
-        lam = "auto" if auto else inst.lam
         sample, run_report, clustering, _ = data_select(
             inst.data, k, eps, lam, oracle, inst.z, master.child(f"trial-{t}"))
         delta = delta_error(inst.losses, sample)
-        bound = eps * (inst.sum_loss + 2 * run_report["phi_lambda"])
+        bound = theorem1_bound(eps, inst.losses, clustering,
+                               run_report["lambda"])
         report.add(seed=t, delta=delta, bound=bound,
                    success=bool(delta <= bound),
                    queries_used=oracle.queries_used)
@@ -306,8 +307,8 @@ def _trials_rademacher(p, trials, master, report):
 
 
 def _trials_regression(p, trials, master, report):
-    k, eps, lambda_true = p["k"], p["epsilon"], p["lambda_true"]
-    inst, _, _, lam = planted_regression(p["n"], p["d"], k, lambda_true,
+    k, eps = p["k"], p["epsilon"]
+    inst, _, _, lam = planted_regression(p["n"], p["d"], k, p["lambda_true"],
                                          master.child("instance"))
     for t in range(trials):
         sample, plan = reg.regression_select(inst, k, eps, lam,
@@ -316,9 +317,7 @@ def _trials_regression(p, trials, master, report):
         x = plan.x0  # admissible by construction
         err = reg.coreset_objective_error(inst, sample, x)
         full = float(np.sum((inst.A @ x - inst.b) ** 2))
-        phi = weighted_cost(plan.clustering, np.full(plan.clustering.k,
-                                                     lambda_true))
-        bound = eps * (full + phi)
+        bound = eps * (full + weighted_cost(plan.clustering, lam))
         report.add(seed=t, delta=err, bound=bound,
                    success=bool(err <= bound), queries_used=k)
 

@@ -27,10 +27,10 @@ def _require_row_centers(clustering: Clustering) -> np.ndarray:
     return clustering.centers.indices
 
 
-def holder_ratios(data: Dataset, clustering: Clustering, losses: LossTable,
-                  z: float) -> np.ndarray:
-    """Ratio |loss(e) - loss(center)| / ||e - center||^z for every point not
-    coinciding with its center, capped at the largest double.
+def holder_ratios(data: Dataset, clustering: Clustering,
+                  losses: LossTable) -> np.ndarray:
+    """Ratio |loss(e) - loss(center)| / ||e - center||^clustering.z for every
+    point not coinciding with its center, capped at the largest double.
 
     Diagnostic-only path: it reads the full loss table.
     """
@@ -39,7 +39,8 @@ def holder_ratios(data: Dataset, clustering: Clustering, losses: LossTable,
     center_loss = values[idx][clustering.assignment]
     dist = center_distances(data.rows, clustering)
     mask = dist > 0
-    return _ratios(values[mask] - center_loss[mask], dist[mask] ** z)
+    return _ratios(values[mask] - center_loss[mask],
+                   dist[mask] ** clustering.z)
 
 
 def _ratios(loss_gaps, dist_z) -> np.ndarray:

@@ -182,8 +182,8 @@ def save_sample(sample: WeightedSample, path):
 
 
 def load_sample(path, n: int | None = None) -> WeightedSample:
-    """Load a sample CSV; with ``n``, every index must be a row of an
-    n-row dataset."""
+    """Load a sample CSV; every weight must be finite (of any sign), and
+    with ``n`` every index a row of an n-row dataset."""
     path = Path(path)
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -197,6 +197,8 @@ def load_sample(path, n: int | None = None) -> WeightedSample:
             w.append(float(b))
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad sample row {ln!r}") from exc
+        if not math.isfinite(w[-1]):
+            raise DataFormatError(f"{path}: non-finite weight in row {ln!r}")
         if idx[-1] < 0 or (n is not None and idx[-1] >= n):
             rows = "" if n is None else f" for {n} rows"
             raise DataFormatError(

@@ -1,5 +1,5 @@
-"""Samplers: one-round sensitivity selection, the r-round adaptive variant,
-the uniform baseline, and greedy k-center and diversity baselines.
+"""Samplers: one-round sensitivity selection, the r-round adaptive variant
+and the uniform baseline; each returns a weighted sample.
 
 The core every importance sampler shares: `cluster` (seed, refine, snap),
 `sensitivity_plan` (p proportional to lhat + lam_i v, over lam . Phi +
@@ -15,8 +15,7 @@ import numpy as np
 
 from .core import Dataset, LossOracle, RngStream, as_generator
 from .clustering import (Clustering, assign, center_distances, dz_seed,
-                         powered_distances, refine, snap_centers,
-                         weighted_cost)
+                         refine, snap_centers, weighted_cost)
 from .hoelder import (_count, _require_row_centers, default_sample_count,
                       estimate_lambda)
 
@@ -265,31 +264,3 @@ def uniform_select(data: Dataset, s: int, rng) -> WeightedSample:
     g = as_generator(rng)
     idx = g.integers(data.n, size=s)
     return WeightedSample(idx, np.full(s, data.n / s))
-
-
-def kcenter_select(data: Dataset, k: int, rng) -> np.ndarray:
-    """Greedy farthest-point traversal: first index uniform, then repeatedly
-    the point maximizing the min distance to the chosen set."""
-    if not 1 <= k <= data.n:
-        raise ValueError(f"k={k} out of range for n={data.n}")
-    g = as_generator(rng)
-    chosen = [int(g.integers(data.n))]
-    mind = powered_distances(data.rows, data.rows[chosen[-1]], 1)[:, 0]
-    for _ in range(k - 1):
-        nxt = int(np.argmax(mind))
-        chosen.append(nxt)
-        mind = np.minimum(mind, powered_distances(data.rows, data.rows[nxt], 1)[:, 0])
-    return np.asarray(chosen, dtype=np.intp)
-
-
-def diversity_select(data: Dataset, k: int, z: float, rng) -> np.ndarray:
-    """Cluster with k centers and return, per cluster, the member row closest
-    to the center (ties to the lowest index)."""
-    clustering = refine(data, dz_seed(data, k, z, rng), z)
-    out = np.empty(clustering.k, dtype=np.intp)
-    dist = center_distances(data.rows, clustering)
-    for i in range(clustering.k):
-        members = np.flatnonzero(clustering.assignment == i)
-        out[i] = members[np.argmin(dist[members])]
-    return out
-

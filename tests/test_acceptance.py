@@ -185,7 +185,7 @@ def test_criterion_8_r2_comparison():
 def test_criterion_9_ratio_percentiles():
     t0 = time.perf_counter()
     inst = planted_holder(1000, 6, 4, 2, 20.0, 0.7, RngStream(0, "tab"))
-    ratios = holder_ratios(inst.data, inst.clustering, inst.losses, 2)
+    ratios = holder_ratios(inst.data, inst.clustering, inst.losses)
     clean = holder_percentiles(ratios)
     clean_ok = all(v <= 0.7 + 1e-9 for v in clean.values())
     # inject 5% loss outliers away from the centers
@@ -200,7 +200,7 @@ def test_criterion_9_ratio_percentiles():
         axis=1)
     vals[bad] += 10.0 * dist[bad] ** 2
     tainted = holder_percentiles(
-        holder_ratios(inst.data, inst.clustering, LossTable(vals), 2))
+        holder_ratios(inst.data, inst.clustering, LossTable(vals)))
     factor = tainted[99.0] / tainted[80.0]
     elapsed = time.perf_counter() - t0
     _check(9, clean_ok and factor >= 2 and elapsed < 5,

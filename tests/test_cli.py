@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from senselect import core, selection
+from senselect import cli, core, selection
 from senselect.cli import main
 from senselect.io import load_report, load_sample
 
@@ -641,6 +641,27 @@ class TestEvaluate:
         out = json.loads(capsys.readouterr().out)
         assert out["r2"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_is_a_data_error(self, pairs, tmp_path, capsys,
+                                               weight):
+        _, losses = pairs
+        sample = tmp_path / "s.csv"
+        sample.write_text(f"index,weight\n0,1.0\n1,{weight}\n")
+        assert main(["evaluate", "--sample", str(sample),
+                     "--losses", str(losses)]) == 2
+        _one_data_error(capsys, f"{sample}: non-finite weight in row "
+                                f"'1,{weight}'")
+
+    def test_negative_weight_is_accepted(self, pairs, tmp_path, capsys):
+        # a difference estimator's weights may be negative
+        _, losses = pairs
+        sample = tmp_path / "s.csv"
+        sample.write_text("index,weight\n1,-1.0\n2,3.0\n")
+        assert main(["evaluate", "--sample", str(sample),
+                     "--losses", str(losses)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["delta"] == pytest.approx(abs(22.0 - (-5.0 + 30.0)))
+
     def test_needs_a_mode(self, tmp_path):
         sample = tmp_path / "s.csv"
         sample.write_text("index,weight\n0,1.0\n")
@@ -942,6 +963,17 @@ class TestDegenerateSettings:
         _one_count_error(capsys)
         assert queries == []
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    def test_lambda_estimate_rejects_t_below_1_before_clustering(
+            self, pairs, capsys, monkeypatch, t):
+        calls = []
+        monkeypatch.setattr(cli, "cluster", lambda *a: calls.append(a))
+        data, losses = pairs
+        assert main(["lambda-estimate", "--data", str(data), "--k", "2",
+                     "--losses", str(losses), "--t", t]) == 2
+        _one_data_error(capsys, f"--t must be >= 1, got {t}")
+        assert calls == []
 
     def test_out_of_memory_is_a_data_error(self, pairs, tmp_path, capsys,
                                            monkeypatch):

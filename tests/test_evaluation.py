@@ -63,7 +63,7 @@ class TestPlantedHolder:
 
     def test_smoothness_ratios_equal_lambda_true(self):
         inst = planted_holder(100, 6, 4, 2, 20.0, 0.5, RngStream(1, "ph"))
-        ratios = holder_ratios(inst.data, inst.clustering, inst.losses, 2)
+        ratios = holder_ratios(inst.data, inst.clustering, inst.losses)
         np.testing.assert_allclose(ratios, 0.5, rtol=1e-9)
 
     def test_aggregate_properties(self):

@@ -24,33 +24,33 @@ class TestHolderRatios:
     def test_linear_losses_give_constant_ratio(self):
         data = Dataset([[0.0], [1.0], [3.0]])
         clustering = row_clustering(data, [0], 1)
-        ratios = holder_ratios(data, clustering, LossTable([1, 2, 4]), 1)
+        ratios = holder_ratios(data, clustering, LossTable([1, 2, 4]))
         np.testing.assert_allclose(ratios, [1.0, 1.0])
 
     def test_power_in_denominator(self):
         data = Dataset([[0.0], [1.0], [3.0]])
         clustering = row_clustering(data, [0], 2)
-        ratios = holder_ratios(data, clustering, LossTable([1, 2, 4]), 2)
+        ratios = holder_ratios(data, clustering, LossTable([1, 2, 4]))
         np.testing.assert_allclose(ratios, [1.0, 1.0 / 3.0])
 
     def test_centers_excluded(self):
         data = Dataset([[0.0], [5.0], [10.0]])
         clustering = row_clustering(data, [0, 2], 2)
-        ratios = holder_ratios(data, clustering, LossTable([9, 1, 9]), 2)
+        ratios = holder_ratios(data, clustering, LossTable([9, 1, 9]))
         assert ratios.shape == (1,)
 
     def test_requires_row_centers(self):
         data = Dataset([[0.0], [1.0]])
         clustering = assign(data, CenterList([[0.5]]), 2)
         with pytest.raises(ValueError):
-            holder_ratios(data, clustering, LossTable([0, 1]), 2)
+            holder_ratios(data, clustering, LossTable([0, 1]))
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(5)
         data = Dataset(rng.normal(size=(40, 3)))
         losses = rng.random(40)
         clustering = row_clustering(data, [0, 17, 33], 2)
-        ratios = holder_ratios(data, clustering, LossTable(losses), 2)
+        ratios = holder_ratios(data, clustering, LossTable(losses))
         naive = []
         for e in range(40):
             c = clustering.centers.indices[clustering.assignment[e]]
@@ -127,7 +127,7 @@ class TestEstimateLambda:
         data = Dataset(rng.normal(size=(30, 2)))
         losses = rng.random(30)
         clustering = row_clustering(data, [3, 20], 2)
-        true_ratios = holder_ratios(data, clustering, LossTable(losses), 2)
+        true_ratios = holder_ratios(data, clustering, LossTable(losses))
         cap = np.max(true_ratios) * math.log(30)
         for seed in range(30):
             oracle = LossOracle.from_table(losses)
@@ -170,8 +170,7 @@ class TestUnderflowingDistancePower:
         clustering = row_clustering(data, [0], 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratios = holder_ratios(data, clustering, LossTable([1, 2, 1, 10]),
-                                   2)
+            ratios = holder_ratios(data, clustering, LossTable([1, 2, 1, 10]))
         assert ratios.tolist() == [sys.float_info.max, 0.0, 1.0]
 
     def test_lambda_is_capped_at_the_largest_double(self):

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from senselect.core import (BudgetExceededError, Dataset, LossOracle,
                             RngStream)
 from senselect.clustering import CenterList, assign
 from senselect.selection import (AUTO, data_select, data_select_rounds,
-                                 diversity_select, draw, kcenter_select,
-                                 proxy_losses, sample_size, sensitivity_plan,
-                                 uniform_sample_size, uniform_select)
+                                 draw, proxy_losses, sample_size,
+                                 sensitivity_plan, uniform_sample_size,
+                                 uniform_select)
 
 PAIRS = Dataset([[0.0], [1.0], [10.0], [11.0]])
 
@@ -268,23 +268,42 @@ def _duplicated_rows(draw):
     return Dataset(rows), losses, k, draw(st.sampled_from([1, 2]))
 
 
+# 5 rows on 2 distinct points, k above the distinct count
+_TWO_POINTS = (Dataset([[0.0], [0.0], [1.0], [1.0], [1.0]]), [1, 2, 3, 4, 5])
+
+
+def _assert_valid_plan(plan):
+    """p is a distribution and w = 1/(s p) on its support, finite."""
+    assert np.all(plan.p >= 0)
+    assert np.sum(plan.p) == pytest.approx(1.0, abs=1e-9)
+    support = plan.p > 0
+    assert np.all(np.isfinite(plan.w))
+    np.testing.assert_allclose(plan.w[support],
+                               1 / (plan.s * plan.p[support]))
+
+
 class TestDuplicatedRows:
     @settings(max_examples=100, deadline=None)
     @given(_duplicated_rows(), st.integers(0, 10 ** 6))
+    @example((*_TWO_POINTS, 3, 2), 0)
+    @example((*_TWO_POINTS, 4, 1), 1)
+    @example((*_TWO_POINTS, 5, 2), 2)
     def test_supplied_and_auto_lambda(self, case, seed):
         data, losses, k, z = case
         oracle = LossOracle.from_table(losses)
         _, report, clustering, plan = data_select(
             data, k, 0.5, 0.5, oracle, z, RngStream(seed, "dup"))
         assert report["queries_used"] == k
-        assert np.sum(plan.p) == pytest.approx(1.0, abs=1e-9)
+        # k distinct snapped center rows, even where positions repeat
+        assert np.unique(clustering.centers.indices).size == k
+        _assert_valid_plan(plan)
         sizes = np.bincount(clustering.assignment, minlength=k)
         assert report["k_effective"] == np.count_nonzero(sizes)
 
         oracle = LossOracle.from_table(losses)
         _, report, _, plan = data_select(
             data, k, 0.5, AUTO, oracle, z, RngStream(seed, "dup"))
-        assert np.sum(plan.p) == pytest.approx(1.0, abs=1e-9)
+        _assert_valid_plan(plan)
         # the same clustering: empty clusters get lambda 0
         assert np.all(np.asarray(report["lambda"])[sizes == 0] == 0)
 
@@ -333,32 +352,3 @@ class TestBaselines:
         np.testing.assert_allclose(sample.weights, [4 / 6] * 6)
         a = uniform_select(PAIRS, 6, RngStream(0, "u"))
         np.testing.assert_array_equal(sample.indices, a.indices)
-
-    def test_kcenter_properties(self):
-        rng = np.random.default_rng(19)
-        data = Dataset(rng.normal(size=(50, 3)))
-        idx = kcenter_select(data, 5, RngStream(4, "kc"))
-        assert len(set(idx.tolist())) == 5
-        # the second pick is the point farthest from the first
-        dists = np.linalg.norm(data.rows - data.rows[idx[0]], axis=1)
-        assert dists[idx[1]] == pytest.approx(np.max(dists))
-
-    def test_kcenter_pairs(self):
-        # whichever row starts, the farthest point is in the other pair
-        for seed in range(8):
-            idx = kcenter_select(PAIRS, 2, RngStream(seed, "kc"))
-            assert (idx[0] < 2) != (idx[1] < 2)
-
-    def test_diversity_pairs(self):
-        # cluster means 0.5 and 10.5; the closest-member tie goes to the
-        # lower row index in each pair
-        for seed in range(8):
-            idx = diversity_select(PAIRS, 2, 2, RngStream(seed, "dv"))
-            assert sorted(idx.tolist()) == [0, 2]
-
-    def test_diversity_distinct_one_per_cluster(self):
-        rng = np.random.default_rng(20)
-        data = Dataset(rng.normal(size=(70, 4)))
-        idx = diversity_select(data, 6, 2, RngStream(1, "dv"))
-        assert len(set(idx.tolist())) == 6
-
