@@ -12,7 +12,8 @@ eps * (||x||^2 + ||c||^2), so two centers whose distances to a point differ
 by less than that may be resolved differently than an exact all-pairs
 ``cdist`` would; equal scores go to the lowest cluster id.  Such near-ties
 can also fall differently on another BLAS thread count, which can change
-a GEMM's last bits.  Seeding and snapping keep ``cdist``.
+a GEMM's last bits.  Seeding keeps ``cdist``; snapping measures again with
+``cdist`` every row a GEMM filter cannot rule out (`snap_centers`).
 
 The z=2 update copies no rows: `_cluster_sums` adds each cluster's members
 with one sparse indicator product, in the order numpy's ``mean(axis=0)``
@@ -20,7 +21,9 @@ adds them, so each center is its members' mean bit for bit.
 
 Refinement stops at the Lloyd fixed point: once an update leaves the
 assignment unchanged and reseeds no cluster, the next pass would rebuild the
-same centers from the same rows, so it is skipped.
+same centers from the same rows, so it is skipped.  Its cost tests read
+rigorous bounds from the GEMM scores, and exact costs only when the bounds
+cannot decide them (`refine`), so every result is that of exact costs.
 
 The z=1 medoids are exact (`_medoids`): a filter sums each cluster's
 distances once, over upper-triangle float32 GEMM tiles, and a re-check
@@ -110,7 +113,19 @@ def powered_distances(X: np.ndarray, C: np.ndarray, z: float) -> np.ndarray:
     return cdist(np.atleast_2d(C), X).T ** z
 
 
-def _nearest(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _Nearest:
+    """`_nearest`'s labels (numpy reads the result as them) and each row's
+    least shifted score ||c||^2 - 2 x.c."""
+
+    labels: np.ndarray
+    least: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.labels, dtype=dtype)
+
+
+def _nearest(X: np.ndarray, C: np.ndarray) -> _Nearest:
     """Row-wise argmin over centers of ||c||^2 - 2 x.c (one GEMM, shifted in
     place); equal scores go to the lowest center.  The -2 scales the k x d
     operand, not the n x k product: a power of two commutes with every
@@ -118,23 +133,28 @@ def _nearest(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     so the scores are those of scaling the product, bit for bit."""
     D = X @ (-2.0 * C).T
     D += np.einsum("ij,ij->i", C, C)
-    return np.argmin(D, axis=1)
+    labels = np.argmin(D, axis=1)
+    rows = np.arange(0, D.size, D.shape[1])  # each row's offset in D
+    return _Nearest(labels, D.ravel()[rows + labels])
 
 
 def center_distances(rows: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """||x - c|| of every row to its own center, by ``np.linalg.norm``;
-    rounds differently from `_point_cost`, which feeds the cluster costs.
-    A row whose squared residual underflows to 0 although the residual is
-    nonzero gets its norm again from the residual scaled by its largest
-    entry; every other distance keeps the plain norm's bits."""
-    # the gathered centers are a temporary, freed before the norm runs
-    R = rows - clustering.centers.positions[clustering.assignment]
-    dist = np.linalg.norm(R, axis=1)
+    """||x - c|| of every row to its own center, by ``np.linalg.norm``'s
+    arithmetic on one residual array, squared in place; rounds differently
+    from `_point_cost`, which feeds the cluster costs.  A row whose squared
+    residual underflows to 0 although the residual is nonzero gets its norm
+    again from the residual scaled by its largest entry; every other
+    distance keeps the plain norm's bits."""
+    centers, labels = clustering.centers.positions, clustering.assignment
+    R = centers[labels]
+    np.subtract(rows, R, out=R)
+    dist = np.sqrt(np.add.reduce(np.multiply(R, R, out=R), axis=1))
     zero = np.flatnonzero(dist == 0)
-    tiny = zero[np.any(R[zero] != 0, axis=1)]
+    tiny = zero[np.any(rows[zero] != centers[labels[zero]], axis=1)]
     if tiny.size:
-        scale = np.max(np.abs(R[tiny]), axis=1)
-        dist[tiny] = scale * np.linalg.norm(R[tiny] / scale[:, None], axis=1)
+        R = rows[tiny] - centers[labels[tiny]]
+        scale = np.max(np.abs(R), axis=1)
+        dist[tiny] = scale * np.linalg.norm(R / scale[:, None], axis=1)
     return dist
 
 
@@ -147,13 +167,20 @@ def _point_cost(X: np.ndarray, C: np.ndarray, labels: np.ndarray,
     return sq if z == 2 else np.sqrt(sq) ** z
 
 
+def _clustering(X: np.ndarray, centers: CenterList, labels: np.ndarray,
+                z: float) -> Clustering:
+    """The clustering of `labels` with its per-cluster costs."""
+    point_cost = _point_cost(X, centers.positions, labels, z)
+    cluster_cost = np.bincount(labels, weights=point_cost,
+                               minlength=len(centers))
+    return Clustering(centers, labels, cluster_cost, float(z))
+
+
 def assign(data: Dataset, centers: CenterList, z: float) -> Clustering:
     """Assign every point to its nearest center (ties to the lowest cluster
     id) and compute per-cluster costs."""
-    labels = _nearest(data.rows, centers.positions)
-    point_cost = _point_cost(data.rows, centers.positions, labels, z)
-    cluster_cost = np.bincount(labels, weights=point_cost, minlength=len(centers))
-    return Clustering(centers, labels, cluster_cost, float(z))
+    labels = _nearest(data.rows, centers.positions).labels
+    return _clustering(data.rows, centers, labels, z)
 
 
 def weighted_cost(clustering: Clustering, lam) -> float:
@@ -339,6 +366,57 @@ def _cluster_sums(X: np.ndarray, order: np.ndarray,
     return indicator @ X
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u = 2**-53."""
+    return m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+
+
+def _total_bounds(least: np.ndarray, C: np.ndarray,
+                  norms: tuple[float, float], d: int) -> tuple[float, float]:
+    """Rigorous bounds lo <= T <= hi around T~ = sum(least) + Q, where T is
+    the z=2 ``total_cost`` `assign` returns for the labels whose `_nearest`
+    scores are `least`, and `norms` = (Q, sum ||x||), Q = sum ||x||^2.
+
+    With u = 2**-53, g_m = `_gamma` (m), c the center of row x,
+    p = ||x - c||^2 and P = sum p: a score s (the GEMM's x.(-2c) plus
+    ||c||^2) plus ||x||^2 is within g_d (||x|| + ||c||)^2 + u |s| of p, and
+    sum (||x|| + ||c||)^2 <= Q + 2 M sum ||x|| + n M^2, M the largest center
+    norm.  The two n-term sums add g_(n-1) (sum |s| + Q) and their sum
+    u |T~|, so |T~ - P| <= e1.  T's residual squares, each within g_(d+2) p
+    of p, summed per cluster and over the clusters, give |T - P| <=
+    g_(n+k+d+2) (|T~| + e1).  Underflow adds at most 4 n d 2**-1022; the
+    1.01 covers the rounding of the norms and of the bound, and 2 u |T~|
+    that of T~ -+ err."""
+    n, k = least.size, C.shape[0]
+    Q, norm_sum = norms
+    M = float(np.sqrt(np.max(np.einsum("ij,ij->i", C, C))))
+    est = float(np.sum(least)) + Q
+    e1 = (_gamma(d) * (Q + 2 * M * norm_sum + n * M * M)
+          + _gamma(n + 1) * (float(np.sum(np.abs(least))) + Q)
+          + 2.0 ** -53 * abs(est) + 4 * n * d * 2.0 ** -1022)
+    err = (1.01 * (e1 + _gamma(n + k + d + 2) * (abs(est) + e1))
+           + 2.0 ** -52 * abs(est))
+    return est - err, est + err
+
+
+@dataclass
+class _Step:
+    """A refinement state; lo <= T <= hi bound the total cost T that `assign`
+    reports for it, and lo = hi = T once `exact` holds its clustering."""
+
+    centers: CenterList
+    labels: np.ndarray
+    lo: float
+    hi: float
+    exact: Clustering | None = None
+
+    def settle(self, X: np.ndarray, z: float) -> Clustering:
+        if self.exact is None:
+            self.exact = _clustering(X, self.centers, self.labels, z)
+            self.lo = self.hi = self.exact.total_cost
+        return self.exact
+
+
 def refine(data: Dataset, centers: CenterList, z: float,
            max_iters: int = 50) -> Clustering:
     """Lloyd-style alternation: assignment, then center update (cluster mean
@@ -352,10 +430,14 @@ def refine(data: Dataset, centers: CenterList, z: float,
     distance^z) from the current centers that is not a center already,
     keeping k fixed.
 
-    Each iteration makes one ``assign`` call, hence one n x k distance pass.
-    For z=1 one thread pool, with a thread per CPU this process may use,
-    serves every medoid of the call; while it exists BLAS runs on one
-    thread, so no idle BLAS worker spins on a CPU the pool needs.
+    Each iteration makes one n x k distance pass (`_nearest`).  For z=2 the
+    exact O(n d) cost pass runs only when a stop test needs it: a test that
+    the bounds on both totals from their GEMM scores (`_total_bounds`)
+    decide is decided, else it runs on both states' exact costs.  The
+    returned clustering is always exact.  For z=1 one thread pool, with a
+    thread per CPU this process may use, serves every medoid of the call;
+    while it exists BLAS runs on one thread, so no idle BLAS worker spins on
+    a CPU the pool needs.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -368,18 +450,41 @@ def refine(data: Dataset, centers: CenterList, z: float,
             stack.enter_context(blas_threads(1))
             pool = stack.enter_context(ThreadPoolExecutor(workers))
         X = data.rows
-        current = assign(data, centers, z)
-        prev_cost = current.total_cost
+        if z == 2:
+            sq = np.einsum("ij,ij->i", X, X)
+            norms = float(np.sum(sq)), float(np.sum(np.sqrt(sq)))
+            del sq
+
+        def step(centers: CenterList) -> _Step:
+            if z == 1:
+                exact = assign(data, centers, z)
+                cost = exact.total_cost
+                return _Step(centers, exact.assignment, cost, cost, exact)
+            near = _nearest(X, centers.positions)
+            return _Step(centers, near.labels, *_total_bounds(
+                near.least, centers.positions, norms, X.shape[1]))
+
+        def decide(holds, prev: _Step, new: _Step) -> bool:
+            """holds(T_prev, T_new, T_prev), falling in its first argument
+            and rising in the others (rounding is monotone): from the
+            bounds' two extreme corners, or the exact totals if they differ."""
+            if holds(prev.hi, new.lo, prev.lo) != holds(prev.lo, new.hi,
+                                                        prev.hi):
+                prev.settle(X, z)
+                new.settle(X, z)
+            return holds(prev.hi, new.lo, prev.lo)
+
+        current = step(centers)
         for _ in range(max_iters):
-            counts = np.bincount(current.assignment, minlength=current.k)
+            labels, k = current.labels, len(current.centers)
+            counts = np.bincount(labels, minlength=k)
             bounds = np.concatenate(([0], np.cumsum(counts)))
             # cluster i's members, in ascending row order, are
             # order[bounds[i]:bounds[i + 1]]; a stable sort gives the same
             # permutation for any key dtype, and numpy radix-sorts 8- and
             # 16-bit keys
-            order = np.argsort(
-                current.assignment.astype(np.min_scalar_type(current.k)),
-                kind="stable")
+            order = np.argsort(labels.astype(np.min_scalar_type(k)),
+                               kind="stable")
             positions = current.centers.positions.copy()
             filled = np.flatnonzero(counts)
             if z == 2:
@@ -387,7 +492,7 @@ def refine(data: Dataset, centers: CenterList, z: float,
                 positions[filled] = (_cluster_sums(X, order, bounds)[filled]
                                      / counts[filled, None])
             else:
-                indices = np.empty(current.k, dtype=np.intp)
+                indices = np.empty(k, dtype=np.intp)
                 # the medoids read their members' rows from one gathered copy
                 indices[filled] = order[_medoids(X[order], bounds, filled,
                                                  pool, workers)]
@@ -395,8 +500,7 @@ def refine(data: Dataset, centers: CenterList, z: float,
             mind = None  # per-point distance^z to the current centers
             for i in np.flatnonzero(counts == 0):
                 if mind is None:
-                    mind = _point_cost(X, current.centers.positions,
-                                       current.assignment, z)
+                    mind = _point_cost(X, current.centers.positions, labels, z)
                     if indices is not None:  # -1 marks a row that is a center
                         mind[indices[filled]] = -1
                 far = int(np.argmax(mind))
@@ -405,17 +509,17 @@ def refine(data: Dataset, centers: CenterList, z: float,
                 mind[far] = -1
                 if indices is not None:
                     indices[i] = far
-            updated = assign(data, CenterList(positions, indices), z)
-            if updated.total_cost > prev_cost:
+            updated = step(CenterList(positions, indices))
+            if decide(lambda old, new, _: new > old, current, updated):
                 break  # numerical safeguard; keep the previous clustering
-            built_from, current = current.assignment, updated
-            if mind is None and np.array_equal(updated.assignment, built_from):
+            prev, current = current, updated
+            if mind is None and np.array_equal(current.labels, prev.labels):
                 break  # fixed point
-            if (prev_cost - updated.total_cost
-                    < REFINE_TOL * max(prev_cost, 1e-300)):
+            if decide(lambda old, new, base:
+                      old - new < REFINE_TOL * max(base, 1e-300),
+                      prev, current):
                 break
-            prev_cost = updated.total_cost
-        return current
+        return current.settle(X, z)
 
 
 def snap_centers(data: Dataset, clustering: Clustering) -> Clustering:
@@ -424,22 +528,42 @@ def snap_centers(data: Dataset, clustering: Clustering) -> Clustering:
 
     Centers are processed in order and each takes the nearest row not
     already claimed, so the snapped centers are k distinct rows and a
-    selection run queries exactly k distinct losses.  Only a center whose
-    nearest row is already claimed searches again among the unclaimed rows:
-    masking claimed rows only raises distances, so an unclaimed nearest row
-    stays the lowest-index nearest.
+    selection run queries exactly k distinct losses.  Each is the argmin of
+    ``cdist(data.rows, C)[:, i]`` over the unclaimed rows, bit for bit, ties
+    to the lowest row (row 0 when k > n leaves none).
+
+    Filter: one GEMM scores each row x for each center c as
+    L = ||c||^2 - 2 c.x + (1 - g) ||x||^2, g = 5 g_(d+3) (`_gamma`); claimed
+    rows score inf.  With j the least-scored row, ``cdist`` measures again
+    every row scored at most (1 + 3a)(L_j + 2 g ||x_j||^2 + g ||c||^2)
+    + g ||c||^2 + 5b, a = g_(d+5), b = 4 d 2**-1022.  Rigorous: with
+    t = ||x - c||^2, t - 1.5 g ||x||^2 - 0.5 g ||c||^2 - b <= L <=
+    t + 0.5 g ||c||^2 + b (L is within 2.01 g_(d+3) (||x||^2 + ||c||^2) + b
+    of t - g ||x||^2), and a squared ``cdist`` distance is within a t + b of
+    t, so the winner w, no farther than j by ``cdist``, has
+    t_w <= (1 + 2.01 a) t_j + 2.01 b, and L_w is below the threshold, whose
+    spare halves of g and 3a cover its own rounding.
     """
-    D = cdist(data.rows, clustering.centers.positions)
-    idx = np.empty(clustering.k, dtype=np.intp)
-    taken = np.zeros(data.n, dtype=bool)
+    X, C = data.rows, clustering.centers.positions
+    d = X.shape[1]
+    g, a, b = 5 * _gamma(d + 3), _gamma(d + 5), 4 * d * 2.0 ** -1022
+    q = np.einsum("ij,ij->i", X, X)
+    h = np.einsum("ij,ij->i", C, C)
+    L = (-2.0 * C) @ X.T
+    L += (1 - g) * q
+    L += h[:, None]
+    idx = np.zeros(clustering.k, dtype=np.intp)
     for i in range(clustering.k):
-        # column by column: an argmin over axis 0 would copy all of D
-        idx[i] = np.argmin(D[:, i])
-        if taken[idx[i]]:
-            idx[i] = np.argmin(np.where(taken, np.inf, D[:, i]))
-        taken[idx[i]] = True
-    snapped = CenterList(data.rows[idx], idx)
-    return assign(data, snapped, clustering.z)
+        j = int(np.argmin(L[i]))
+        top = ((1 + 3 * a) * (L[i, j] + 2 * g * q[j] + g * h[i])
+               + g * h[i] + 5 * b)
+        if top == np.inf:  # every row is claimed
+            continue
+        near = np.flatnonzero(L[i] <= top)
+        idx[i] = near[np.argmin(cdist(C[i:i + 1], X[near])[0])]
+        L[i + 1:, idx[i]] = np.inf
+    del L  # before `assign` makes its own n x k scores
+    return assign(data, CenterList(X[idx], idx), clustering.z)
 
 
 def kmedoids(data: Dataset, k: int, rng) -> Clustering:

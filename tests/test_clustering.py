@@ -409,6 +409,20 @@ class TestSnapClaims:
         assert_same_clustering(snap_centers(data, clustering),
                                reference_snap(data, clustering))
 
+    @settings(max_examples=40, deadline=None)
+    @given(_gaussian_instance(st.sampled_from([1e-3, 1.0, 1e3])),
+           st.sampled_from([0.0, 1e4, 1e6, 1e8]), st.booleans())
+    def test_matches_the_masked_loop_far_from_the_origin(self, case, offset,
+                                                         on_rows):
+        # far offsets make ||x||^2 dwarf the squared distances, which widens
+        # the filter's margin; midpoints of two rows put centers off the data
+        data, C = case
+        data = Dataset(data.rows + offset)
+        C = (C if on_rows else 0.5 * (C + C[::-1])) + offset
+        clustering = assign(data, CenterList(C), 2)
+        assert_same_clustering(snap_centers(data, clustering),
+                               reference_snap(data, clustering))
+
 
 def one_medoid(points, pool=None, workers=1) -> int:
     """The medoid of `points` as one cluster, by the all-cluster helper."""
@@ -544,6 +558,22 @@ class TestRefineIsExact:
                 == want.centers.positions.tobytes())
         assert_same_clustering(got, want)
 
+    @settings(max_examples=30, deadline=None)
+    @given(_gaussian_instance(st.just(1.0)),
+           st.sampled_from([1e6, 1e7, 1e8]), st.integers(1, 10))
+    def test_means_match_the_reference_loop_far_from_the_origin(
+            self, case, offset, iters):
+        # ||x||^2 is 1e12-1e16 times a squared distance, so the bounds on
+        # each total are far wider than REFINE_TOL: the stop tests fall back
+        # to the exact costs
+        data, C = case
+        data, C = Dataset(data.rows + offset), C + offset
+        got = refine(data, CenterList(C), 2, max_iters=iters)
+        want = reference_refine(data, CenterList(C), 2, max_iters=iters)
+        assert (got.centers.positions.tobytes()
+                == want.centers.positions.tobytes())
+        assert_same_clustering(got, want)
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_kmedoids_on_any_worker_count(self, monkeypatch, workers):
         # clusters of ~700 rows span several medoid blocks at every count
@@ -585,6 +615,27 @@ class TestFixedPointStop:
         assert sorted(blob[clustering.centers.indices]) == [0, 1, 2, 3]
         # one assignment of the seeds plus one per iteration
         assert len(passes) == 2
+
+
+class TestCertifiedStop:
+    def test_one_exact_cost_pass_per_refinement(self, monkeypatch):
+        # blobs 6 spreads apart: Lloyd makes over a dozen passes, and the
+        # bounds from the GEMM scores decide every stop test on their own
+        data = blobs(100, [[0, 0], [6, 0], [0, 6], [6, 6]], seed=1)
+        seeds = dz_seed(data, 4, 2, RngStream(0, "blobs"))
+        calls = {"_nearest": 0, "_point_cost": 0}
+        for name in calls:
+            real = getattr(clustering_module, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(clustering_module, name, counted)
+        got = refine(data, seeds, 2)
+        assert calls["_nearest"] > 5 and calls["_point_cost"] == 1
+        monkeypatch.undo()
+        assert_same_clustering(got, reference_refine(data, seeds, 2))
 
 
 class TestThreadedMedoid:
@@ -842,6 +893,19 @@ class TestRefineBlasCap:
 
 
 class TestCenterDistances:
+    def test_one_residual_array(self):
+        # the residual is squared in place: no second n x d temporary
+        n, d = 20000, 32
+        rows = np.random.default_rng(0).normal(size=(n, d))
+        clustering = assign(Dataset(rows), CenterList(rows[:8]), 2)
+        tracemalloc.start()
+        try:
+            clustering_module.center_distances(rows, clustering)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
+
     def test_underflowing_residuals_get_their_norm(self):
         # squared, these residuals are below the smallest subnormal
         rows = np.array([[0.0], [0.0], [1e-310], [3e-310], [2.5e-310]])
