@@ -29,21 +29,28 @@ The z=1 medoids are exact (`_medoids`): a filter sums each cluster's
 distances once, over upper-triangle float32 GEMM tiles, and a re-check
 sums with ``cdist`` row by row every point within a rigorous rounding
 margin of its cluster's least filtered sum, so each medoid is its full
-matrix's row-sum argmin, bit for bit, whatever bits the GEMM gives.  Each
-step is one batch for all clusters, on a pool with a thread per CPU this
-process may use (BLAS and ``cdist`` release the GIL); tiles and re-check
-blocks shrink with the thread count, keeping MEDOID_BLOCK rows in flight.
+matrix's row-sum argmin, bit for bit, whatever bits the GEMM gives.  A
+cluster that is several far-apart groups of rows (`_groups`; two blobs,
+or a blob and a far row) is filtered group by group: tiles inside a group
+are centred on its own mean, and tiles between two groups take a bound
+that shrinks with the distance between them, so the margin stays a few
+rows wide.  Each step is one batch for all clusters, on a pool with a
+thread per CPU this process may use (BLAS and ``cdist`` release the GIL);
+tiles and re-check blocks shrink with the thread count, keeping
+MEDOID_BLOCK rows in flight.  A z=1 refinement recomputes only the
+medoids of clusters whose members changed since the last medoid pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
@@ -56,6 +63,9 @@ REFINE_TOL = 1e-9
 #: bounds their memory to MEDOID_BLOCK x (cluster size) distances, and to
 #: MEDOID_BLOCK x MEDOID_BLOCK // threads in the medoid's filter step
 MEDOID_BLOCK = 512
+
+#: most far-apart groups the medoid's filter cuts one cluster into
+MEDOID_GROUPS = 8
 
 
 @dataclass(frozen=True)
@@ -240,24 +250,73 @@ def _distance_sums(points: np.ndarray, spans, rows,
             for r in rows]
 
 
-def _medoids(points: np.ndarray, bounds: np.ndarray, clusters,
+def _groups(P: np.ndarray, limit: int, side: int):
+    """(order, sizes, gaps): the rows P as at most `limit` far-apart groups
+    of the given sizes, `order` listing their row offsets group by group,
+    ascending within a group (None for one group: the rows in order), and
+    gaps[g, h] > 0 bounding every distance between groups g, h from below.
+
+    Rows of more than `side` (a tile's side) are cut at half the projection
+    of the row farthest from their mean, on the direction to it, and each
+    part again.  A part's ball is centred near its mean and reaches its
+    farthest member by ``cdist``; a cut holds when the balls are disjoint.
+    A ``cdist`` distance t is within (d/2 + 3) U t + b of the true one,
+    b = sqrt(d) 2**-537 (see `_medoids`), so the gap is at least
+    delta (1 - c) - (r_A + r_B)(1 + c) - 4 b for the measured centre
+    distance delta and radii r, c = 2 g_(d+3) (`_gamma`), whose spare half
+    covers the rounding of this sum when it is positive."""
+    (m, d), gap = P.shape, 0.0
+    if limit > 1 and m > side:
+        total = np.ones(m) @ P
+        far = P[np.argmax(cdist(total[None] / m, P)[0])] - total / m
+        first = P @ far > total @ far / m + 0.5 * (far @ far)
+        count = np.count_nonzero(first)
+        if 0 < count < m:
+            part = first @ P
+            centres = np.array([part / count, (total - part) / (m - count)])
+            dist, c = cdist(centres, P), 2 * _gamma(d + 3)
+            gap = (cdist(centres[:1], centres[1:])[0, 0] * (1 - c)
+                   - (np.max(dist[0], where=first, initial=0)
+                      + np.max(dist[1], where=~first, initial=0)) * (1 + c)
+                   - 4 * np.sqrt(d) * 2.0 ** -537)
+    if not gap > 0:
+        return None, [m], np.zeros((1, 1))
+    order, sizes, blocks = [], [], []
+    for rows in (np.flatnonzero(first), np.flatnonzero(~first)):
+        sub, sub_sizes, sub_gaps = _groups(
+            P[rows], limit - max(1, len(sizes)), side)
+        order.append(rows if sub is None else rows[sub])
+        sizes += sub_sizes
+        blocks.append(sub_gaps)
+    gaps, a = block_diag(*blocks), blocks[0].shape[0]
+    gaps[:a, a:] = gaps[a:, :a] = gap
+    return np.concatenate(order), sizes, gaps
+
+
+def _medoids(points: np.ndarray, bounds: np.ndarray,
              pool: ThreadPoolExecutor | None = None,
              workers: int = 1) -> np.ndarray:
-    """Row of `points` that is the medoid of each listed cluster i, whose
-    members are points[bounds[i]:bounds[i + 1]]: ties to the lowest row.
+    """Row of `points` that is the medoid of each cluster i, whose members
+    are points[bounds[i]:bounds[i + 1]] (at least one): ties to the lowest
+    row.
 
-    Filter: each cluster's rows, centred on their mean, are scaled by 2**-e
+    Groups: `_groups` cuts each cluster into far-apart groups (one for a
+    compact cluster), and the filter lists its rows group by group.
+    Filter: a group's rows, centred on their mean, are scaled by 2**-e
     below 1 in magnitude and cast to float32 (q) in the task that sums the
     cluster; one product [q, |q|^2, 1] @ [-2q, 1, |q|^2].T gives a tile of
-    squared distances, clamped at 0 before the sqrt.  All clusters'
-    upper-triangle tiles form one list, cut into one contiguous run of
-    about equal area per worker.  A cluster wholly in one run gets its sums
-    and candidates there; a run's first and last cluster, which a cut may
-    split, get a partial vector from each of their runs, added in run
-    order, so thread timing never changes a sum.  Re-check: `_distance_sums`
-    of every candidate, and the lowest row among each cluster's least exact
-    sums wins, so each medoid is ``argmin(np.sum(cdist(P, P), axis=1))`` of
-    its members P.
+    squared distances, clamped at 0 before the sqrt, and float32 products
+    with a ones vector give its row and column sums.  A tile between two
+    groups takes the whole cluster's operands, centred on its mean, and a
+    float32 floor f below its distances is taken off before it is summed
+    and added back in float64.  All clusters' upper-triangle tiles form one
+    list, cut into one contiguous run of about equal area per worker.  A
+    cluster wholly in one run gets its sums and candidates there; a run's
+    first and last cluster, which a cut may split, get a partial vector
+    from each of their runs, added in run order, so thread timing never
+    changes a sum.  Re-check: `_distance_sums` of every candidate, and the
+    lowest row among each cluster's least exact sums wins, so each medoid
+    is ``argmin(np.sum(cdist(P, P), axis=1))`` of its members P.
 
     The margin is rigorous, and one row's is not widened by another far
     row.  In scaled units, with u = 2**-24, g = (d + 2) u / (1 - (d + 2) u),
@@ -266,71 +325,129 @@ def _medoids(points: np.ndarray, bounds: np.ndarray, clusters,
     where BLAS flushes an underflow to zero.  A GEMM entry, a float32 dot
     product of length d + 2, is within g (2 |q_i| |q_j| + s_i + s_j), and
     the float32 norm s_i within g |q_i|**2, so a squared distance is within
-    3 g (|q_i| + |q_j|)**2 plus (d + 1) 2**-123 of underflow.  As
-    |sqrt(x) - sqrt(y)| <= sqrt(|x - y|), a distance is within
-    1.01 sqrt(3 g) (|q_i| + |q_j|) + h + u t_ij of t_ij, h = sqrt(d + 2)
-    2**-60.  Float32 sums inside a tile (at most `side` terms) and float64
-    sums across tiles add a relative a = (2 side + 1) u + m U, so a
-    filtered row sum F_i is within 1.01 k_i + a T_i of T_i, with
-    k_i = 1.01 sqrt(3 g) (m |q_i| + sum_j |q_j|) + m h.  A ``cdist``
-    distance is within (d/2 + 3) U t of t plus sqrt(d) 2**-537 in the
-    data's units, as a square below 2**-1074 vanishes (subnormal rows may
-    read at distance 0): b = sqrt(d) 2**(-537 - e) scaled, and an exact
-    sum is within m b + c T of T, c = (m + d + 8) U.  For i an exact argmin
-    and any row j, T_i - T_j <= 2 m b + c (T_i + T_j) and T_i + T_j <=
-    2.01 (F_j + 1.01 k_j + m b), so F_i - F_j is at most 1.02 (k_i + k_j)
-    + 2.01 m b + 2.03 (a + c) F_j.  With err_i = 1.1 (k_i + m b), and
-    sqrt(s_i) for |q_i| (the 1.1 covers that), row i is kept when
-    F_i - err_i <= (1 + 5 (a + c)) F_j + err_j for the j that makes the
-    right side least."""
+    E = 3 g (|q_i| + |q_j|)**2 + w of the cast rows', w = (d + 1) 2**-123
+    of underflow.  As |sqrt(x) - sqrt(y)| is at most both sqrt(|x - y|)
+    and |x - y| / sqrt(y), a distance is within 1.01 sqrt(3 g) (|q_i| +
+    |q_j|) + h + u t_ij of t_ij, h = sqrt(d + 2) 2**-60; for i, j in groups
+    G, H whose gap (`_groups`) is t_GH scaled, the cast rows are at least
+    t' = t_GH - sqrt(d) 2**-22 apart, and it is also within E / t' +
+    1.01 u (|q_i| + |q_j|) + h + u t_ij.  With r_iH = |H| |q_i| + sum |q_j|
+    over j in H, at least sum t_ij, row i's errors over H sum to
+    n_iH = min(1.01 sqrt(3 g) r_iH, (3 g (|H| |q_i|**2 + 2 |q_i| sum |q_j|
+    + sum |q_j|**2) + |H| w) / t' + 1.01 u r_iH) + |H| h (the second when
+    t' > 0), from the whole cluster's q; over i's own group G the first,
+    from the group's q and times 2**(e_G - e), an exact power of two, into
+    the cluster's units.  A float32 tile sum, of any order of at most
+    `side` terms after f <= t' is taken off, is within v = 1.01 (2 side +
+    1) u of its terms' magnitudes, at most r_iH + n_iH - |H| f between
+    groups and r_iG within (the 1.1 below covers v n_iG); k_i is the sum
+    of the n_iH, n_iG and v times those magnitudes.  The float32 sqrt and
+    the float64 sums add a relative a = u + 3 m U, so a filtered row sum
+    F_i is within 1.01 k_i + a T_i of T_i.  A ``cdist`` distance is within
+    (d/2 + 3) U t of t plus sqrt(d) 2**-537 in the data's units, as a
+    square below 2**-1074 vanishes (subnormal rows may read at distance 0):
+    b = sqrt(d) 2**(-537 - e) scaled, and an exact sum is within m b + c T
+    of T, c = (m + d + 8) U.  For i an exact argmin and any row j,
+    T_i - T_j <= 2 m b + c (T_i + T_j) and T_i + T_j <= 2.01 (F_j +
+    1.01 k_j + m b), so F_i - F_j is at most 1.02 (k_i + k_j) + 2.01 m b
+    + 2.03 (a + c) F_j.  With err_i = 1.1 (k_i + m b), and sqrt(s_i) for
+    |q_i| (the 1.1 covers that), row i is kept when F_i - err_i <=
+    (1 + 5 (a + c)) F_j + err_j for the j that makes the right side least."""
     d = points.shape[1]
     side = max(1, MEDOID_BLOCK // workers)
-    spans = [(bounds[i], bounds[i + 1]) for i in clusters]
-    tiles = [(c, a, b) for c, (lo, hi) in enumerate(spans)
-             for a in range(lo, hi, side) for b in range(a, hi, side)]
-    area = np.cumsum([min(side, spans[c][1] - a) * min(side, spans[c][1] - b)
-                      for c, a, b in tiles])
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    groups = [_groups(points[lo:hi], MEDOID_GROUPS, side) for lo, hi in spans]
+    ends = [np.cumsum([0, *sizes]) for _, sizes, _ in groups]
+    # (cluster, group, a, a_end, group, b, b_end), in the cluster's group order
+    tiles = [(c, g, a, min(a + side, e[g + 1]), h, b, min(b + side, e[h + 1]))
+             for c, e in enumerate(ends)
+             for g in range(e.size - 1) for h in range(g, e.size - 1)
+             for a in range(e[g], e[g + 1], side)
+             for b in range(a if g == h else e[h], e[h + 1], side)]
+    area = np.cumsum([(ea - a) * (eb - b) for _, _, a, ea, _, b, eb in tiles])
     tasks = 1 if pool is None else min(workers, len(tiles))
     cuts = [0, *np.searchsorted(area, area[-1] * np.arange(1, tasks) / tasks),
             len(tiles)]
     candidates = [None] * len(spans)  # row offsets within each cluster
     u = 2.0 ** -24
-    g = (d + 2) * u / (1 - (d + 2) * u)
+    g3 = 3 * ((d + 2) * u / (1 - (d + 2) * u))
+    root, flush = 1.01 * np.sqrt(g3), np.sqrt(d + 2) * 2.0 ** -60
+    spill = 1.01 * (2 * side + 1) * u  # a float32 tile sum's, relative
+    ones = np.ones(side, dtype=np.float32)
 
-    def operands(lo: int, hi: int):
-        """err and the GEMM operands of the cluster points[lo:hi]."""
-        R = points[lo:hi] - points[lo:hi].mean(axis=0)
-        e = np.frexp(np.max(np.abs(R)))[1]
+    def operands(P: np.ndarray):
+        """e and the float32 norms and GEMM operands of the rows P."""
+        R = P - np.ones(P.shape[0]) @ P / P.shape[0]
+        e = int(np.frexp(np.max(np.abs(R)))[1])
         q = np.ldexp(R, -e).astype(np.float32)
         sq = np.einsum("ij,ij->i", q, q)[:, None]
         one = np.ones_like(sq)
-        norm, m = np.sqrt(sq[:, 0], dtype=np.float64), hi - lo
-        k = (1.01 * np.sqrt(3 * g) * (m * norm + np.sum(norm))
-             + m * np.sqrt(d + 2) * 2.0 ** -60)
-        err = 1.1 * (k + m * np.sqrt(d) * np.ldexp(1.0, -537 - e))
-        return err, np.hstack([q, sq, one]), np.hstack([-2 * q, one, sq])
+        return (e, np.sqrt(sq[:, 0], dtype=np.float64),
+                np.hstack([q, sq, one]), np.hstack([-2 * q, one, sq]))
 
-    def near_least(err: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        rel = 5 * ((2 * side + 1) * u + (2 * sums.size + d + 8) * 2.0 ** -53)
-        return np.flatnonzero(sums - err <= np.min((1 + rel) * sums + err))
+    def cluster_operands(c: int):
+        """Cluster c's rows in group order: their err; (start, scale, left,
+        right) of each group's operands, then of the whole cluster's; and
+        floor[g, h], the float32 floor of the tiles between groups g, h."""
+        (lo, hi), (order, _, gaps), e_c = spans[c], groups[c], ends[c]
+        single = order is None
+        P = points[lo:hi] if single else points[lo + order]
+        e, norm, left, right = whole = operands(P)
+        ops, k = [], np.empty(P.shape[0])
+        for s, t in zip(e_c[:-1], e_c[1:]):
+            e_g, n, left_g, right_g = whole if single else operands(P[s:t])
+            scale = np.ldexp(1.0, e_g - e)
+            k[s:t] = scale * ((root + spill) * ((t - s) * n + np.sum(n))
+                              + (t - s) * flush)
+            ops.append((s, scale, left_g, right_g))
+        floor = np.zeros(gaps.shape, dtype=np.float32)
+        for g, h in itertools.permutations(range(e_c.size - 1), 2):
+            n_i, n_h = norm[e_c[g]:e_c[g + 1]], norm[e_c[h]:e_c[h + 1]]
+            m_h, s1 = n_h.size, np.sum(n_h)
+            reach = m_h * n_i + s1
+            near = root * reach
+            t = np.ldexp(gaps[g, h], -e) - np.sqrt(d) * 2.0 ** -22
+            if t > 0:
+                near = np.minimum(near, (
+                    g3 * (m_h * n_i ** 2 + 2 * n_i * s1 + np.sum(n_h ** 2))
+                    + m_h * (d + 1) * 2.0 ** -123) / t + 1.01 * u * reach)
+                floor[g, h] = t * (1 - 2.0 ** -20)
+            near += m_h * flush
+            k[e_c[g]:e_c[g + 1]] += near + spill * (
+                near + reach - m_h * float(floor[g, h]))
+        err = 1.1 * (k + k.size * np.sqrt(d) * np.ldexp(1.0, -537 - e))
+        return err, ops + [(0, np.float64(1), left, right)], floor
+
+    def near_least(c: int, err: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """Row offsets, ascending, of cluster c kept by the margin."""
+        rel = 5 * (u + (4 * sums.size + d + 8) * 2.0 ** -53)
+        kept = np.flatnonzero(sums - err <= np.min((1 + rel) * sums + err))
+        order = groups[c][0]
+        return kept if order is None else np.sort(order[kept])
 
     def filter_run(run) -> list:
         """Partial sums of the run's first and last (maybe split) cluster."""
         partials = []
-        for c, group in groupby(run, key=itemgetter(0)):
+        for c, cluster_tiles in itertools.groupby(run, key=itemgetter(0)):
             lo, hi = spans[c]
-            err, left, right = operands(lo, hi)
+            err, ops, floor = cluster_operands(c)
             sums = np.zeros(hi - lo)
-            for _, a, b in group:
-                D = left[a - lo:a - lo + side] @ right[b - lo:b - lo + side].T
+            for _, g, a, ea, h, b, eb in cluster_tiles:
+                s_a, scale, left, _ = ops[g if g == h else -1]
+                s_b, _, _, right = ops[h if g == h else -1]
+                D = left[a - s_a:ea - s_a] @ right[b - s_b:eb - s_b].T
                 np.sqrt(np.maximum(D, 0, out=D), out=D)
-                sums[a - lo:a - lo + side] += np.sum(D, axis=1)
+                f = floor[g, h]
+                if f:
+                    D -= f
+                sums[a:ea] += scale * (D @ ones[:eb - b]) + float(f) * (eb - b)
                 if a != b:
-                    sums[b - lo:b - lo + side] += np.sum(D, axis=0)
+                    sums[b:eb] += (scale * (ones[:ea - a] @ D)
+                                   + float(f) * (ea - a))
             if c in (run[0][0], run[-1][0]):
                 partials.append((c, err, sums))
             else:
-                candidates[c] = near_least(err, sums)
+                candidates[c] = near_least(c, err, sums)
         return partials
 
     runs = [tiles[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -339,7 +456,7 @@ def _medoids(points: np.ndarray, bounds: np.ndarray, clusters,
         for c, err, sums in partials:
             shared[c] = (err, shared[c][1] + sums if c in shared else sums)
     for c, (err, sums) in shared.items():
-        candidates[c] = near_least(err, sums)
+        candidates[c] = near_least(c, err, sums)
     exact = _distance_sums(points, spans, candidates, pool, workers)
     return np.array([lo + r[np.argmin(e)]
                      for (lo, _), r, e in zip(spans, candidates, exact)])
@@ -437,7 +554,9 @@ def refine(data: Dataset, centers: CenterList, z: float,
     returned clustering is always exact.  For z=1 one thread pool, with a
     thread per CPU this process may use, serves every medoid of the call;
     while it exists BLAS runs on one thread, so no idle BLAS worker spins on
-    a CPU the pool needs.
+    a CPU the pool needs.  A medoid pass recomputes only the clusters that a
+    row entered or left since the previous pass; the labels of that pass
+    are the previous state's.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -474,7 +593,7 @@ def refine(data: Dataset, centers: CenterList, z: float,
                 new.settle(X, z)
             return holds(prev.hi, new.lo, prev.lo)
 
-        current = step(centers)
+        current, prev = step(centers), None
         for _ in range(max_iters):
             labels, k = current.labels, len(current.centers)
             counts = np.bincount(labels, minlength=k)
@@ -492,10 +611,22 @@ def refine(data: Dataset, centers: CenterList, z: float,
                 positions[filled] = (_cluster_sums(X, order, bounds)[filled]
                                      / counts[filled, None])
             else:
-                indices = np.empty(k, dtype=np.intp)
-                # the medoids read their members' rows from one gathered copy
-                indices[filled] = order[_medoids(X[order], bounds, filled,
-                                                 pool, workers)]
+                # a cluster with the members its medoid came from keeps it;
+                # the others read their members' rows from one gathered copy
+                if prev is None:
+                    indices, redo = np.empty(k, dtype=np.intp), filled
+                else:
+                    indices = current.centers.indices.copy()
+                    moved = labels != prev.labels
+                    redo = np.union1d(labels[moved], prev.labels[moved])
+                    redo = redo[counts[redo] > 0]
+                if redo.size:
+                    rows = (order if redo.size == filled.size else
+                            np.concatenate([order[bounds[i]:bounds[i + 1]]
+                                            for i in redo]))
+                    spans = np.concatenate(([0], np.cumsum(counts[redo])))
+                    indices[redo] = rows[_medoids(X[rows], spans, pool,
+                                                  workers)]
                 positions[filled] = X[indices[filled]]
             mind = None  # per-point distance^z to the current centers
             for i in np.flatnonzero(counts == 0):

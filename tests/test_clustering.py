@@ -427,8 +427,7 @@ class TestSnapClaims:
 def one_medoid(points, pool=None, workers=1) -> int:
     """The medoid of `points` as one cluster, by the all-cluster helper."""
     bounds = np.array([0, points.shape[0]])
-    return int(clustering_module._medoids(points, bounds, [0], pool,
-                                          workers)[0])
+    return int(clustering_module._medoids(points, bounds, pool, workers)[0])
 
 
 class TestMedoid:
@@ -748,9 +747,8 @@ class TestAllClusterMedoids:
                     ThreadPoolExecutor(workers) as pool:
                 # tiles of 30 // workers rows, so runs cut through clusters
                 mp.setattr(clustering_module, "MEDOID_BLOCK", 30)
-                got = clustering_module._medoids(points, bounds,
-                                                 np.arange(bounds.size - 1),
-                                                 pool, workers)
+                got = clustering_module._medoids(points, bounds, pool,
+                                                 workers)
         finally:
             sys.setswitchinterval(interval)
         assert got.tolist() == want
@@ -792,12 +790,50 @@ def _filter_stress(draw):
     return Dataset(points).rows, bounds
 
 
+@st.composite
+def _far_groups(draw):
+    """Clusters of far-apart groups: 2 or 3 unit blobs of unequal sizes,
+    each 10**2 to 10**6 spreads from the one before, or one blob and a
+    single far row; rows shuffled and some duplicated, d from 1 to 16, cut
+    into 1 or 2 clusters.  In some draws each blob is the vertices of a
+    unit cube, moved a whole number along one axis, so that distance sums
+    tie by symmetry, or one point repeated, a group with no spread of its
+    own."""
+    d = draw(st.integers(1, 16))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 30), min_size=2, max_size=3))
+    else:
+        sizes = [draw(st.integers(1, 40)), 1]  # the far row
+    cube = np.zeros((2 ** min(d, 4), d))
+    cube[:, :min(d, 4)] = list(itertools.product([0, 1], repeat=min(d, 4)))
+    shape = draw(st.sampled_from(["blobs", "cubes", "copies"]))
+    groups, center = [], np.zeros(d)
+    for size in sizes:
+        if shape == "cubes":
+            groups.append(center + cube[:size])
+            step = np.zeros(d)
+            step[g.integers(d)] = 10 ** draw(st.integers(2, 6))
+        else:
+            spread = shape == "blobs"
+            groups.append(center + spread * g.normal(size=(size, d)))
+            step = g.normal(size=d)
+            step *= 10.0 ** draw(st.floats(2, 6)) / np.linalg.norm(step)
+        center = center + step
+    points = np.vstack(groups)
+    m = points.shape[0]
+    points = points[g.permutation(m)]
+    if draw(st.booleans()):
+        copies = g.integers(m, size=(2, m // 3))
+        points[copies[0]] = points[copies[1]]
+    cuts = draw(st.lists(st.integers(1, max(1, m - 1)), max_size=1))
+    bounds = np.array([0, *sorted(c for c in cuts if c < m), m])
+    return Dataset(points).rows, bounds
+
+
 class TestMedoidFilterMargin:
-    @pytest.mark.parametrize("workers", [1, 2])
-    @settings(max_examples=150, deadline=None)
-    @given(case=_filter_stress())
-    def test_equals_the_full_matrix_argmin(self, workers, case):
-        points, bounds = case
+    @staticmethod
+    def check(points, bounds, workers):
         want = [lo + int(np.argmin(np.sum(cdist(points[lo:hi],
                                                 points[lo:hi]), axis=1)))
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -805,10 +841,100 @@ class TestMedoidFilterMargin:
                 ThreadPoolExecutor(workers) as pool:
             # tiles of 16 // workers rows, so clusters span several tiles
             mp.setattr(clustering_module, "MEDOID_BLOCK", 16)
-            got = clustering_module._medoids(points, bounds,
-                                             np.arange(bounds.size - 1),
-                                             pool, workers)
+            got = clustering_module._medoids(points, bounds, pool, workers)
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(case=_filter_stress())
+    def test_equals_the_full_matrix_argmin(self, workers, case):
+        self.check(*case, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=80, deadline=None)
+    @given(case=_far_groups())
+    def test_far_groups_equal_the_full_matrix_argmin(self, workers, case):
+        # the filter cuts such clusters into groups, and tiles between two
+        # groups take the distance-aware bound
+        self.check(*case, workers)
+
+
+class TestMedoidGroups:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_blobs_recheck_a_handful_of_rows(self, monkeypatch,
+                                                 workers):
+        # regression-csv's two-blob cluster: two 2,000-row d=8 unit blobs
+        # 1,200 apart.  Centred on the cluster's mean, float32 bounds a
+        # distance inside a blob only to about 40% of itself, and a filter
+        # without groups re-checks nearly every row.
+        g = np.random.default_rng(0)
+        shift = np.zeros(8)
+        shift[0] = 1200.0
+        points = np.vstack([g.normal(size=(2000, 8)),
+                            shift + g.normal(size=(2000, 8))])
+        checked = []
+        real = clustering_module._distance_sums
+
+        def spy(points, spans, rows, *args):
+            checked.append(sum(r.size for r in rows))
+            return real(points, spans, rows, *args)
+
+        monkeypatch.setattr(clustering_module, "_distance_sums", spy)
+        with ThreadPoolExecutor(workers) as pool:
+            medoid = one_medoid(points, pool, workers)
+        full = np.concatenate([np.sum(cdist(points[i:i + 500], points),
+                                      axis=1) for i in range(0, 4000, 500)])
+        assert medoid == int(np.argmin(full))
+        assert len(checked) == 1 and checked[0] <= 10
+
+    def test_compact_rows_stay_one_group(self):
+        points = np.random.default_rng(0).normal(size=(2000, 8))
+        order, sizes, _ = clustering_module._groups(points, 8, 256)
+        assert order is None and sizes == [2000]
+
+    def test_gaps_bound_every_distance_between_groups(self):
+        g = np.random.default_rng(1)
+        points = np.vstack([g.normal(size=(30, 3)) + [0, 0, 0],
+                            g.normal(size=(20, 3)) + [500, 0, 0],
+                            g.normal(size=(1, 3)) + [0, 1e5, 0]])
+        order, sizes, gaps = clustering_module._groups(points, 8, 30)
+        parts = np.split(order, np.cumsum(sizes)[:-1])
+        assert sorted(sizes) == [1, 20, 30]
+        for a, b in itertools.permutations(range(3), 2):
+            least = cdist(points[parts[a]], points[parts[b]]).min()
+            assert 0 < gaps[a, b] <= least
+
+
+class TestReusedMedoids:
+    def test_only_clusters_whose_members_moved(self, monkeypatch):
+        # two overlapping blobs whose seeds both sit in the first, and two
+        # blobs far from them: after the first medoid pass rows move
+        # between clusters 0 and 1 only, so the second pass gathers only
+        # their rows and clusters 2 and 3 keep their medoids
+        data = blobs(50, [[0, 0], [3, 0], [100, 0], [0, 100]], seed=1)
+        rows = [0, 1, 100, 150]
+        seeds = CenterList(data.rows[rows], rows)
+        first = assign(data, seeds, 1).assignment
+        second = reference_refine(data, seeds, 1, max_iters=1).assignment
+        moved = np.flatnonzero(first != second)
+        changed = np.union1d(first[moved], second[moved])
+        calls = []
+        real = clustering_module._medoids
+
+        def spy(points, bounds, *args):
+            calls.append((points.copy(), np.array(bounds)))
+            return real(points, bounds, *args)
+
+        monkeypatch.setattr(clustering_module, "_medoids", spy)
+        got = refine(data, seeds, 1)
+        monkeypatch.undo()
+        assert_same_clustering(got, reference_refine(data, seeds, 1))
+        assert changed.tolist() == [0, 1]
+        points, bounds = calls[1]
+        np.testing.assert_array_equal(
+            points, np.vstack([data.rows[second == i] for i in changed]))
+        np.testing.assert_array_equal(
+            bounds, np.cumsum([0, *(np.sum(second == i) for i in changed)]))
 
 
 @st.composite
