@@ -25,20 +25,26 @@ same centers from the same rows, so it is skipped.  Its cost tests read
 rigorous bounds from the GEMM scores, and exact costs only when the bounds
 cannot decide them (`refine`), so every result is that of exact costs.
 
-The z=1 medoids are exact (`_medoids`): a filter sums each cluster's
-distances once, over upper-triangle float32 GEMM tiles, and a re-check
-sums with ``cdist`` row by row every point within a rigorous rounding
-margin of its cluster's least filtered sum, so each medoid is its full
-matrix's row-sum argmin, bit for bit, whatever bits the GEMM gives.  A
-cluster that is several far-apart groups of rows (`_groups`; two blobs,
-or a blob and a far row) is filtered group by group: tiles inside a group
-are centred on its own mean, and tiles between two groups take a bound
+The z=1 medoids are exact (`_medoids`).  A lower bound first rules rows
+out: by convexity, a row's distance sum is at least the sum over cells of
+the cluster of (cell size) x (distance to the cell's mean), which one
+float32 product against about MEDOID_CELLS cell means per group gives,
+less a rigorous rounding term; a row whose bound exceeds an upper bound on
+the least sum cannot be the medoid.  A filter then sums the distances of
+the remaining rows only, over float32 GEMM tiles (the upper triangle among
+them, row sums only against the others), and a re-check sums with
+``cdist`` row by row every row within a rigorous rounding margin of its
+cluster's least filtered sum, so each medoid is its full matrix's row-sum
+argmin, bit for bit, whatever bits the GEMM gives.  A cluster that is
+several far-apart groups of rows (`_groups`; two blobs, or a blob and a
+far row) is bounded and filtered group by group: distances inside a group
+are centred on its own mean, and those between two groups take a bound
 that shrinks with the distance between them, so the margin stays a few
-rows wide.  Each step is one batch for all clusters, on a pool with a
-thread per CPU this process may use (BLAS and ``cdist`` release the GIL);
-tiles and re-check blocks shrink with the thread count, keeping
-MEDOID_BLOCK rows in flight.  A z=1 refinement recomputes only the
-medoids of clusters whose members changed since the last medoid pass.
+rows wide.  Each cluster is one task on a pool with a thread per CPU this
+process may use (BLAS and ``cdist`` release the GIL); tiles and re-check
+blocks shrink with the thread count, keeping MEDOID_BLOCK rows in flight.
+A z=1 refinement recomputes only the medoids of clusters whose members
+changed since the last medoid pass.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -66,6 +71,12 @@ MEDOID_BLOCK = 512
 
 #: most far-apart groups the medoid's filter cuts one cluster into
 MEDOID_GROUPS = 8
+
+#: cells per group of the medoid filter's lower bound on a row's sum
+MEDOID_CELLS = 64
+
+#: largest diagonal tile the medoid's filter computes in full, both halves
+MEDOID_DIAGONAL = 64
 
 
 @dataclass(frozen=True)
@@ -302,21 +313,36 @@ def _medoids(points: np.ndarray, bounds: np.ndarray,
 
     Groups: `_groups` cuts each cluster into far-apart groups (one for a
     compact cluster), and the filter lists its rows group by group.
-    Filter: a group's rows, centred on their mean, are scaled by 2**-e
-    below 1 in magnitude and cast to float32 (q) in the task that sums the
-    cluster; one product [q, |q|^2, 1] @ [-2q, 1, |q|^2].T gives a tile of
-    squared distances, clamped at 0 before the sqrt, and float32 products
-    with a ones vector give its row and column sums.  A tile between two
-    groups takes the whole cluster's operands, centred on its mean, and a
-    float32 floor f below its distances is taken off before it is summed
-    and added back in float64.  All clusters' upper-triangle tiles form one
-    list, cut into one contiguous run of about equal area per worker.  A
-    cluster wholly in one run gets its sums and candidates there; a run's
-    first and last cluster, which a cut may split, get a partial vector
-    from each of their runs, added in run order, so thread timing never
-    changes a sum.  Re-check: `_distance_sums` of every candidate, and the
-    lowest row among each cluster's least exact sums wins, so each medoid
-    is ``argmin(np.sum(cdist(P, P), axis=1))`` of its members P.
+    Operands: a group's rows, centred on their mean, are scaled by 2**-e
+    below 1 in magnitude and cast to float32 (q); one product [q, |q|^2, 1]
+    @ [-2p, 1, |p|^2].T gives squared distances to points p, clamped at 0
+    before the sqrt.  Distances between two groups take the whole
+    cluster's operands, centred on its mean.
+    Bound: a cluster of more than one tile (`side` rows) first rules rows
+    out.  Each group is cut into at most MEDOID_CELLS cells, each row in
+    the cell of the nearest of that many evenly strided pivot rows.  For a
+    cell c of n_c rows with mean mu_c, convexity (Jensen) gives sum over j
+    in c of |x_i - x_j| >= n_c |x_i - mu_c|, so lb_i, the sum over every
+    cell of n_c |x_i - mu_c| less a rounding term, is at most row i's
+    distance sum; it takes one float32 product of the rows' operands with
+    the cells' means, in row blocks of at most side**2 entries (cells of
+    other groups in the cluster's frame).  For j the row of least lb and
+    F_j its filtered sum, a row is filtered only if lb_i <= (1 + rel) F_j
+    + err_j, which every exact argmin meets (below).
+    Filter: tiles among the filtered rows, listed first in each group, sum
+    the upper triangle (a diagonal tile of more than MEDOID_DIAGONAL rows
+    as two diagonal halves and the block between), and tiles of filtered
+    rows against the other rows sum their rows only; with no row ruled out
+    the tiles cover the cluster's upper triangle.  float32 products with a
+    ones vector give a tile's row and column sums; between two groups a
+    float32 floor f below the distances is taken off before they are
+    summed and added back in float64.  Each cluster is one task on `pool`,
+    its bound and filter sharing its operands (the filter's permuted, not
+    computed again), and sums its tiles in list order, so thread timing
+    never changes a sum.  Re-check: `_distance_sums` of every row the
+    filter keeps, and the lowest row among each cluster's least exact sums
+    wins, so each medoid is ``argmin(np.sum(cdist(P, P), axis=1))`` of its
+    members P.
 
     The margin is rigorous, and one row's is not widened by another far
     row.  In scaled units, with u = 2**-24, g = (d + 2) u / (1 - (d + 2) u),
@@ -352,43 +378,74 @@ def _medoids(points: np.ndarray, bounds: np.ndarray,
     1.01 k_j + m b), so F_i - F_j is at most 1.02 (k_i + k_j) + 2.01 m b
     + 2.03 (a + c) F_j.  With err_i = 1.1 (k_i + m b), and sqrt(s_i) for
     |q_i| (the 1.1 covers that), row i is kept when F_i - err_i <=
-    (1 + 5 (a + c)) F_j + err_j for the j that makes the right side least."""
+    (1 + 5 (a + c)) F_j + err_j for the j that makes the right side least.
+
+    The bound is rigorous too.  In the frame of the cells' scores (row i's
+    group's for its own cells, times 2**(e_G - e); the cluster's for the
+    others), let mu_c be the exact mean of the cast rows q_j of cell c and
+    mu~_c its float32 value.  The cast moves sum t_ij over j in c by at
+    most sum 1.01 u (|q_i| + |q_j|); Jensen gives n_c |q_i - mu_c|; float64
+    sums, the division and the cast leave |mu~_c - mu_c| <= delta_c =
+    1.01 u |mu~_c| + 1.01 (n_c + 1) U mean |q_j| + sqrt(d) 2**-149; and
+    the clamped root of the score is within min(sqrt E, E / tau) of
+    |q_i - mu~_c|, E as above with mu~_c for q_j, where tau = t' - max
+    delta_c bounds it below for another group's cells (their means lie in
+    that group's ball).  Summed with weights n_c, these errors are at most
+    n_iH (n_iG) with the cells' counts and norms |mu~_c| for the rows'.
+    The float32 root and the float32 weighted sum over C cells add a
+    relative 1.01 (C + 3) u, so lb_i = (1 - 1.01 (C + 3) u) lb~_i - 1.1
+    (the sum over groups of n_iH, the cast and n_c delta_c terms, + m b)
+    - 2**-1022 (the scale's underflow) is at most T_i - 1.1 m b, and with
+    the margin's inequalities an exact argmin i has T_i <= (1 + 2.1
+    (a + c)) (F_j + 1.01 k_j) + 2.01 m b <= (1 + 5 (a + c)) F_j + err_j
+    + 1.1 m b for any j."""
     d = points.shape[1]
     side = max(1, MEDOID_BLOCK // workers)
     spans = list(zip(bounds[:-1], bounds[1:]))
     groups = [_groups(points[lo:hi], MEDOID_GROUPS, side) for lo, hi in spans]
     ends = [np.cumsum([0, *sizes]) for _, sizes, _ in groups]
-    # (cluster, group, a, a_end, group, b, b_end), in the cluster's group order
-    tiles = [(c, g, a, min(a + side, e[g + 1]), h, b, min(b + side, e[h + 1]))
-             for c, e in enumerate(ends)
-             for g in range(e.size - 1) for h in range(g, e.size - 1)
-             for a in range(e[g], e[g + 1], side)
-             for b in range(a if g == h else e[h], e[h + 1], side)]
-    area = np.cumsum([(ea - a) * (eb - b) for _, _, a, ea, _, b, eb in tiles])
-    tasks = 1 if pool is None else min(workers, len(tiles))
-    cuts = [0, *np.searchsorted(area, area[-1] * np.arange(1, tasks) / tasks),
-            len(tiles)]
-    candidates = [None] * len(spans)  # row offsets within each cluster
-    u = 2.0 ** -24
+    u, U = 2.0 ** -24, 2.0 ** -53
     g3 = 3 * ((d + 2) * u / (1 - (d + 2) * u))
     root, flush = 1.01 * np.sqrt(g3), np.sqrt(d + 2) * 2.0 ** -60
     spill = 1.01 * (2 * side + 1) * u  # a float32 tile sum's, relative
     ones = np.ones(side, dtype=np.float32)
 
+    def gemm_operands(q: np.ndarray):
+        """The float64 norms |q| of float32 rows q, and their GEMM operands
+        [q, |q|^2, 1] and [-2q, 1, |q|^2]."""
+        left = np.empty((q.shape[0], d + 2), dtype=np.float32)
+        right = np.empty_like(left)
+        left[:, :d] = q
+        sq = np.einsum("ij,ij->i", q, q)
+        left[:, d], left[:, d + 1] = sq, 1
+        np.multiply(q, -2, out=right[:, :d])
+        right[:, d], right[:, d + 1] = 1, sq
+        return np.sqrt(sq, dtype=np.float64), left, right
+
     def operands(P: np.ndarray):
-        """e and the float32 norms and GEMM operands of the rows P."""
+        """e, the norms |q| and the GEMM operands of the rows P, centred on
+        their mean and scaled by 2**-e, as float32 rows q."""
         R = P - np.ones(P.shape[0]) @ P / P.shape[0]
         e = int(np.frexp(np.max(np.abs(R)))[1])
-        q = np.ldexp(R, -e).astype(np.float32)
-        sq = np.einsum("ij,ij->i", q, q)[:, None]
-        one = np.ones_like(sq)
-        return (e, np.sqrt(sq[:, 0], dtype=np.float64),
-                np.hstack([q, sq, one]), np.hstack([-2 * q, one, sq]))
+        return e, *gemm_operands(np.ldexp(R, -e).astype(np.float32))
+
+    def spread(n: np.ndarray, count, s1, s2, t: float) -> tuple:
+        """(n_iH, r_iH) for rows of norms n against `count` points whose
+        norms sum to s1 and their squares to s2, t (if > 0) bounding their
+        distances below."""
+        reach = count * n + s1
+        near = root * reach
+        if t > 0:
+            near = np.minimum(near, (
+                g3 * (count * n ** 2 + 2 * n * s1 + s2)
+                + count * (d + 1) * 2.0 ** -123) / t + 1.01 * u * reach)
+        return near + count * flush, reach
 
     def cluster_operands(c: int):
-        """Cluster c's rows in group order: their err; (start, scale, left,
-        right) of each group's operands, then of the whole cluster's; and
-        floor[g, h], the float32 floor of the tiles between groups g, h."""
+        """Cluster c's rows group by group: their err; (start, scale, left,
+        right, norms) of each group's operands, then of the whole
+        cluster's; floor[g, h], the float32 floor of the tiles between
+        groups g, h; e; and m b."""
         (lo, hi), (order, _, gaps), e_c = spans[c], groups[c], ends[c]
         single = order is None
         P = points[lo:hi] if single else points[lo + order]
@@ -397,69 +454,189 @@ def _medoids(points: np.ndarray, bounds: np.ndarray,
         for s, t in zip(e_c[:-1], e_c[1:]):
             e_g, n, left_g, right_g = whole if single else operands(P[s:t])
             scale = np.ldexp(1.0, e_g - e)
-            k[s:t] = scale * ((root + spill) * ((t - s) * n + np.sum(n))
-                              + (t - s) * flush)
-            ops.append((s, scale, left_g, right_g))
+            near, reach = spread(n, t - s, np.sum(n), 0.0, 0.0)
+            k[s:t] = scale * (near + spill * reach)
+            ops.append((s, scale, left_g, right_g, n))
         floor = np.zeros(gaps.shape, dtype=np.float32)
         for g, h in itertools.permutations(range(e_c.size - 1), 2):
             n_i, n_h = norm[e_c[g]:e_c[g + 1]], norm[e_c[h]:e_c[h + 1]]
-            m_h, s1 = n_h.size, np.sum(n_h)
-            reach = m_h * n_i + s1
-            near = root * reach
             t = np.ldexp(gaps[g, h], -e) - np.sqrt(d) * 2.0 ** -22
             if t > 0:
-                near = np.minimum(near, (
-                    g3 * (m_h * n_i ** 2 + 2 * n_i * s1 + np.sum(n_h ** 2))
-                    + m_h * (d + 1) * 2.0 ** -123) / t + 1.01 * u * reach)
                 floor[g, h] = t * (1 - 2.0 ** -20)
-            near += m_h * flush
+            near, reach = spread(n_i, n_h.size, np.sum(n_h),
+                                 np.sum(n_h ** 2), t)
             k[e_c[g]:e_c[g + 1]] += near + spill * (
-                near + reach - m_h * float(floor[g, h]))
-        err = 1.1 * (k + k.size * np.sqrt(d) * np.ldexp(1.0, -537 - e))
-        return err, ops + [(0, np.float64(1), left, right)], floor
+                near + reach - n_h.size * float(floor[g, h]))
+        mb = k.size * np.sqrt(d) * np.ldexp(1.0, -537 - e)
+        ops.append((0, np.float64(1), left, right, norm))
+        return 1.1 * (k + mb), ops, floor, e, mb
 
-    def near_least(c: int, err: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        """Row offsets, ascending, of cluster c kept by the margin."""
-        rel = 5 * (u + (4 * sums.size + d + 8) * 2.0 ** -53)
-        kept = np.flatnonzero(sums - err <= np.min((1 + rel) * sums + err))
-        order = groups[c][0]
-        return kept if order is None else np.sort(order[kept])
+    def add_tile(ops, floor, sums, g, a, ea, h, b, eb, both) -> None:
+        """Adds a tile's row sums to sums[a:ea], and with `both` its column
+        sums to sums[b:eb]."""
+        s_a, scale, left, _, _ = ops[g if g == h else -1]
+        s_b, _, _, right, _ = ops[h if g == h else -1]
+        D = left[a - s_a:ea - s_a] @ right[b - s_b:eb - s_b].T
+        np.sqrt(np.maximum(D, 0, out=D), out=D)
+        f = floor[g, h]
+        if f:
+            D -= f
+        sums[a:ea] += scale * (D @ ones[:eb - b]) + float(f) * (eb - b)
+        if both:
+            sums[b:eb] += scale * (ones[:ea - a] @ D) + float(f) * (ea - a)
 
-    def filter_run(run) -> list:
-        """Partial sums of the run's first and last (maybe split) cluster."""
-        partials = []
-        for c, cluster_tiles in itertools.groupby(run, key=itemgetter(0)):
-            lo, hi = spans[c]
-            err, ops, floor = cluster_operands(c)
-            sums = np.zeros(hi - lo)
-            for _, g, a, ea, h, b, eb in cluster_tiles:
-                s_a, scale, left, _ = ops[g if g == h else -1]
-                s_b, _, _, right = ops[h if g == h else -1]
-                D = left[a - s_a:ea - s_a] @ right[b - s_b:eb - s_b].T
+    def rel(m: int) -> float:
+        return 5 * (u + (4 * m + d + 8) * U)
+
+    def cells(left: np.ndarray, right: np.ndarray, frames) -> list:
+        """Cuts rows (operands left, right) into cells around evenly strided
+        pivot rows, each row to the least float32 score; per frame (the
+        rows' float32 coordinates and norms), the cells' (right operand,
+        float32 counts, sum of count x norm and of count x norm**2,
+        delta)."""
+        m = left.shape[0]
+        count = min(MEDOID_CELLS, m)
+        pivots = right[np.arange(count) * m // count]
+        block = max(1, side * side // count)
+        labels = np.concatenate([
+            np.argmin(left[a:a + block] @ pivots.T, axis=1)
+            for a in range(0, m, block)]).astype(np.min_scalar_type(count))
+        counts = np.bincount(labels)
+        filled = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[filled]
+        counts = counts[filled]
+        order = np.argsort(labels, kind="stable")
+        out = []
+        for q, n in frames:
+            sums = np.add.reduceat(q[order], starts, dtype=np.float64)
+            norm, _, cell_right = gemm_operands(
+                (sums / counts[:, None]).astype(np.float32))
+            s1 = np.add.reduceat(n[order], starts)
+            delta = (1.01 * u * norm + 1.01 * (counts + 1) * U * s1 / counts
+                     + np.sqrt(d) * 2.0 ** -149)
+            out.append((cell_right, counts.astype(np.float32), counts @ norm,
+                        counts @ norm ** 2, delta))
+        return out
+
+    def bound(c: int, err, ops, floor, e, mb) -> np.ndarray:
+        """Mask of cluster c's rows (group by group) whose lower bound is at
+        most (1 + rel) F_j + err_j, j the row of least bound."""
+        gaps, e_c, m = groups[c][2], ends[c], err.size
+        _, _, left, _, norm = ops[-1]
+        many = len(ops) > 2
+        own = [cells(left_g, right_g, [(left_g[:, :d], n_g)] + (
+                   [(left[s:t, :d], norm[s:t])] if many else []))
+               for (s, _, left_g, right_g, n_g), t in zip(ops, e_c[1:])]
+        lb, slack = np.zeros(m), np.full(m, mb)
+        for g, (s, scale, left_g, _, n_g) in enumerate(ops[:-1]):
+            t = e_c[g + 1]
+            right, counts, s1, s2, delta = own[g][0]
+            near, _ = spread(n_g, t - s, s1, s2, 0.0)
+            slack[s:t] += scale * (near + 1.01 * u * ((t - s) * n_g
+                                                      + np.sum(n_g))
+                                   + counts @ delta)
+            others = [h for h in range(len(own)) if h != g]
+            for h in others:
+                _, counts_h, s1, s2, delta = own[h][1]
+                n_h = norm[e_c[h]:e_c[h + 1]]
+                tau = (np.ldexp(gaps[g, h], -e) - np.sqrt(d) * 2.0 ** -22
+                       - np.max(delta))
+                near, _ = spread(norm[s:t], n_h.size, s1, s2, tau)
+                slack[s:t] += near + 1.01 * u * (
+                    n_h.size * norm[s:t] + np.sum(n_h)) + counts_h @ delta
+            if others:
+                right_x = np.vstack([own[h][1][0] for h in others])
+                counts_x = np.concatenate([own[h][1][1] for h in others])
+            block = max(1, side * side // max(
+                right.shape[0], right_x.shape[0] if others else 0))
+            for a in range(s, t, block):
+                ea = min(a + block, t)
+                D = left_g[a - s:ea - s] @ right.T
                 np.sqrt(np.maximum(D, 0, out=D), out=D)
-                f = floor[g, h]
-                if f:
-                    D -= f
-                sums[a:ea] += scale * (D @ ones[:eb - b]) + float(f) * (eb - b)
-                if a != b:
-                    sums[b:eb] += (scale * (ones[:ea - a] @ D)
-                                   + float(f) * (ea - a))
-            if c in (run[0][0], run[-1][0]):
-                partials.append((c, err, sums))
-            else:
-                candidates[c] = near_least(c, err, sums)
-        return partials
+                lb[a:ea] += scale * (D @ counts)
+                if others:
+                    D = left[a:ea] @ right_x.T
+                    np.sqrt(np.maximum(D, 0, out=D), out=D)
+                    lb[a:ea] += D @ counts_x
+        cells_total = sum(o[0][1].size for o in own)
+        lb = ((1 - 1.01 * (cells_total + 3) * u) * lb - 1.1 * slack
+              - 2.0 ** -1022)
+        # F_j: row j's float32 distances, summed side terms at a time as a
+        # tile sums them
+        j = int(np.argmin(lb))
+        g = int(np.searchsorted(e_c, j, side="right")) - 1
+        total = 0.0
+        for h, (s, t) in enumerate(zip(e_c[:-1], e_c[1:])):
+            s_a, scale, left, _, _ = ops[g if g == h else -1]
+            s_b, _, _, right, _ = ops[h if g == h else -1]
+            D = right[s - s_b:t - s_b] @ left[j - s_a]
+            np.sqrt(np.maximum(D, 0, out=D), out=D)
+            f = floor[g, h]
+            if f:
+                D -= f
+            total += (scale * np.sum(np.add.reduceat(
+                D, np.arange(0, t - s, side)), dtype=np.float64)
+                + float(f) * (t - s))
+        return lb <= (1 + rel(m)) * total + err[j]
 
-    runs = [tiles[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    shared = {}
-    for partials in (map if tasks == 1 else pool.map)(filter_run, runs):
-        for c, err, sums in partials:
-            shared[c] = (err, shared[c][1] + sums if c in shared else sums)
-    for c, (err, sums) in shared.items():
-        candidates[c] = near_least(c, err, sums)
-    exact = _distance_sums(points, spans, candidates, pool, workers)
+    def diagonal(g: int, a: int, ea: int) -> list:
+        """A diagonal tile, cut into two diagonal halves and the block
+        between them while it is larger than MEDOID_DIAGONAL rows."""
+        if ea - a <= MEDOID_DIAGONAL:
+            return [(g, a, ea, g, a, ea, False)]
+        mid = (a + ea) // 2
+        return [*diagonal(g, a, mid), (g, a, mid, g, mid, ea, True),
+                *diagonal(g, mid, ea)]
+
+    def candidates(c: int) -> np.ndarray:
+        """Row offsets, ascending, of cluster c that the filter keeps."""
+        order, e = groups[c][0], ends[c]
+        err, ops, floor, e_exp, mb = cluster_operands(c)
+        top = e[1:]  # each group's filtered rows end at top[g]
+        if err.size > side:
+            keep = bound(c, err, ops, floor, e_exp, mb)
+            top = [s + np.count_nonzero(keep[s:t])
+                   for s, t in zip(e[:-1], e[1:])]
+            # each group's filtered rows first, in every per-row array
+            perm = np.concatenate([s + np.flatnonzero(part)
+                                   for s, t in zip(e[:-1], e[1:])
+                                   for part in (keep[s:t], ~keep[s:t])])
+            err = err[perm]
+            order = perm if order is None else order[perm]
+
+            def moved(s, scale, *arrays) -> tuple:
+                return (s, scale,
+                        *(x[perm[s:s + x.shape[0]] - s] for x in arrays))
+
+            # one group's operands are the whole cluster's
+            ops = [moved(*op) for op in ops[:-1]] + [ops[-1]]
+            ops[-1] = ops[0] if len(ops) == 2 else moved(*ops[-1])
+        tiles = []
+        for g in range(e.size - 1):
+            for a in range(e[g], top[g], side):
+                ea = min(a + side, top[g])
+                for h in range(g, e.size - 1):
+                    for b in range(a if g == h else e[h], top[h], side):
+                        tiles += (diagonal(g, a, ea) if a == b else
+                                  [(g, a, ea, h, b, min(b + side, top[h]),
+                                    True)])
+                for h in range(e.size - 1):
+                    for b in range(top[h], e[h + 1], side):
+                        tiles.append((g, a, ea, h, b, min(b + side, e[h + 1]),
+                                      False))
+        sums = np.zeros(err.size)
+        for tile in tiles:
+            add_tile(ops, floor, sums, *tile)
+        at = np.concatenate([np.arange(s, t) for s, t in zip(e[:-1], top)])
+        at = at[sums[at] - err[at]
+                <= np.min((1 + rel(err.size)) * sums[at] + err[at])]
+        return at if order is None else np.sort(order[at])
+
+    run = map if pool is None or len(spans) == 1 else pool.map
+    kept = list(run(candidates, range(len(spans))))
+    exact = _distance_sums(points, spans, kept, pool, workers)
     return np.array([lo + r[np.argmin(e)]
-                     for (lo, _), r, e in zip(spans, candidates, exact)])
+                     for (lo, _), r, e in zip(spans, kept, exact)])
 
 
 def _cluster_sums(X: np.ndarray, order: np.ndarray,

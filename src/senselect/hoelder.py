@@ -27,6 +27,14 @@ def _require_row_centers(clustering: Clustering) -> np.ndarray:
     return clustering.centers.indices
 
 
+def _filled(clustering: Clustering) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, rows): the clusters that have members, ascending, and their
+    center rows; only these centers' losses are ever read."""
+    ids = np.flatnonzero(np.bincount(clustering.assignment,
+                                     minlength=clustering.k))
+    return ids, _require_row_centers(clustering)[ids]
+
+
 def holder_ratios(data: Dataset, clustering: Clustering,
                   losses: LossTable) -> np.ndarray:
     """Ratio |loss(e) - loss(center)| / ||e - center||^clustering.z for every
@@ -98,13 +106,13 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
     oracle batch.
 
     An empty cluster (its center duplicates a row that an earlier center
-    took) gets no picks and lambda 0: its cost is 0 and no point's score
-    reads its constant.
+    took) spends no query: its center is not queried, it gets no picks and
+    lambda 0, as its cost is 0 and no point's score reads its constant.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     g = as_generator(rng)
-    idx = _require_row_centers(clustering)
+    filled, rows = _filled(clustering)
     dist = center_distances(data.rows, clustering)
     picks = []
     for i in range(clustering.k):
@@ -115,9 +123,11 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
         picked = g.choice(members, size=t, replace=t > members.size)
         # skip the center itself (or a duplicate of it)
         picks.append(picked[dist[picked] > 0])
-    # one oracle batch: every center, then every pick
-    losses = oracle.query_many(np.concatenate([idx, *picks]))
-    offset = clustering.k
+    # one oracle batch: every center with members, then every pick
+    losses = oracle.query_many(np.concatenate([rows, *picks]))
+    center = np.zeros(clustering.k)
+    center[filled] = losses[:filled.size]
+    offset = filled.size
     log_n = math.log(data.n)
     lam = np.zeros(clustering.k)
     for i, picked in enumerate(picks):
@@ -125,6 +135,6 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
         offset += picked.size
         # scalar powers: numpy's vectorized power can differ in the last bit
         dist_z = np.array([dist[j] ** clustering.z for j in picked])
-        ratios = _ratios(picked_losses - losses[i], dist_z)
+        ratios = _ratios(picked_losses - center[i], dist_z)
         lam[i] = min(float(np.max(ratios, initial=0.0)) * log_n, _LARGEST)
     return lam

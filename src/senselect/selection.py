@@ -16,8 +16,7 @@ import numpy as np
 from .core import Dataset, LossOracle, RngStream, as_generator
 from .clustering import (Clustering, assign, center_distances, dz_seed,
                          refine, snap_centers, weighted_cost)
-from .hoelder import (_count, _require_row_centers, default_sample_count,
-                      estimate_lambda)
+from .hoelder import _count, _filled, default_sample_count, estimate_lambda
 
 AUTO = "auto"
 
@@ -62,9 +61,12 @@ class WeightedSample:
 
 def proxy_losses(data: Dataset, clustering: Clustering,
                  oracle: LossOracle) -> ProxyLoss:
-    """Query the oracle on exactly the k (snapped) center rows, as one batch,
-    and extend to proxies for every point."""
-    lhat = oracle.query_many(_require_row_centers(clustering))
+    """Query the oracle on the center rows of the clusters that have members
+    (all k unless snapped centers share a position), as one batch, and
+    extend to proxies for every point."""
+    filled, rows = _filled(clustering)
+    lhat = np.zeros(clustering.k)
+    lhat[filled] = oracle.query_many(rows)
     v = center_distances(data.rows, clustering) ** clustering.z
     return ProxyLoss(lhat[clustering.assignment], v)
 
@@ -202,8 +204,10 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
     lambda estimation, center-loss proxies, sensitivity plan, draw.
 
     ``lam`` is a per-cluster vector, a scalar (broadcast), or AUTO to chain
-    the query-based estimator.  The oracle gets one batch: the k center
-    rows, followed under AUTO by the estimator's member picks.  ``s``
+    the query-based estimator.  The oracle gets one batch: the center rows
+    of the k_effective clusters that have members (k unless there are fewer
+    than k distinct rows), followed under AUTO by the estimator's member
+    picks.  ``s``
     overrides the sample count.  Returns (sample, report, clustering, plan).
     """
     auto = isinstance(lam, str) and lam == AUTO
@@ -211,8 +215,8 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
         lam = _lambda_vector(lam, k)  # reject a bad lam before any query
     sample_size(epsilon)  # and a bad epsilon
     clustering = cluster(data, k, z, rng)
-    # the batch fetches the uncached center rows first
-    centers = set(_require_row_centers(clustering).tolist())
+    # the batch fetches the uncached rows of centers with members first
+    centers = set(_filled(clustering)[1].tolist())
     queries_proxy = oracle.queries_used + len(centers - oracle.cache.keys())
     if auto:
         lam = estimate_lambda(data, clustering, oracle,
@@ -237,7 +241,9 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
                        lam, oracle: LossOracle, z: float, rng: RngStream):
     """Adaptive variant: one D^z prefix ordering of length k*rounds; round i
     queries the k newly revealed centers (one oracle batch) and samples
-    against proxies built from the first i*k centers.  Cumulative queries after round i equal i*k.
+    against proxies built from the first i*k centers.  Cumulative queries
+    after round i equal i*k, less the centers whose clusters are empty
+    (centers that share a position).
 
     ``lam`` is a scalar or a length-(k*rounds) vector giving per-prefix-cluster
     constants.  Returns a list of (sample, report) pairs.

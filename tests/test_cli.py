@@ -402,8 +402,9 @@ class TestDuplicateEmbeddings:
                      "--out-report", str(report_path)]) == 0
         report = load_report(report_path)
         assert report["k"] == 4 and report["k_effective"] == 3
-        # every point sits on its center: auto finds no ratio to sample
-        assert report["queries_used"] == 4
+        # the empty cluster's center is not queried, and every point sits
+        # on its center, so auto finds no ratio to sample
+        assert report["queries_used"] == 3
         assert len(load_sample(sample_path, n=8)) == report["s"]
 
 

@@ -673,7 +673,38 @@ class TestThreadedMedoid:
 
 
 @st.composite
-def _medoid_points(draw):
+def _prunable_rows(draw, most=120):
+    """Rows of which the medoid's lower bound rules most out: a unit
+    Gaussian blob (d of 1, 2, 8 or 16, 30 to `most` rows) at an offset of 0
+    or 1e6 to 1e8, in some draws with a third of its rows duplicated, one
+    row 10**4 spreads out, or part of it moved 1,200 spreads away (two
+    blobs, which `_groups` cuts apart)."""
+    d = draw(st.sampled_from([1, 2, 8, 16]))
+    m = draw(st.integers(30, most))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = g.normal(size=(m, d))
+    direction = g.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    shape = draw(st.sampled_from(["blob", "copies", "far row", "two blobs"]))
+    if shape == "copies":
+        copies = g.integers(m, size=(2, m // 3))
+        points[copies[0]] = points[copies[1]]
+    elif shape == "far row":
+        points[g.integers(m)] += 1e4 * direction
+    elif shape == "two blobs":
+        points[:draw(st.integers(1, m - 1))] += 1200 * direction
+    offset = draw(st.sampled_from([0.0, 1e6, 1e7, 1e8]))
+    return Dataset(points + offset * g.choice([-1.0, 1.0], size=d)).rows
+
+
+def _medoid_points():
+    """Tied distance sums (`_tied_points`) or rows the bound prunes
+    (`_prunable_rows`)."""
+    return st.one_of(_tied_points(), _prunable_rows())
+
+
+@st.composite
+def _tied_points(draw):
     """Points whose distance sums tie: grid rows drawn with repetition (a
     repeated row's sum equals the original's bit for bit), or the vertices
     of a hypercube (every sum equal in exact arithmetic) in shuffled order,
@@ -761,12 +792,15 @@ def _filter_stress(draw):
     spread), near-duplicate rows, subnormal and tiny scales, and entries
     near `Dataset`'s coordinate limit, below the limit also with one row
     2**20 times farther out; d from 1 to 64, cut into 1 to 3 clusters of
-    up to 40 rows."""
+    up to 40 rows; or rows the lower bound prunes (`_prunable_rows`)."""
     kind = draw(st.sampled_from(["offset", "near-duplicates", "tiny",
-                                 "limit"]))
+                                 "limit", "prunable"]))
     m, d = draw(st.integers(1, 40)), draw(st.integers(1, 64))
     g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "offset":
+    if kind == "prunable":
+        points = draw(_prunable_rows(80)).copy()
+        m = points.shape[0]
+    elif kind == "offset":
         points = g.choice([-1e8, 1e8], size=d) + g.normal(size=(m, d))
     elif kind == "near-duplicates":
         # a few points, each copy's entries moved by a few ulps
@@ -903,6 +937,39 @@ class TestMedoidGroups:
         for a, b in itertools.permutations(range(3), 2):
             least = cdist(points[parts[a]], points[parts[b]]).min()
             assert 0 < gaps[a, b] <= least
+
+
+class TestMedoidBound:
+    def test_compact_cluster_filters_under_a_third_of_its_rows(
+            self, monkeypatch):
+        # one 2000-row d=8 unit blob on two workers: its upper triangle is
+        # m**2 / 2 float32 distances, while the lower bound leaves about a
+        # sixth of the rows to sum against every row, plus m x 64 distances
+        # to the cells' means
+        m = 2000
+        points = np.random.default_rng(0).normal(size=(m, 8))
+        computed = []
+
+        class Counting:
+            """numpy, counting the float32 distances clamped at 0."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def maximum(x, *args, **kwargs):
+                if x.ndim == 2 and x.dtype == np.float32:
+                    computed.append(x.size)
+                return np.maximum(x, *args, **kwargs)
+
+        monkeypatch.setattr(clustering_module, "np", Counting())
+        with ThreadPoolExecutor(2) as pool:
+            medoid = one_medoid(points, pool, 2)
+        monkeypatch.undo()
+        full = np.concatenate([np.sum(cdist(points[i:i + 500], points),
+                                      axis=1) for i in range(0, m, 500)])
+        assert medoid == int(np.argmin(full))
+        assert 0 < sum(computed) < m * m / 3
 
 
 class TestReusedMedoids:
