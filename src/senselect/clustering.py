@@ -3,17 +3,19 @@ assignment, and the cost functionals used by the samplers.
 
 All tie-breaking is to the lowest index so results are reproducible.
 
-Numerics of assignment.  Labels come from one GEMM pass per call: the
-argmin over centers of ||c||^2 - 2 x.c, which drops the ||x||^2 term every
-center shares.  Each point's cost is then computed exactly from the residual
-to its assigned center, ||x - c||^z, so a point that coincides with its
-center costs exactly 0.  The GEMM scores carry rounding error of order
-eps * (||x||^2 + ||c||^2), so two centers whose distances to a point differ
-by less than that may be resolved differently than an exact all-pairs
-``cdist`` would; equal scores go to the lowest cluster id.  Such near-ties
-can also fall differently on another BLAS thread count, which can change
-a GEMM's last bits.  Seeding keeps ``cdist``; snapping measures again with
-``cdist`` every row a GEMM filter cannot rule out (`snap_centers`).
+Numerics of assignment.  A point's label is the argmin of its ``cdist``
+distances to the centers, ties to the lowest cluster id, whatever BLAS or
+thread count runs the arithmetic.  `_nearest_labels` computes it with one
+float32 GEMM per tile of rows and centers centred on the data mean: every
+center whose score is within a rigorous rounding margin of the row's least
+is a candidate, a row with one candidate takes it, and ``cdist`` measures
+again the few rows with more.  Each point's cost is then computed exactly
+from the residual to its assigned center, ||x - c||^z, so a point that
+coincides with its center costs exactly 0.  Seeding keeps ``cdist``;
+snapping measures again with ``cdist`` every row a GEMM filter cannot rule
+out (`snap_centers`).  Every n x d or n x k temporary is built in row
+blocks of at most BLOCK_ENTRIES entries; each row's arithmetic is its own,
+so no result depends on the block size.
 
 The z=2 update copies no rows: `_cluster_sums` adds each cluster's members
 with one sparse indicator product, in the order numpy's ``mean(axis=0)``
@@ -21,9 +23,10 @@ adds them, so each center is its members' mean bit for bit.
 
 Refinement stops at the Lloyd fixed point: once an update leaves the
 assignment unchanged and reseeds no cluster, the next pass would rebuild the
-same centers from the same rows, so it is skipped.  Its cost tests read
-rigorous bounds from the GEMM scores, and exact costs only when the bounds
-cannot decide them (`refine`), so every result is that of exact costs.
+same centers from the same rows, so it is skipped.  Its z=2 cost tests read
+rigorous bounds on each state's total from its cluster sums
+(`_sum_bounds`), and exact costs only when the bounds cannot decide them
+(`refine`), so every result is that of exact costs.
 
 The z=1 medoids are exact (`_medoids`).  A lower bound first rules rows
 out: by convexity, a row's distance sum is at least the sum over cells of
@@ -56,13 +59,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.spatial.distance import cdist
 
 from .core import Dataset, _cpu_count, as_generator, blas_threads
 
 #: relative cost improvement below which refinement stops
 REFINE_TOL = 1e-9
+
+#: most entries in one row block of an n-sized temporary: the assignment
+#: kernel's float32 score tile, and the residuals of the cost pass and of
+#: `center_distances`
+BLOCK_ENTRIES = 2 ** 16
 
 #: rows of the medoid distance sums in flight at once, over all threads;
 #: bounds their memory to MEDOID_BLOCK x (cluster size) distances, and to
@@ -134,42 +142,181 @@ def powered_distances(X: np.ndarray, C: np.ndarray, z: float) -> np.ndarray:
     return cdist(np.atleast_2d(C), X).T ** z
 
 
+def _gamma(m: int, unit: float = 2.0 ** -53) -> float:
+    """Higham's gamma_m = m unit / (1 - m unit), inf once m unit >= 1."""
+    return m * unit / (1 - m * unit) if m * unit < 1 else np.inf
+
+
+def _blocks(n: int, width: int) -> list:
+    """(lo, hi) row blocks of near-equal size, the first the largest, each
+    of at most BLOCK_ENTRIES entries of `width` columns, covering
+    range(n)."""
+    count = -(-n // max(1, BLOCK_ENTRIES // max(1, width)))
+    step = max(1, -(-n // max(1, count)))
+    return [(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+
+
 @dataclass(frozen=True)
-class _Nearest:
-    """`_nearest`'s labels (numpy reads the result as them) and each row's
-    least shifted score ||c||^2 - 2 x.c."""
+class _Frame:
+    """The assignment kernel's coordinates: points less `mu`, times 2**-e.
+    With `rows` set the float32 operands of every row (`_operands`), one
+    column a row, and their `norms` are kept; else each block is cast when
+    it is scored."""
 
-    labels: np.ndarray
-    least: np.ndarray
+    mu: np.ndarray
+    e: int
+    rows: np.ndarray | None = None
+    norms: np.ndarray | None = None
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.labels, dtype=dtype)
+
+def _frame(X: np.ndarray, C: np.ndarray, keep: bool = False) -> _Frame:
+    """The frame centred on the mean of the rows X, scaled so that every
+    entry of a row or of a center C is below 1 in magnitude (e is clamped
+    to [-1000, 1000], so 2**-e stays a normal power of two); with `keep`
+    its operands are cast once, block by block."""
+    (n, d), mu = X.shape, np.ones(X.shape[0]) @ X / X.shape[0]
+    far = max(float(X.max() - mu.min()), float(mu.max() - X.min()),
+              float(np.max(np.abs(C - mu))))
+    frame = _Frame(mu, min(max(int(np.frexp(far)[1]), -1000), 1000))
+    if not keep:
+        return frame
+    rows, norms = np.empty((d + 1, n), dtype=np.float32), np.empty(n)
+    blocks = _blocks(n, d)
+    scratch = np.empty((blocks[0][1] - blocks[0][0]) * d)
+    for lo, hi in blocks:
+        norms[lo:hi] = _operands(X, frame, lo, hi, rows[:, lo:hi], scratch)
+    return _Frame(mu, frame.e, rows, norms)
 
 
-def _nearest(X: np.ndarray, C: np.ndarray) -> _Nearest:
-    """Row-wise argmin over centers of ||c||^2 - 2 x.c (one GEMM, shifted in
-    place); equal scores go to the lowest center.  The -2 scales the k x d
-    operand, not the n x k product: a power of two commutes with every
-    rounding of the dot products (barring overflow and subnormal products),
-    so the scores are those of scaling the product, bit for bit."""
-    D = X @ (-2.0 * C).T
-    D += np.einsum("ij,ij->i", C, C)
-    labels = np.argmin(D, axis=1)
-    rows = np.arange(0, D.size, D.shape[1])  # each row's offset in D
-    return _Nearest(labels, D.ravel()[rows + labels])
+def _operands(X: np.ndarray, frame: _Frame, lo: int, hi: int,
+              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Writes the float32 operands [q, 1] of rows lo:hi of X into the
+    columns of `out`, q the row in the frame, and returns the float64 norms
+    of the rows in the frame before the cast; `scratch` holds at least
+    that many rows."""
+    R = scratch[:(hi - lo) * X.shape[1]].reshape(hi - lo, X.shape[1])
+    np.subtract(X[lo:hi], frame.mu, out=R)
+    R *= np.ldexp(1.0, -frame.e)
+    out[:-1] = R.T
+    out[-1] = 1
+    return np.sqrt(np.einsum("ij,ij->i", R, R))
+
+
+def _nearest_labels(X: np.ndarray, C: np.ndarray,
+                    frame: _Frame | None = None) -> np.ndarray:
+    """``np.argmin(cdist(X, C), axis=1)`` bit for bit (ties to the lowest
+    center), from float32 scores in `frame` (`_frame` of X and C if None).
+
+    Operands: rows and centers less the frame's mu, times 2**-e (exact),
+    cast to float32: q for a row, p for a center.  One GEMM of the centers'
+    [-2p, |p|^2] (the norm in float64, cast) against the rows' [q, 1] gives
+    a k x m tile of at most BLOCK_ENTRIES scores S_j, each |q - p_j|^2 -
+    |q|^2 rounded; a row's least score s is a reduce over the tile's first
+    axis.  Filter: the tile is overwritten with S_j <= s + m as 0 or 1, m
+    the row's margin (below), and one float32 product [1; 0, 1, .., k - 1]
+    @ tile gives each row's candidate count and, for one candidate, its id.
+    Re-check: ``cdist`` measures every row with another count against every
+    center.
+
+    The margin is rigorous.  In the frame's units, with u = 2**-24, U =
+    2**-53, g_m = `_gamma` (m, u), t_j = |x' - c'_j|^2 for the exact x' =
+    (x - mu) 2**-e and c'_j, and R at least |q| + max |p_j|: the float64
+    centring and the cast move x' by at most 1.01 u |x'| + sqrt(d) 2**-126
+    (underflow), so |q - x'| <= eps_x = 1.02 u |q| + 1.01 sqrt(d) 2**-126,
+    and likewise each center.  |p_j|^2 is within 1.01 u |p_j|^2 + 2**-149,
+    so a score, a float32 dot product of length d + 1 in any order, is
+    within G = 1.01 g_(d+2) R^2 + (2d + 3) 2**-126 of |q - p_j|^2 - |q|^2.
+    A ``cdist`` distance is within c sqrt(t) + b of sqrt(t), c = (d/2 + 3)
+    U, b = sqrt(d) 2**(-537 - e) (see `_medoids`).  For a the ``cdist``
+    argmin and r the least score's center, cdist(a) <= cdist(r) gives
+    sqrt(t_a) <= ((1 + c) sqrt(t_r) + 2b) / (1 - c); with D_j = |q - p_j|
+    within eps_x + eps_j of sqrt(t_j) and D_a + D_r <= 2R,
+    S_a - s <= 2R max(0, D_a - D_r) + 2G <= (4.08 u + 4.04 c + 2.02
+    g_(d+2)) R^2 + (4.02 b + 8.2 sqrt(d) 2**-126) R + (4d + 6) 2**-126.
+    Take m = (2.02 g_(d+2) + 8u + 5c) R^2 + (4.1 b + sqrt(d) 2**-122) R
+    + (d + 2) 2**-122, for d + 2 <= 2**20 (else every row is re-checked).
+    The threshold s + m, summed in float64 and cast to float32, loses at
+    most (u + U)(|s| + m) + 2**-149 with |s| <= R^2 + G: for m <= 2 R^2
+    under 3.1 u R^2, which the 8u R^2 covers beyond the 4.08 u R^2 above,
+    its spare 0.8 u R^2 covering the rounding of m itself; a larger m keeps
+    every center, as S_j - s <= R^2 + 2G.  So a is a candidate: a row with
+    one candidate takes a, and ``cdist`` picks a among all centers for a
+    row with several.  R is (1 + 2.1 u)(|x'| + max |c'_j|) + sqrt(d)
+    2**-124 from the float64 norms before the cast.  No score overflows:
+    in `refine` the centers are rows or means of rows, within the frame's
+    bound."""
+    (n, d), k = X.shape, C.shape[0]
+    if k == 0:
+        raise ValueError("no centers to assign to")
+    if frame is None:
+        frame = _frame(X, C)
+    R = (C - frame.mu) * np.ldexp(1.0, -frame.e)
+    p = R.astype(np.float32)
+    centers = np.empty((k, d + 1), dtype=np.float32)
+    np.multiply(p, -2, out=centers[:, :d])
+    p = p.astype(np.float64)
+    centers[:, d] = np.einsum("ij,ij->i", p, p)
+    reach = float(np.sqrt(np.max(np.einsum("ij,ij->i", R, R))))
+    u, c = 2.0 ** -24, (d / 2 + 3) * 2.0 ** -53
+    square = (2.02 * _gamma(d + 2, u) + 8 * u + 5 * c
+              if (d + 2) * u <= 2.0 ** -4 else np.inf)
+    linear = np.sqrt(d) * (4.1 * np.ldexp(1.0, -537 - frame.e) + 2.0 ** -122)
+
+    def margin(norms: np.ndarray) -> np.ndarray:
+        r = (1 + 2.1 * u) * (norms + reach) + np.sqrt(d) * 2.0 ** -124
+        return (square * r + linear) * r + (d + 2) * 2.0 ** -122
+
+    tally = np.array([np.ones(k), np.arange(k)], dtype=np.float32)
+    labels = np.empty(n, dtype=np.intp)
+    if frame.rows is None:
+        blocks = _blocks(n, max(k, d + 1))
+        size = blocks[0][1] - blocks[0][0]
+        cast = np.empty(size * (d + 1), dtype=np.float32)
+        scratch = np.empty(size * d)
+    else:
+        blocks, margins = _blocks(n, k), margin(frame.norms)
+        size = blocks[0][1] - blocks[0][0]
+    tile = np.empty(k * size, dtype=np.float32)
+    with np.errstate(over="ignore"):  # an inf threshold keeps every center
+        for lo, hi in blocks:
+            m = hi - lo
+            if frame.rows is None:
+                rows = cast[:(d + 1) * m].reshape(d + 1, m)
+                gap = margin(_operands(X, frame, lo, hi, rows, scratch))
+            else:
+                rows, gap = frame.rows[:, lo:hi], margins[lo:hi]
+            S = np.matmul(centers, rows, out=tile[:k * m].reshape(k, m))
+            top = S.min(axis=0) + gap
+            np.less_equal(S, top.astype(np.float32), out=S)
+            count, labels[lo:hi] = tally @ S
+            again = lo + np.flatnonzero(count != 1)
+            if again.size:
+                labels[again] = np.argmin(cdist(C, X[again]), axis=0)
+    return labels
+
+
+def _residuals(X: np.ndarray, C: np.ndarray, labels: np.ndarray):
+    """(lo, hi, R) for each row block: R = X[lo:hi] - C[labels[lo:hi]], in
+    one buffer that every block reuses."""
+    blocks = _blocks(*X.shape)
+    buffer = np.empty((blocks[0][1] - blocks[0][0], X.shape[1]))
+    for lo, hi in blocks:
+        R = np.take(C, labels[lo:hi], axis=0, out=buffer[:hi - lo],
+                    mode="clip")  # "raise" would buffer the copy
+        yield lo, hi, np.subtract(X[lo:hi], R, out=R)
 
 
 def center_distances(rows: np.ndarray, clustering: Clustering) -> np.ndarray:
     """||x - c|| of every row to its own center, by ``np.linalg.norm``'s
-    arithmetic on one residual array, squared in place; rounds differently
+    arithmetic on residual row blocks, squared in place; rounds differently
     from `_point_cost`, which feeds the cluster costs.  A row whose squared
     residual underflows to 0 although the residual is nonzero gets its norm
     again from the residual scaled by its largest entry; every other
     distance keeps the plain norm's bits."""
     centers, labels = clustering.centers.positions, clustering.assignment
-    R = centers[labels]
-    np.subtract(rows, R, out=R)
-    dist = np.sqrt(np.add.reduce(np.multiply(R, R, out=R), axis=1))
+    dist = np.empty(rows.shape[0])
+    for lo, hi, R in _residuals(rows, centers, labels):
+        dist[lo:hi] = np.sqrt(np.add.reduce(np.multiply(R, R, out=R), axis=1))
     zero = np.flatnonzero(dist == 0)
     tiny = zero[np.any(rows[zero] != centers[labels[zero]], axis=1)]
     if tiny.size:
@@ -181,10 +328,11 @@ def center_distances(rows: np.ndarray, clustering: Clustering) -> np.ndarray:
 
 def _point_cost(X: np.ndarray, C: np.ndarray, labels: np.ndarray,
                 z: float) -> np.ndarray:
-    """||x - c||^z of every point to its labelled center, from the residual."""
-    R = C[labels]
-    np.subtract(X, R, out=R)
-    sq = np.einsum("ij,ij->i", R, R)
+    """||x - c||^z of every point to its labelled center, from the residual,
+    in row blocks."""
+    sq = np.empty(X.shape[0])
+    for lo, hi, R in _residuals(X, C, labels):
+        sq[lo:hi] = np.einsum("ij,ij->i", R, R)
     return sq if z == 2 else np.sqrt(sq) ** z
 
 
@@ -200,7 +348,7 @@ def _clustering(X: np.ndarray, centers: CenterList, labels: np.ndarray,
 def assign(data: Dataset, centers: CenterList, z: float) -> Clustering:
     """Assign every point to its nearest center (ties to the lowest cluster
     id) and compute per-cluster costs."""
-    labels = _nearest(data.rows, centers.positions).labels
+    labels = _nearest_labels(data.rows, centers.positions)
     return _clustering(data.rows, centers, labels, z)
 
 
@@ -639,55 +787,67 @@ def _medoids(points: np.ndarray, bounds: np.ndarray,
                      for (lo, _), r, e in zip(spans, kept, exact)])
 
 
-def _cluster_sums(X: np.ndarray, order: np.ndarray,
-                  bounds: np.ndarray) -> np.ndarray:
-    """Row i: the sum of cluster i's rows X[order[bounds[i]:bounds[i + 1]]]
-    (members in ascending row order), bit for bit the sum that
-    ``X[members].mean(axis=0)`` divides by the member count.
+def _members(labels: np.ndarray, k: int) -> tuple:
+    """(counts, bounds, order): cluster i's members, in ascending row order,
+    are order[bounds[i]:bounds[i + 1]].  A stable sort gives the same
+    permutation for any key dtype, and numpy radix-sorts 8- and 16-bit
+    keys."""
+    counts = np.bincount(labels, minlength=k)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")
+    return counts, bounds, order
+
+
+def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Row i: the sum of cluster i's rows, bit for bit the sum that
+    ``X[labels == i].mean(axis=0)`` divides by the member count.
 
     numpy sums the rows of a matrix one after another from +0.0, and so
-    does a CSR x dense product over each row's stored entries, here the
-    members with weight 1.0; every product is exact and no row is copied.
-    numpy sums a single column pairwise, so for d = 1 the column is
-    gathered and each cluster's slice summed as the mean sums it."""
+    does a CSC x dense product: it walks the rows of X in order, adding
+    each with weight 1.0 into its cluster's sum, so every product is exact,
+    each cluster adds its members in ascending row order, no row is copied
+    and no sort is needed.  numpy sums a single column pairwise, so for
+    d = 1 the column is gathered and each cluster's slice summed as the
+    mean sums it."""
     n, d = X.shape
     if d == 1:
+        _, bounds, order = _members(labels, k)
         grouped = X[order]
         return np.array([grouped[lo:hi].sum(axis=0)
                          for lo, hi in zip(bounds[:-1], bounds[1:])])
-    indicator = csr_matrix((np.ones(n), order, bounds),
-                           shape=(bounds.size - 1, n))
+    indicator = csc_matrix((np.ones(n), labels, np.arange(n + 1)),
+                           shape=(k, n))
     return indicator @ X
 
 
-def _gamma(m: int) -> float:
-    """Higham's gamma_m = m u / (1 - m u), u = 2**-53."""
-    return m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+def _sum_bounds(sums: np.ndarray, counts: np.ndarray, C: np.ndarray,
+                norms: tuple[float, float]) -> tuple[float, float]:
+    """Rigorous bounds lo <= T <= hi around T~ = Q - 2 sum_j c_j.S_j +
+    sum_j m_j ||c_j||^2, where T is the z=2 ``total_cost`` `_clustering`
+    reports for labels whose clusters have `counts` m_j and `_cluster_sums`
+    S_j about the centers c_j (rows of C), and `norms` = (Q, N), Q = sum
+    ||x||^2 and N = sum ||x|| over the rows.
 
-
-def _total_bounds(least: np.ndarray, C: np.ndarray,
-                  norms: tuple[float, float], d: int) -> tuple[float, float]:
-    """Rigorous bounds lo <= T <= hi around T~ = sum(least) + Q, where T is
-    the z=2 ``total_cost`` `assign` returns for the labels whose `_nearest`
-    scores are `least`, and `norms` = (Q, sum ||x||), Q = sum ||x||^2.
-
-    With u = 2**-53, g_m = `_gamma` (m), c the center of row x,
-    p = ||x - c||^2 and P = sum p: a score s (the GEMM's x.(-2c) plus
-    ||c||^2) plus ||x||^2 is within g_d (||x|| + ||c||)^2 + u |s| of p, and
-    sum (||x|| + ||c||)^2 <= Q + 2 M sum ||x|| + n M^2, M the largest center
-    norm.  The two n-term sums add g_(n-1) (sum |s| + Q) and their sum
-    u |T~|, so |T~ - P| <= e1.  T's residual squares, each within g_(d+2) p
-    of p, summed per cluster and over the clusters, give |T - P| <=
-    g_(n+k+d+2) (|T~| + e1).  Underflow adds at most 4 n d 2**-1022; the
-    1.01 covers the rounding of the norms and of the bound, and 2 u |T~|
-    that of T~ -+ err."""
-    n, k = least.size, C.shape[0]
-    Q, norm_sum = norms
-    M = float(np.sqrt(np.max(np.einsum("ij,ij->i", C, C))))
-    est = float(np.sum(least)) + Q
-    e1 = (_gamma(d) * (Q + 2 * M * norm_sum + n * M * M)
-          + _gamma(n + 1) * (float(np.sum(np.abs(least))) + Q)
-          + 2.0 ** -53 * abs(est) + 4 * n * d * 2.0 ** -1022)
+    T~ is the exact total P = sum ||x - c||^2 up to rounding.  With u =
+    2**-53, g_m = `_gamma` (m) and M the largest center norm: each sum S_j
+    is within g_n of the sum of its members' |x| per coordinate, so with
+    the float64 dot products and their sum, |c_j.S_j| summed over j is off
+    by at most g_(n+d+k) M N; the m_j ||c_j||^2 sum by g_(d+k+1) n M^2; Q
+    by g_(n+d) Q; and the two final additions by 2.01 u (Q + 2 M N +
+    n M^2), so |T~ - P| <= e1 = 1.05 g_(n+d+k+3) (Q + 2 M N + n M^2) plus
+    underflow, at most 4 (n + k) d 2**-1022 (the 1.05 covers the rounding
+    of Q, N and M).  T's residual squares, each within g_(d+2) p of p,
+    summed per cluster and over the clusters, give |T - P| <=
+    g_(n+k+d+2) (|T~| + e1); the 1.01 covers the rounding of the bound, and
+    2 u |T~| that of T~ -+ err."""
+    (k, d), n = C.shape, int(np.sum(counts))
+    Q, N = norms
+    cc = np.einsum("ij,ij->i", C, C)
+    M = float(np.sqrt(np.max(cc)))
+    est = (Q - 2 * float(np.sum(np.einsum("ij,ij->i", C, sums)))
+           + float(np.sum(counts * cc)))
+    e1 = (1.05 * _gamma(n + d + k + 3) * (Q + 2 * M * N + n * M * M)
+          + 4 * (n + k) * d * 2.0 ** -1022)
     err = (1.01 * (e1 + _gamma(n + k + d + 2) * (abs(est) + e1))
            + 2.0 ** -52 * abs(est))
     return est - err, est + err
@@ -696,13 +856,16 @@ def _total_bounds(least: np.ndarray, C: np.ndarray,
 @dataclass
 class _Step:
     """A refinement state; lo <= T <= hi bound the total cost T that `assign`
-    reports for it, and lo = hi = T once `exact` holds its clustering."""
+    reports for it, and lo = hi = T once `exact` holds its clustering.  A
+    z=2 state also holds its clusters' member counts and sums."""
 
     centers: CenterList
     labels: np.ndarray
     lo: float
     hi: float
     exact: Clustering | None = None
+    counts: np.ndarray | None = None
+    sums: np.ndarray | None = None
 
     def settle(self, X: np.ndarray, z: float) -> Clustering:
         if self.exact is None:
@@ -724,16 +887,19 @@ def refine(data: Dataset, centers: CenterList, z: float,
     distance^z) from the current centers that is not a center already,
     keeping k fixed.
 
-    Each iteration makes one n x k distance pass (`_nearest`).  For z=2 the
-    exact O(n d) cost pass runs only when a stop test needs it: a test that
-    the bounds on both totals from their GEMM scores (`_total_bounds`)
-    decide is decided, else it runs on both states' exact costs.  The
-    returned clustering is always exact.  For z=1 one thread pool, with a
-    thread per CPU this process may use, serves every medoid of the call;
-    while it exists BLAS runs on one thread, so no idle BLAS worker spins on
-    a CPU the pool needs.  A medoid pass recomputes only the clusters that a
-    row entered or left since the previous pass; the labels of that pass
-    are the previous state's.
+    Each iteration makes one n x k pass of the assignment kernel
+    (`_nearest_labels`).  For z=2 the call casts the rows to the kernel's
+    float32 operands once, and frees them before the final exact cost pass;
+    each state's step also sums its clusters (`_cluster_sums`), which give
+    the next update's means and rigorous bounds on the state's total
+    (`_sum_bounds`).  The exact O(n d) cost pass runs only when a stop test
+    needs it: a test that the bounds on both totals decide is decided, else
+    it runs on both states' exact costs.  The returned clustering is always
+    exact.  For z=1 one thread pool, with a thread per CPU this process may
+    use, serves every medoid of the call; while it exists BLAS runs on one
+    thread, so no idle BLAS worker spins on a CPU the pool needs.  A medoid
+    pass recomputes only the clusters that a row entered or left since the
+    previous pass; the labels of that pass are the previous state's.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -750,15 +916,18 @@ def refine(data: Dataset, centers: CenterList, z: float,
             sq = np.einsum("ij,ij->i", X, X)
             norms = float(np.sum(sq)), float(np.sum(np.sqrt(sq)))
             del sq
+            frame = _frame(X, centers.positions, keep=True)
 
         def step(centers: CenterList) -> _Step:
             if z == 1:
                 exact = assign(data, centers, z)
                 cost = exact.total_cost
                 return _Step(centers, exact.assignment, cost, cost, exact)
-            near = _nearest(X, centers.positions)
-            return _Step(centers, near.labels, *_total_bounds(
-                near.least, centers.positions, norms, X.shape[1]))
+            labels = _nearest_labels(X, centers.positions, frame)
+            counts = np.bincount(labels, minlength=len(centers))
+            sums = _cluster_sums(X, labels, len(centers))
+            lo, hi = _sum_bounds(sums, counts, centers.positions, norms)
+            return _Step(centers, labels, lo, hi, counts=counts, sums=sums)
 
         def decide(holds, prev: _Step, new: _Step) -> bool:
             """holds(T_prev, T_new, T_prev), falling in its first argument
@@ -773,21 +942,15 @@ def refine(data: Dataset, centers: CenterList, z: float,
         current, prev = step(centers), None
         for _ in range(max_iters):
             labels, k = current.labels, len(current.centers)
-            counts = np.bincount(labels, minlength=k)
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            # cluster i's members, in ascending row order, are
-            # order[bounds[i]:bounds[i + 1]]; a stable sort gives the same
-            # permutation for any key dtype, and numpy radix-sorts 8- and
-            # 16-bit keys
-            order = np.argsort(labels.astype(np.min_scalar_type(k)),
-                               kind="stable")
             positions = current.centers.positions.copy()
-            filled = np.flatnonzero(counts)
             if z == 2:
-                indices = None
-                positions[filled] = (_cluster_sums(X, order, bounds)[filled]
+                counts, indices = current.counts, None
+                filled = np.flatnonzero(counts)
+                positions[filled] = (current.sums[filled]
                                      / counts[filled, None])
             else:
+                counts, bounds, order = _members(labels, k)
+                filled = np.flatnonzero(counts)
                 # a cluster with the members its medoid came from keeps it;
                 # the others read their members' rows from one gathered copy
                 if prev is None:
@@ -827,6 +990,7 @@ def refine(data: Dataset, centers: CenterList, z: float,
                       old - new < REFINE_TOL * max(base, 1e-300),
                       prev, current):
                 break
+        frame = None  # the float32 operands go before the exact cost pass
         return current.settle(X, z)
 
 

@@ -185,7 +185,8 @@ def blas_threads(n: int):
     from before the first holder comes back when the last one exits.  A
     no-op without OpenBLAS.  A GEMM's last bits can depend on the count
     (``X @ C.T`` at n=20000, d=15, k=195 differed in a few dozen of 3.9M
-    entries between 1 and 2 threads), so assignment near-ties can too.
+    entries between 1 and 2 threads); clustering re-checks with ``cdist``
+    every result those bits could decide, so none depends on the count.
     OpenBLAS does not guard a count change against a concurrent BLAS call,
     so enter and exit where no other thread is in one."""
     if n < 1:

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -298,6 +299,30 @@ def _gaussian_instance(draw, scales):
     return Dataset(X), X[g.choice(n, k, replace=False)]
 
 
+@st.composite
+def _near_tie_instance(draw):
+    """(rows, centers) full of near-ties: rows on an integer grid or
+    Gaussian; centers that are rows, grid points, duplicates, mirror images
+    of a center through a row (equal distances there) and centers nudged by
+    a few float64 ulps (ties that float32 cannot resolve); all scaled by
+    2**-20 to 2**20 and shifted by 0 or 1e6 to 1e8."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        X = g.integers(-6, 7, size=(n, d)).astype(float)
+    else:
+        X = g.normal(size=(n, d))
+    C = [X[g.integers(n, size=draw(st.integers(1, 4)))],
+         g.integers(-6, 7, size=(draw(st.integers(0, 3)), d)).astype(float)]
+    C.append(C[0][:draw(st.integers(0, 2))])  # duplicates
+    C.append(2 * X[g.integers(n)] - C[0])  # mirrored through a row
+    C.append(C[0] * (1 + g.integers(-4, 5, size=C[0].shape) * 2.0 ** -52))
+    C = np.vstack(C)
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    offset = draw(st.sampled_from([0.0, 1e6, 1e7, 1e8]))
+    return X * scale + offset, C * scale + offset
+
+
 class TestAssignKernel:
     @settings(max_examples=200, deadline=None)
     @given(_grid_instance())
@@ -328,19 +353,31 @@ class TestAssignKernel:
         np.testing.assert_array_equal(
             centers.positions[clustering.assignment], data.rows)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.one_of(
-        _grid_instance().map(lambda case: case[:2]),
-        _gaussian_instance(st.integers(-20, 20).map(lambda e: 2.0 ** e))))
-    def test_prescaled_gemm_gives_the_labels_of_the_scaled_product(self, case):
-        data, C = case
-        # each center's mirror image through row 0 ties with it there
-        C = np.vstack([C, 2 * data.rows[0] - C])
-        D = data.rows @ C.T
-        D *= -2.0
-        D += np.einsum("ij,ij->i", C, C)
-        np.testing.assert_array_equal(
-            clustering_module._nearest(data.rows, C), np.argmin(D, axis=1))
+    @settings(max_examples=150, deadline=None)
+    @given(_near_tie_instance(), st.sampled_from([4, 64, 2 ** 16]),
+           st.booleans())
+    def test_labels_are_the_cdist_argmin(self, case, block, keep):
+        X, C = case
+        with mock.patch.object(clustering_module, "BLOCK_ENTRIES", block):
+            frame = clustering_module._frame(X, C, keep=keep)
+            got = clustering_module._nearest_labels(X, C, frame)
+        np.testing.assert_array_equal(got, np.argmin(cdist(X, C), axis=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_near_tie_instance(), st.integers(0, 2 ** 32 - 1))
+    def test_sum_bounds_bracket_the_total_cost(self, case, seed):
+        # any labels, not only the nearest centers'
+        X, C = case
+        labels = np.random.default_rng(seed).integers(C.shape[0],
+                                                      size=X.shape[0])
+        counts = np.bincount(labels, minlength=len(C))
+        sums = clustering_module._cluster_sums(X, labels, len(C))
+        sq = np.einsum("ij,ij->i", X, X)
+        lo, hi = clustering_module._sum_bounds(
+            sums, counts, C, (float(np.sum(sq)), float(np.sum(np.sqrt(sq)))))
+        total = clustering_module._clustering(X, CenterList(C), labels,
+                                              2).total_cost
+        assert lo <= total <= hi
 
     def test_far_from_the_origin(self):
         # ||x||^2 ~ 1e12 dwarfs the unit distances; the residual cost is
@@ -622,7 +659,7 @@ class TestCertifiedStop:
         # bounds from the GEMM scores decide every stop test on their own
         data = blobs(100, [[0, 0], [6, 0], [0, 6], [6, 6]], seed=1)
         seeds = dz_seed(data, 4, 2, RngStream(0, "blobs"))
-        calls = {"_nearest": 0, "_point_cost": 0}
+        calls = {"_nearest_labels": 0, "_point_cost": 0}
         for name in calls:
             real = getattr(clustering_module, name)
 
@@ -632,7 +669,7 @@ class TestCertifiedStop:
 
             monkeypatch.setattr(clustering_module, name, counted)
         got = refine(data, seeds, 2)
-        assert calls["_nearest"] > 5 and calls["_point_cost"] == 1
+        assert calls["_nearest_labels"] > 5 and calls["_point_cost"] == 1
         monkeypatch.undo()
         assert_same_clustering(got, reference_refine(data, seeds, 2))
 
@@ -1072,14 +1109,14 @@ class TestRefineBlasCap:
 
     def test_z2_leaves_blas_alone(self, monkeypatch, blas_log):
         monkeypatch.setattr(clustering_module, "_cpu_count", lambda: 4)
-        real_nearest = clustering_module._nearest
+        real_nearest = clustering_module._nearest_labels
         seen = []
 
-        def spy(X, C):
+        def spy(*args):
             seen.append(blas_log["count"])
-            return real_nearest(X, C)
+            return real_nearest(*args)
 
-        monkeypatch.setattr(clustering_module, "_nearest", spy)
+        monkeypatch.setattr(clustering_module, "_nearest_labels", spy)
         data = blobs(60, [[0, 0], [5, 0]], seed=3)
         refine(data, dz_seed(data, 2, 2, RngStream(1, "cap")), 2)
         assert set(seen) == {2}
@@ -1087,7 +1124,8 @@ class TestRefineBlasCap:
 
 class TestCenterDistances:
     def test_one_residual_array(self):
-        # the residual is squared in place: no second n x d temporary
+        # the residual is a row block of at most BLOCK_ENTRIES entries,
+        # reused and squared in place: the distances plus one block
         n, d = 20000, 32
         rows = np.random.default_rng(0).normal(size=(n, d))
         clustering = assign(Dataset(rows), CenterList(rows[:8]), 2)
@@ -1097,7 +1135,7 @@ class TestCenterDistances:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * d * 8
+        assert peak < 8 * n + 1.25 * 8 * clustering_module.BLOCK_ENTRIES
 
     def test_underflowing_residuals_get_their_norm(self):
         # squared, these residuals are below the smallest subnormal

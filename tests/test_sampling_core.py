@@ -9,6 +9,8 @@ must equal the reference's bit for bit.
 """
 
 import math
+import shlex
+import sys
 import warnings
 
 import numpy as np
@@ -338,7 +340,8 @@ def _selection_bytes(rows, losses, targets, k, z, seed):
     arrays = [sample.indices, sample.weights, clustering.assignment,
               clustering.centers.positions, clustering.cluster_cost, plan.p,
               plan.w, reg_sample.indices, reg_sample.weights, reg.p, reg.w,
-              reg.x0, reg.clustering.centers.positions]
+              reg.x0, reg.clustering.centers.positions,
+              reg.clustering.assignment]
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
@@ -354,3 +357,27 @@ def test_blas_cap_changes_no_output(case, z):
     with core.blas_threads(1):
         capped = _selection_bytes(rows, losses, targets, k, z, seed)
     assert free == capped
+
+
+@pytest.mark.skipif(not core._openblas_controls(),
+                    reason="no OpenBLAS loaded")
+@settings(max_examples=3, deadline=None)
+@given(blas_case())
+def test_process_oracle_cap_changes_no_sample(case):
+    """A process oracle caps BLAS threads while its block is open, so the
+    clustering inside runs on fewer threads than with a table oracle; the
+    labels and the sample are the same bytes."""
+    rows, _, _, k, seed = case
+    n = rows.shape[0]
+    command = (f"{shlex.quote(sys.executable)} -c 'import sys; "
+               "[print(int(l) / 2, flush=True) for l in sys.stdin]'")
+
+    def select(oracle):
+        sample, _, clustering, _ = data_select(
+            Dataset(rows), k, 0.3, 0.5, oracle, 2, RngStream(seed, "pipe"))
+        return [a.tobytes() for a in (sample.indices, sample.weights,
+                                      clustering.assignment)]
+
+    table = select(LossOracle.from_table(np.arange(n) / 2))
+    with LossOracle.from_command(command, n) as oracle:
+        assert select(oracle) == table
