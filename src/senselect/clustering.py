@@ -28,26 +28,16 @@ rigorous bounds on each state's total from its cluster sums
 (`_sum_bounds`), and exact costs only when the bounds cannot decide them
 (`refine`), so every result is that of exact costs.
 
-The z=1 medoids are exact (`_medoids`).  A lower bound first rules rows
-out: by convexity, a row's distance sum is at least the sum over cells of
-the cluster of (cell size) x (distance to the cell's mean), which one
-float32 product against about MEDOID_CELLS cell means per group gives,
-less a rigorous rounding term; a row whose bound exceeds an upper bound on
-the least sum cannot be the medoid.  A filter then sums the distances of
-the remaining rows only, over float32 GEMM tiles (the upper triangle among
-them, row sums only against the others), and a re-check sums with
-``cdist`` row by row every row within a rigorous rounding margin of its
-cluster's least filtered sum, so each medoid is its full matrix's row-sum
-argmin, bit for bit, whatever bits the GEMM gives.  A cluster that is
-several far-apart groups of rows (`_groups`; two blobs, or a blob and a
-far row) is bounded and filtered group by group: distances inside a group
-are centred on its own mean, and those between two groups take a bound
-that shrinks with the distance between them, so the margin stays a few
-rows wide.  Each cluster is one task on a pool with a thread per CPU this
-process may use (BLAS and ``cdist`` release the GIL); tiles and re-check
-blocks shrink with the thread count, keeping MEDOID_BLOCK rows in flight.
-A z=1 refinement recomputes only the medoids of clusters whose members
-changed since the last medoid pass.
+The z=1 medoids are exact (`_medoids`), each cluster one task on a pool
+with a thread per CPU this process may use (BLAS and ``cdist`` release the
+GIL).  A convexity lower bound (`_lower_bounds`) drops the rows that cannot
+be the medoid, float32 GEMM tiles (`_tile_sums`) sum the other rows'
+distances within rigorous margins (`_filter_operands`), which far-apart
+groups of rows (`_groups`) keep narrow, and ``cdist`` sums again every row
+within its margin of the least, so each medoid is its full matrix's row-sum
+argmin, bit for bit, whatever bits the GEMM gives.  A z=1 refinement
+recomputes only the medoids of clusters whose members changed since the
+last medoid pass.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -227,7 +217,7 @@ def _nearest_labels(X: np.ndarray, C: np.ndarray,
     so a score, a float32 dot product of length d + 1 in any order, is
     within G = 1.01 g_(d+2) R^2 + (2d + 3) 2**-126 of |q - p_j|^2 - |q|^2.
     A ``cdist`` distance is within c sqrt(t) + b of sqrt(t), c = (d/2 + 3)
-    U, b = sqrt(d) 2**(-537 - e) (see `_medoids`).  For a the ``cdist``
+    U, b = sqrt(d) 2**(-537 - e) (see `_filter_operands`).  For a the ``cdist``
     argmin and r the least score's center, cdist(a) <= cdist(r) gives
     sqrt(t_a) <= ((1 + c) sqrt(t_r) + 2b) / (1 - c); with D_j = |q - p_j|
     within eps_x + eps_j of sqrt(t_j) and D_a + D_r <= 2R,
@@ -420,7 +410,7 @@ def _groups(P: np.ndarray, limit: int, side: int):
     part again.  A part's ball is centred near its mean and reaches its
     farthest member by ``cdist``; a cut holds when the balls are disjoint.
     A ``cdist`` distance t is within (d/2 + 3) U t + b of the true one,
-    b = sqrt(d) 2**-537 (see `_medoids`), so the gap is at least
+    b = sqrt(d) 2**-537 (see `_filter_operands`), so the gap is at least
     delta (1 - c) - (r_A + r_B)(1 + c) - 4 b for the measured centre
     distance delta and radii r, c = 2 g_(d+3) (`_gamma`), whose spare half
     covers the rounding of this sum when it is positive."""
@@ -452,45 +442,71 @@ def _groups(P: np.ndarray, limit: int, side: int):
     return np.concatenate(order), sizes, gaps
 
 
-def _medoids(points: np.ndarray, bounds: np.ndarray,
-             pool: ThreadPoolExecutor | None = None,
-             workers: int = 1) -> np.ndarray:
-    """Row of `points` that is the medoid of each cluster i, whose members
-    are points[bounds[i]:bounds[i + 1]] (at least one): ties to the lowest
-    row.
+@dataclass(frozen=True)
+class _Filter:
+    """One cluster's rows for the medoid filter (`_filter_operands`), group
+    by group: offsets `order` in the cluster (None: row order), group g's
+    rows ends[g]:ends[g + 1], and gap[g, h] = t' for groups g, h; ops[g] =
+    (start, scale, left, right, norms) for group g's rows from `start` on,
+    in its own frame times `scale`, and ops[-1] the whole cluster's, scaled
+    by 2**-e."""
 
-    Groups: `_groups` cuts each cluster into far-apart groups (one for a
-    compact cluster), and the filter lists its rows group by group.
-    Operands: a group's rows, centred on their mean, are scaled by 2**-e
-    below 1 in magnitude and cast to float32 (q); one product [q, |q|^2, 1]
-    @ [-2p, 1, |p|^2].T gives squared distances to points p, clamped at 0
+    order: np.ndarray | None
+    ends: np.ndarray
+    gap: np.ndarray
+    e: int
+    ops: list
+    floor: np.ndarray
+    err: np.ndarray
+    mb: float
+    side: int
+    spill: float
+
+
+def _gemm_operands(q: np.ndarray):
+    """The float64 norms |q| of float32 rows q, and their GEMM operands
+    [q, |q|^2, 1] and [-2q, 1, |q|^2]."""
+    d = q.shape[1]
+    left = np.empty((q.shape[0], d + 2), dtype=np.float32)
+    right = np.empty_like(left)
+    left[:, :d] = q
+    sq = np.einsum("ij,ij->i", q, q)
+    left[:, d], left[:, d + 1] = sq, 1
+    np.multiply(q, -2, out=right[:, :d])
+    right[:, d], right[:, d + 1] = 1, sq
+    return np.sqrt(sq, dtype=np.float64), left, right
+
+
+def _centred(P: np.ndarray):
+    """e, the norms |q| and the GEMM operands of the rows P, centred on
+    their mean and scaled by 2**-e, as float32 rows q."""
+    R = P - np.ones(P.shape[0]) @ P / P.shape[0]
+    e = int(np.frexp(np.max(np.abs(R)))[1])
+    return e, *_gemm_operands(np.ldexp(R, -e).astype(np.float32))
+
+
+def _spread(d: int, n: np.ndarray, count, s1, s2, t: float) -> tuple:
+    """(n_iH, r_iH) of `_filter_operands` for rows of norms n against
+    `count` points whose norms sum to s1 and their squares to s2, t (if
+    > 0) bounding their distances below."""
+    g3 = 3 * _gamma(d + 2, 2.0 ** -24)
+    reach = count * n + s1
+    near = 1.01 * np.sqrt(g3) * reach
+    if t > 0:
+        near = np.minimum(near, (
+            g3 * (count * n ** 2 + 2 * n * s1 + s2)
+            + count * (d + 1) * 2.0 ** -123) / t + 1.01 * 2.0 ** -24 * reach)
+    return near + count * (np.sqrt(d + 2) * 2.0 ** -60), reach
+
+
+def _filter_operands(P: np.ndarray, side: int) -> _Filter:
+    """The medoid filter's operands and margins for the rows P of one
+    cluster, cut into far-apart groups (`_groups`), with tiles of `side`
+    rows.  A group's rows, centred on their mean, are scaled by 2**-e below
+    1 in magnitude and cast to float32 (q); one product [q, |q|^2, 1] @
+    [-2p, 1, |p|^2].T gives squared distances to points p, clamped at 0
     before the sqrt.  Distances between two groups take the whole
     cluster's operands, centred on its mean.
-    Bound: a cluster of more than one tile (`side` rows) first rules rows
-    out.  Each group is cut into at most MEDOID_CELLS cells, each row in
-    the cell of the nearest of that many evenly strided pivot rows.  For a
-    cell c of n_c rows with mean mu_c, convexity (Jensen) gives sum over j
-    in c of |x_i - x_j| >= n_c |x_i - mu_c|, so lb_i, the sum over every
-    cell of n_c |x_i - mu_c| less a rounding term, is at most row i's
-    distance sum; it takes one float32 product of the rows' operands with
-    the cells' means, in row blocks of at most side**2 entries (cells of
-    other groups in the cluster's frame).  For j the row of least lb and
-    F_j its filtered sum, a row is filtered only if lb_i <= (1 + rel) F_j
-    + err_j, which every exact argmin meets (below).
-    Filter: tiles among the filtered rows, listed first in each group, sum
-    the upper triangle (a diagonal tile of more than MEDOID_DIAGONAL rows
-    as two diagonal halves and the block between), and tiles of filtered
-    rows against the other rows sum their rows only; with no row ruled out
-    the tiles cover the cluster's upper triangle.  float32 products with a
-    ones vector give a tile's row and column sums; between two groups a
-    float32 floor f below the distances is taken off before they are
-    summed and added back in float64.  Each cluster is one task on `pool`,
-    its bound and filter sharing its operands (the filter's permuted, not
-    computed again), and sums its tiles in list order, so thread timing
-    never changes a sum.  Re-check: `_distance_sums` of every row the
-    filter keeps, and the lowest row among each cluster's least exact sums
-    wins, so each medoid is ``argmin(np.sum(cdist(P, P), axis=1))`` of its
-    members P.
 
     The margin is rigorous, and one row's is not widened by another far
     row.  In scaled units, with u = 2**-24, g = (d + 2) u / (1 - (d + 2) u),
@@ -509,279 +525,260 @@ def _medoids(points: np.ndarray, bounds: np.ndarray,
     over j in H, at least sum t_ij, row i's errors over H sum to
     n_iH = min(1.01 sqrt(3 g) r_iH, (3 g (|H| |q_i|**2 + 2 |q_i| sum |q_j|
     + sum |q_j|**2) + |H| w) / t' + 1.01 u r_iH) + |H| h (the second when
-    t' > 0), from the whole cluster's q; over i's own group G the first,
-    from the group's q and times 2**(e_G - e), an exact power of two, into
-    the cluster's units.  A float32 tile sum, of any order of at most
-    `side` terms after f <= t' is taken off, is within v = 1.01 (2 side +
-    1) u of its terms' magnitudes, at most r_iH + n_iH - |H| f between
-    groups and r_iG within (the 1.1 below covers v n_iG); k_i is the sum
-    of the n_iH, n_iG and v times those magnitudes.  The float32 sqrt and
-    the float64 sums add a relative a = u + 3 m U, so a filtered row sum
-    F_i is within 1.01 k_i + a T_i of T_i.  A ``cdist`` distance is within
-    (d/2 + 3) U t of t plus sqrt(d) 2**-537 in the data's units, as a
-    square below 2**-1074 vanishes (subnormal rows may read at distance 0):
-    b = sqrt(d) 2**(-537 - e) scaled, and an exact sum is within m b + c T
-    of T, c = (m + d + 8) U.  For i an exact argmin and any row j,
-    T_i - T_j <= 2 m b + c (T_i + T_j) and T_i + T_j <= 2.01 (F_j +
-    1.01 k_j + m b), so F_i - F_j is at most 1.02 (k_i + k_j) + 2.01 m b
-    + 2.03 (a + c) F_j.  With err_i = 1.1 (k_i + m b), and sqrt(s_i) for
-    |q_i| (the 1.1 covers that), row i is kept when F_i - err_i <=
-    (1 + 5 (a + c)) F_j + err_j for the j that makes the right side least.
+    t' > 0; `_spread`), from the whole cluster's q; over i's own group G
+    the first, from the group's q and times 2**(e_G - e), an exact power of
+    two, into the cluster's units.  A float32 tile sum (`_tile_sums`), of
+    any order of at most `side` terms after f <= t' is taken off, is within
+    `spill` v = 1.01 (2 side + 1) u of its terms' magnitudes, at most r_iH
+    + n_iH - |H| f between groups and r_iG within (the 1.1 below covers
+    v n_iG); k_i is the sum of the n_iH, n_iG and v times those magnitudes.
+    The float32 sqrt and the float64 sums add a relative a = u + 3 m U, so
+    a filtered row sum F_i is within 1.01 k_i + a T_i of T_i, and err_i =
+    1.1 (k_i + m b), with sqrt(s_i) for |q_i| (the 1.1 covers that).  m b
+    bounds a ``cdist`` row sum's absolute error: a ``cdist`` distance is
+    within (d/2 + 3) U t of t plus sqrt(d) 2**-537 in the data's units, as
+    a square below 2**-1074 vanishes (subnormal rows may read at distance
+    0), so b = sqrt(d) 2**(-537 - e) scaled, and a ``cdist`` row sum is
+    within m b + c T of T, c = (m + d + 8) U."""
+    m, d = P.shape
+    order, sizes, gaps = _groups(P, MEDOID_GROUPS, side)
+    ends = np.cumsum([0, *sizes])
+    P = P if order is None else P[order]
+    e, norm, left, right = whole = _centred(P)
+    spill = 1.01 * (2 * side + 1) * 2.0 ** -24
+    ops, k = [], np.empty(m)
+    for s, t in zip(ends[:-1], ends[1:]):
+        e_g, n, left_g, right_g = whole if order is None else _centred(P[s:t])
+        scale = np.ldexp(1.0, e_g - e)
+        near, reach = _spread(d, n, t - s, np.sum(n), 0.0, 0.0)
+        k[s:t] = scale * (near + spill * reach)
+        ops.append((s, scale, left_g, right_g, n))
+    gap = np.ldexp(gaps, -e) - np.sqrt(d) * 2.0 ** -22  # t' of each pair
+    floor = np.where(gap > 0, gap * (1 - 2.0 ** -20), 0).astype(np.float32)
+    for g, h in itertools.permutations(range(len(sizes)), 2):
+        n_i, n_h = norm[ends[g]:ends[g + 1]], norm[ends[h]:ends[h + 1]]
+        near, reach = _spread(d, n_i, n_h.size, np.sum(n_h),
+                              np.sum(n_h ** 2), gap[g, h])
+        k[ends[g]:ends[g + 1]] += near + spill * (
+            near + reach - n_h.size * float(floor[g, h]))
+    mb = m * np.sqrt(d) * np.ldexp(1.0, -537 - e)
+    ops.append((0, np.float64(1), left, right, norm))
+    return _Filter(order, ends, gap, e, ops, floor, 1.1 * (k + mb), mb,
+                   side, spill)
 
-    The bound is rigorous too.  In the frame of the cells' scores (row i's
+
+def _cells(left: np.ndarray, right: np.ndarray, frames, side: int) -> list:
+    """Cuts rows (operands left, right) into cells around evenly strided
+    pivot rows, each row to the least float32 score, in row blocks of at
+    most side**2 scores; per frame (the rows' float32 coordinates and
+    norms), the cells' (right operand, float32 counts, sum of count x norm
+    and of count x norm**2, delta of `_lower_bounds`)."""
+    m, d = left.shape[0], left.shape[1] - 2
+    count = min(MEDOID_CELLS, m)
+    pivots = right[np.arange(count) * m // count]
+    block = max(1, side * side // count)
+    labels = np.concatenate([
+        np.argmin(left[a:a + block] @ pivots.T, axis=1)
+        for a in range(0, m, block)]).astype(np.min_scalar_type(count))
+    counts = np.bincount(labels)
+    counts = counts[counts > 0]
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(labels, kind="stable")
+    out = []
+    for q, n in frames:
+        sums = np.add.reduceat(q[order], starts, dtype=np.float64)
+        norm, _, cell_right = _gemm_operands(
+            (sums / counts[:, None]).astype(np.float32))
+        s1 = np.add.reduceat(n[order], starts)
+        delta = (1.01 * 2.0 ** -24 * norm
+                 + 1.01 * (counts + 1) * 2.0 ** -53 * s1 / counts
+                 + np.sqrt(d) * 2.0 ** -149)
+        out.append((cell_right, counts.astype(np.float32), counts @ norm,
+                    counts @ norm ** 2, delta))
+    return out
+
+
+def _lower_bounds(flt: _Filter) -> np.ndarray:
+    """lb_i, at most T_i - 1.1 m b, for the distance sum T_i of each row of
+    the filter, in the cluster's units.  Each group is cut into at most
+    MEDOID_CELLS cells (`_cells`).  For a cell c of n_c rows with mean
+    mu_c, convexity (Jensen) gives sum over j in c of |x_i - x_j| >= n_c
+    |x_i - mu_c|, so lb_i is the sum over every cell of the cluster of
+    n_c |x_i - mu_c|, less a rounding term: one float32 product of the
+    rows' operands with the cells' means, in row blocks of at most side**2
+    entries (cells of other groups in the cluster's frame).
+
+    The bound is rigorous.  In the frame of the cells' scores (row i's
     group's for its own cells, times 2**(e_G - e); the cluster's for the
-    others), let mu_c be the exact mean of the cast rows q_j of cell c and
-    mu~_c its float32 value.  The cast moves sum t_ij over j in c by at
-    most sum 1.01 u (|q_i| + |q_j|); Jensen gives n_c |q_i - mu_c|; float64
-    sums, the division and the cast leave |mu~_c - mu_c| <= delta_c =
-    1.01 u |mu~_c| + 1.01 (n_c + 1) U mean |q_j| + sqrt(d) 2**-149; and
-    the clamped root of the score is within min(sqrt E, E / tau) of
-    |q_i - mu~_c|, E as above with mu~_c for q_j, where tau = t' - max
-    delta_c bounds it below for another group's cells (their means lie in
-    that group's ball).  Summed with weights n_c, these errors are at most
-    n_iH (n_iG) with the cells' counts and norms |mu~_c| for the rows'.
-    The float32 root and the float32 weighted sum over C cells add a
-    relative 1.01 (C + 3) u, so lb_i = (1 - 1.01 (C + 3) u) lb~_i - 1.1
-    (the sum over groups of n_iH, the cast and n_c delta_c terms, + m b)
-    - 2**-1022 (the scale's underflow) is at most T_i - 1.1 m b, and with
-    the margin's inequalities an exact argmin i has T_i <= (1 + 2.1
-    (a + c)) (F_j + 1.01 k_j) + 2.01 m b <= (1 + 5 (a + c)) F_j + err_j
-    + 1.1 m b for any j."""
-    d = points.shape[1]
+    others), with `_filter_operands`' notation, let mu_c be the exact mean
+    of the cast rows q_j of cell c and mu~_c its float32 value.  The cast
+    moves sum t_ij over j in c by at most sum 1.01 u (|q_i| + |q_j|);
+    Jensen gives n_c |q_i - mu_c|; float64 sums, the division and the cast
+    leave |mu~_c - mu_c| <= delta_c = 1.01 u |mu~_c| + 1.01 (n_c + 1) U
+    mean |q_j| + sqrt(d) 2**-149; and the clamped root of the score is
+    within min(sqrt E, E / tau) of |q_i - mu~_c|, E as there with mu~_c
+    for q_j, where tau = t' - max delta_c bounds it below for another
+    group's cells (their means lie in that group's ball).  Summed with
+    weights n_c, these errors are at most n_iH (n_iG) with the cells'
+    counts and norms |mu~_c| for the rows'.  The float32 root and the
+    float32 weighted sum over C cells add a relative 1.01 (C + 3) u, so
+    lb_i = (1 - 1.01 (C + 3) u) lb~_i - 1.1 (the sum over groups of n_iH,
+    the cast and n_c delta_c terms, + m b) - 2**-1022 (the scale's
+    underflow) is at most T_i - 1.1 m b."""
+    ends, side = flt.ends, flt.side
+    _, _, left, _, norm = flt.ops[-1]
+    m, d, u = left.shape[0], left.shape[1] - 2, 2.0 ** -24
+    many = len(flt.ops) > 2
+    own = [_cells(left_g, right_g, [(left_g[:, :d], n_g)] + (
+               [(left[s:t, :d], norm[s:t])] if many else []), side)
+           for (s, _, left_g, right_g, n_g), t in zip(flt.ops, ends[1:])]
+    lb, slack = np.zeros(m), np.full(m, flt.mb)
+    for g, (s, scale, left_g, _, n_g) in enumerate(flt.ops[:-1]):
+        t = ends[g + 1]
+        right, counts, s1, s2, delta = own[g][0]
+        near, _ = _spread(d, n_g, t - s, s1, s2, 0.0)
+        slack[s:t] += scale * (near + 1.01 * u * ((t - s) * n_g
+                                                  + np.sum(n_g))
+                               + counts @ delta)
+        others = [h for h in range(len(own)) if h != g]
+        for h in others:
+            _, counts_h, s1, s2, delta = own[h][1]
+            n_h = norm[ends[h]:ends[h + 1]]
+            tau = flt.gap[g, h] - np.max(delta)
+            near, _ = _spread(d, norm[s:t], n_h.size, s1, s2, tau)
+            slack[s:t] += near + 1.01 * u * (
+                n_h.size * norm[s:t] + np.sum(n_h)) + counts_h @ delta
+        if others:
+            right_x = np.vstack([own[h][1][0] for h in others])
+            counts_x = np.concatenate([own[h][1][1] for h in others])
+        block = max(1, side * side // max(
+            right.shape[0], right_x.shape[0] if others else 0))
+        for a in range(s, t, block):
+            ea = min(a + block, t)
+            D = left_g[a - s:ea - s] @ right.T
+            np.sqrt(np.maximum(D, 0, out=D), out=D)
+            lb[a:ea] += scale * (D @ counts)
+            if others:
+                D = left[a:ea] @ right_x.T
+                np.sqrt(np.maximum(D, 0, out=D), out=D)
+                lb[a:ea] += D @ counts_x
+    cells_total = sum(o[0][1].size for o in own)
+    return ((1 - 1.01 * (cells_total + 3) * u) * lb - 1.1 * slack
+            - 2.0 ** -1022)
+
+
+def _diagonal(g: int, a: int, ea: int) -> list:
+    """A diagonal tile, cut into two diagonal halves and the block between
+    them while it is larger than MEDOID_DIAGONAL rows."""
+    if ea - a <= MEDOID_DIAGONAL:
+        return [(g, a, ea, g, a, ea, False)]
+    mid = (a + ea) // 2
+    return [*_diagonal(g, a, mid), (g, a, mid, g, mid, ea, True),
+            *_diagonal(g, mid, ea)]
+
+
+def _tiles(ends: np.ndarray, top, side: int) -> list:
+    """Tiles (g, a, ea, h, b, eb, both) of rows a:ea of group g against b:eb
+    of group h, where group g's rows ends[g]:ends[g + 1] are filtered up to
+    top[g]: the upper triangle among filtered rows (`_diagonal` tiles on the
+    diagonal), summed by row and, with `both`, by column, and filtered rows
+    against the others by row only."""
+    tiles = []
+    for g in range(ends.size - 1):
+        for a in range(ends[g], top[g], side):
+            ea = min(a + side, top[g])
+            for h in range(g, ends.size - 1):
+                for b in range(a if g == h else ends[h], top[h], side):
+                    tiles += (_diagonal(g, a, ea) if a == b else
+                              [(g, a, ea, h, b, min(b + side, top[h]), True)])
+            for h in range(ends.size - 1):
+                for b in range(top[h], ends[h + 1], side):
+                    tiles.append((g, a, ea, h, b, min(b + side, ends[h + 1]),
+                                  False))
+    return tiles
+
+
+def _tile(flt: _Filter, g: int, a: int, ea: int, h: int, b: int,
+          eb: int) -> tuple:
+    """(scale, D, f): the float32 distances D between rows a:ea of group g
+    and b:eb of group h less the tile's floor f, and D's scale."""
+    s_a, scale, left, _, _ = flt.ops[g if g == h else -1]
+    s_b, _, _, right, _ = flt.ops[h if g == h else -1]
+    D = left[a - s_a:ea - s_a] @ right[b - s_b:eb - s_b].T
+    np.sqrt(np.maximum(D, 0, out=D), out=D)
+    f = flt.floor[g, h]
+    if f:
+        D -= f
+    return scale, D, float(f)
+
+
+def _tile_sums(flt: _Filter, tiles: list) -> np.ndarray:
+    """The filtered row sums F over `tiles`, in list order: float32 products
+    with a ones vector, and each tile's floor added back in float64."""
+    ones = np.ones(flt.side, dtype=np.float32)
+    sums = np.zeros(flt.err.size)
+    for g, a, ea, h, b, eb, both in tiles:
+        scale, D, f = _tile(flt, g, a, ea, h, b, eb)
+        sums[a:ea] += scale * (D @ ones[:eb - b]) + f * (eb - b)
+        if both:
+            sums[b:eb] += scale * (ones[:ea - a] @ D) + f * (ea - a)
+        del D  # before the next tile's is computed
+    return sums
+
+
+def _candidates(P: np.ndarray, side: int) -> np.ndarray:
+    """Row offsets, ascending, of the rows P of one cluster whose ``cdist``
+    row sum may be the least, with tiles of `side` rows (in the notation of
+    `_filter_operands`).  A cluster of more than one tile keeps only rows
+    whose lower bound (`_lower_bounds`) is at most (1 + 3c)(T~_j 2**-e +
+    2 m b), T~_j the ``cdist`` sum of the row j of least bound: the
+    ``cdist`` argmin i has T~_i <= T~_j, so lb_i <= T_i <= (1 + 2c)(T~_j +
+    m b), the spare c covering the cap's rounding.  Of their filtered sums
+    F (`_tile_sums`), row i is kept when F_i - err_i <= (1 + 5 (a + c)) F_j
+    + err_j for the j that makes the right side least: T_i - T_j <= 2 m b +
+    c (T_i + T_j) and T_i + T_j <= 2.01 (F_j + 1.01 k_j + m b), so F_i -
+    F_j <= 1.02 (k_i + k_j) + 2.01 m b + 2.03 (a + c) F_j."""
+    m, d = P.shape
+    flt = _filter_operands(P, side)
+    top = flt.ends[1:]  # each group's filtered rows end at top[g]
+    if m > side:
+        lb = _lower_bounds(flt)
+        j = int(np.argmin(lb))
+        row = j if flt.order is None else flt.order[j]
+        exact = np.ldexp(np.sum(cdist(P[row:row + 1], P)), -flt.e)
+        c = (m + d + 8) * 2.0 ** -53
+        keep = lb <= (1 + 3 * c) * (exact + 2 * flt.mb)
+        spans = list(zip(flt.ends[:-1], top))
+        top = [s + np.count_nonzero(keep[s:t]) for s, t in spans]
+        # each group's kept rows first, in every per-row array
+        perm = np.concatenate([s + np.flatnonzero(part) for s, t in spans
+                               for part in (keep[s:t], ~keep[s:t])])
+        many = len(spans) > 1  # else the group's operands are the cluster's
+        ops = [(s, scale, *(x[perm[s:s + x.shape[0]] - s] for x in arrays))
+               for s, scale, *arrays in flt.ops[:len(spans) + many]]
+        order = perm if flt.order is None else flt.order[perm]
+        flt = replace(flt, order=order, ops=ops if many else ops * 2,
+                      err=flt.err[perm])
+    sums, err = _tile_sums(flt, _tiles(flt.ends, top, side)), flt.err
+    at = np.concatenate([np.arange(s, t) for s, t in zip(flt.ends[:-1], top)])
+    rel = 5 * (2.0 ** -24 + (4 * m + d + 8) * 2.0 ** -53)
+    at = at[sums[at] - err[at] <= np.min((1 + rel) * sums[at] + err[at])]
+    return at if flt.order is None else np.sort(flt.order[at])
+
+
+def _medoids(points: np.ndarray, bounds: np.ndarray,
+             pool: ThreadPoolExecutor | None = None,
+             workers: int = 1) -> np.ndarray:
+    """Row of `points` that is the medoid of each cluster i, whose members
+    are points[bounds[i]:bounds[i + 1]] (at least one): ``argmin(np.sum(
+    cdist(P, P), axis=1))`` of its members P, ties to the lowest row.  Each
+    cluster is one task on `pool` (`_candidates`, tiles of MEDOID_BLOCK //
+    workers rows), and `_distance_sums` re-checks the rows each keeps."""
     side = max(1, MEDOID_BLOCK // workers)
     spans = list(zip(bounds[:-1], bounds[1:]))
-    groups = [_groups(points[lo:hi], MEDOID_GROUPS, side) for lo, hi in spans]
-    ends = [np.cumsum([0, *sizes]) for _, sizes, _ in groups]
-    u, U = 2.0 ** -24, 2.0 ** -53
-    g3 = 3 * ((d + 2) * u / (1 - (d + 2) * u))
-    root, flush = 1.01 * np.sqrt(g3), np.sqrt(d + 2) * 2.0 ** -60
-    spill = 1.01 * (2 * side + 1) * u  # a float32 tile sum's, relative
-    ones = np.ones(side, dtype=np.float32)
-
-    def gemm_operands(q: np.ndarray):
-        """The float64 norms |q| of float32 rows q, and their GEMM operands
-        [q, |q|^2, 1] and [-2q, 1, |q|^2]."""
-        left = np.empty((q.shape[0], d + 2), dtype=np.float32)
-        right = np.empty_like(left)
-        left[:, :d] = q
-        sq = np.einsum("ij,ij->i", q, q)
-        left[:, d], left[:, d + 1] = sq, 1
-        np.multiply(q, -2, out=right[:, :d])
-        right[:, d], right[:, d + 1] = 1, sq
-        return np.sqrt(sq, dtype=np.float64), left, right
-
-    def operands(P: np.ndarray):
-        """e, the norms |q| and the GEMM operands of the rows P, centred on
-        their mean and scaled by 2**-e, as float32 rows q."""
-        R = P - np.ones(P.shape[0]) @ P / P.shape[0]
-        e = int(np.frexp(np.max(np.abs(R)))[1])
-        return e, *gemm_operands(np.ldexp(R, -e).astype(np.float32))
-
-    def spread(n: np.ndarray, count, s1, s2, t: float) -> tuple:
-        """(n_iH, r_iH) for rows of norms n against `count` points whose
-        norms sum to s1 and their squares to s2, t (if > 0) bounding their
-        distances below."""
-        reach = count * n + s1
-        near = root * reach
-        if t > 0:
-            near = np.minimum(near, (
-                g3 * (count * n ** 2 + 2 * n * s1 + s2)
-                + count * (d + 1) * 2.0 ** -123) / t + 1.01 * u * reach)
-        return near + count * flush, reach
-
-    def cluster_operands(c: int):
-        """Cluster c's rows group by group: their err; (start, scale, left,
-        right, norms) of each group's operands, then of the whole
-        cluster's; floor[g, h], the float32 floor of the tiles between
-        groups g, h; e; and m b."""
-        (lo, hi), (order, _, gaps), e_c = spans[c], groups[c], ends[c]
-        single = order is None
-        P = points[lo:hi] if single else points[lo + order]
-        e, norm, left, right = whole = operands(P)
-        ops, k = [], np.empty(P.shape[0])
-        for s, t in zip(e_c[:-1], e_c[1:]):
-            e_g, n, left_g, right_g = whole if single else operands(P[s:t])
-            scale = np.ldexp(1.0, e_g - e)
-            near, reach = spread(n, t - s, np.sum(n), 0.0, 0.0)
-            k[s:t] = scale * (near + spill * reach)
-            ops.append((s, scale, left_g, right_g, n))
-        floor = np.zeros(gaps.shape, dtype=np.float32)
-        for g, h in itertools.permutations(range(e_c.size - 1), 2):
-            n_i, n_h = norm[e_c[g]:e_c[g + 1]], norm[e_c[h]:e_c[h + 1]]
-            t = np.ldexp(gaps[g, h], -e) - np.sqrt(d) * 2.0 ** -22
-            if t > 0:
-                floor[g, h] = t * (1 - 2.0 ** -20)
-            near, reach = spread(n_i, n_h.size, np.sum(n_h),
-                                 np.sum(n_h ** 2), t)
-            k[e_c[g]:e_c[g + 1]] += near + spill * (
-                near + reach - n_h.size * float(floor[g, h]))
-        mb = k.size * np.sqrt(d) * np.ldexp(1.0, -537 - e)
-        ops.append((0, np.float64(1), left, right, norm))
-        return 1.1 * (k + mb), ops, floor, e, mb
-
-    def add_tile(ops, floor, sums, g, a, ea, h, b, eb, both) -> None:
-        """Adds a tile's row sums to sums[a:ea], and with `both` its column
-        sums to sums[b:eb]."""
-        s_a, scale, left, _, _ = ops[g if g == h else -1]
-        s_b, _, _, right, _ = ops[h if g == h else -1]
-        D = left[a - s_a:ea - s_a] @ right[b - s_b:eb - s_b].T
-        np.sqrt(np.maximum(D, 0, out=D), out=D)
-        f = floor[g, h]
-        if f:
-            D -= f
-        sums[a:ea] += scale * (D @ ones[:eb - b]) + float(f) * (eb - b)
-        if both:
-            sums[b:eb] += scale * (ones[:ea - a] @ D) + float(f) * (ea - a)
-
-    def rel(m: int) -> float:
-        return 5 * (u + (4 * m + d + 8) * U)
-
-    def cells(left: np.ndarray, right: np.ndarray, frames) -> list:
-        """Cuts rows (operands left, right) into cells around evenly strided
-        pivot rows, each row to the least float32 score; per frame (the
-        rows' float32 coordinates and norms), the cells' (right operand,
-        float32 counts, sum of count x norm and of count x norm**2,
-        delta)."""
-        m = left.shape[0]
-        count = min(MEDOID_CELLS, m)
-        pivots = right[np.arange(count) * m // count]
-        block = max(1, side * side // count)
-        labels = np.concatenate([
-            np.argmin(left[a:a + block] @ pivots.T, axis=1)
-            for a in range(0, m, block)]).astype(np.min_scalar_type(count))
-        counts = np.bincount(labels)
-        filled = np.flatnonzero(counts)
-        starts = (np.cumsum(counts) - counts)[filled]
-        counts = counts[filled]
-        order = np.argsort(labels, kind="stable")
-        out = []
-        for q, n in frames:
-            sums = np.add.reduceat(q[order], starts, dtype=np.float64)
-            norm, _, cell_right = gemm_operands(
-                (sums / counts[:, None]).astype(np.float32))
-            s1 = np.add.reduceat(n[order], starts)
-            delta = (1.01 * u * norm + 1.01 * (counts + 1) * U * s1 / counts
-                     + np.sqrt(d) * 2.0 ** -149)
-            out.append((cell_right, counts.astype(np.float32), counts @ norm,
-                        counts @ norm ** 2, delta))
-        return out
-
-    def bound(c: int, err, ops, floor, e, mb) -> np.ndarray:
-        """Mask of cluster c's rows (group by group) whose lower bound is at
-        most (1 + rel) F_j + err_j, j the row of least bound."""
-        gaps, e_c, m = groups[c][2], ends[c], err.size
-        _, _, left, _, norm = ops[-1]
-        many = len(ops) > 2
-        own = [cells(left_g, right_g, [(left_g[:, :d], n_g)] + (
-                   [(left[s:t, :d], norm[s:t])] if many else []))
-               for (s, _, left_g, right_g, n_g), t in zip(ops, e_c[1:])]
-        lb, slack = np.zeros(m), np.full(m, mb)
-        for g, (s, scale, left_g, _, n_g) in enumerate(ops[:-1]):
-            t = e_c[g + 1]
-            right, counts, s1, s2, delta = own[g][0]
-            near, _ = spread(n_g, t - s, s1, s2, 0.0)
-            slack[s:t] += scale * (near + 1.01 * u * ((t - s) * n_g
-                                                      + np.sum(n_g))
-                                   + counts @ delta)
-            others = [h for h in range(len(own)) if h != g]
-            for h in others:
-                _, counts_h, s1, s2, delta = own[h][1]
-                n_h = norm[e_c[h]:e_c[h + 1]]
-                tau = (np.ldexp(gaps[g, h], -e) - np.sqrt(d) * 2.0 ** -22
-                       - np.max(delta))
-                near, _ = spread(norm[s:t], n_h.size, s1, s2, tau)
-                slack[s:t] += near + 1.01 * u * (
-                    n_h.size * norm[s:t] + np.sum(n_h)) + counts_h @ delta
-            if others:
-                right_x = np.vstack([own[h][1][0] for h in others])
-                counts_x = np.concatenate([own[h][1][1] for h in others])
-            block = max(1, side * side // max(
-                right.shape[0], right_x.shape[0] if others else 0))
-            for a in range(s, t, block):
-                ea = min(a + block, t)
-                D = left_g[a - s:ea - s] @ right.T
-                np.sqrt(np.maximum(D, 0, out=D), out=D)
-                lb[a:ea] += scale * (D @ counts)
-                if others:
-                    D = left[a:ea] @ right_x.T
-                    np.sqrt(np.maximum(D, 0, out=D), out=D)
-                    lb[a:ea] += D @ counts_x
-        cells_total = sum(o[0][1].size for o in own)
-        lb = ((1 - 1.01 * (cells_total + 3) * u) * lb - 1.1 * slack
-              - 2.0 ** -1022)
-        # F_j: row j's float32 distances, summed side terms at a time as a
-        # tile sums them
-        j = int(np.argmin(lb))
-        g = int(np.searchsorted(e_c, j, side="right")) - 1
-        total = 0.0
-        for h, (s, t) in enumerate(zip(e_c[:-1], e_c[1:])):
-            s_a, scale, left, _, _ = ops[g if g == h else -1]
-            s_b, _, _, right, _ = ops[h if g == h else -1]
-            D = right[s - s_b:t - s_b] @ left[j - s_a]
-            np.sqrt(np.maximum(D, 0, out=D), out=D)
-            f = floor[g, h]
-            if f:
-                D -= f
-            total += (scale * np.sum(np.add.reduceat(
-                D, np.arange(0, t - s, side)), dtype=np.float64)
-                + float(f) * (t - s))
-        return lb <= (1 + rel(m)) * total + err[j]
-
-    def diagonal(g: int, a: int, ea: int) -> list:
-        """A diagonal tile, cut into two diagonal halves and the block
-        between them while it is larger than MEDOID_DIAGONAL rows."""
-        if ea - a <= MEDOID_DIAGONAL:
-            return [(g, a, ea, g, a, ea, False)]
-        mid = (a + ea) // 2
-        return [*diagonal(g, a, mid), (g, a, mid, g, mid, ea, True),
-                *diagonal(g, mid, ea)]
-
-    def candidates(c: int) -> np.ndarray:
-        """Row offsets, ascending, of cluster c that the filter keeps."""
-        order, e = groups[c][0], ends[c]
-        err, ops, floor, e_exp, mb = cluster_operands(c)
-        top = e[1:]  # each group's filtered rows end at top[g]
-        if err.size > side:
-            keep = bound(c, err, ops, floor, e_exp, mb)
-            top = [s + np.count_nonzero(keep[s:t])
-                   for s, t in zip(e[:-1], e[1:])]
-            # each group's filtered rows first, in every per-row array
-            perm = np.concatenate([s + np.flatnonzero(part)
-                                   for s, t in zip(e[:-1], e[1:])
-                                   for part in (keep[s:t], ~keep[s:t])])
-            err = err[perm]
-            order = perm if order is None else order[perm]
-
-            def moved(s, scale, *arrays) -> tuple:
-                return (s, scale,
-                        *(x[perm[s:s + x.shape[0]] - s] for x in arrays))
-
-            # one group's operands are the whole cluster's
-            ops = [moved(*op) for op in ops[:-1]] + [ops[-1]]
-            ops[-1] = ops[0] if len(ops) == 2 else moved(*ops[-1])
-        tiles = []
-        for g in range(e.size - 1):
-            for a in range(e[g], top[g], side):
-                ea = min(a + side, top[g])
-                for h in range(g, e.size - 1):
-                    for b in range(a if g == h else e[h], top[h], side):
-                        tiles += (diagonal(g, a, ea) if a == b else
-                                  [(g, a, ea, h, b, min(b + side, top[h]),
-                                    True)])
-                for h in range(e.size - 1):
-                    for b in range(top[h], e[h + 1], side):
-                        tiles.append((g, a, ea, h, b, min(b + side, e[h + 1]),
-                                      False))
-        sums = np.zeros(err.size)
-        for tile in tiles:
-            add_tile(ops, floor, sums, *tile)
-        at = np.concatenate([np.arange(s, t) for s, t in zip(e[:-1], top)])
-        at = at[sums[at] - err[at]
-                <= np.min((1 + rel(err.size)) * sums[at] + err[at])]
-        return at if order is None else np.sort(order[at])
-
     run = map if pool is None or len(spans) == 1 else pool.map
-    kept = list(run(candidates, range(len(spans))))
+    kept = list(run(_candidates, [points[lo:hi] for lo, hi in spans],
+                    [side] * len(spans)))
     exact = _distance_sums(points, spans, kept, pool, workers)
     return np.array([lo + r[np.argmin(e)]
                      for (lo, _), r, e in zip(spans, kept, exact)])

@@ -710,16 +710,20 @@ class TestThreadedMedoid:
 
 
 @st.composite
-def _prunable_rows(draw, most=120):
+def _prunable_rows(draw, most=120, few=False):
     """Rows of which the medoid's lower bound rules most out: a unit
     Gaussian blob (d of 1, 2, 8 or 16, 30 to `most` rows) at an offset of 0
     or 1e6 to 1e8, in some draws with a third of its rows duplicated, one
     row 10**4 spreads out, or part of it moved 1,200 spreads away (two
-    blobs, which `_groups` cuts apart)."""
+    blobs, which `_groups` cuts apart).  With `few` the blob is 2 to 5 of
+    its points, each repeated: every cell of the lower bound then holds
+    copies of one point, where Jensen's inequality is nearly tight."""
     d = draw(st.sampled_from([1, 2, 8, 16]))
     m = draw(st.integers(30, most))
     g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     points = g.normal(size=(m, d))
+    if few:
+        points = points[g.integers(draw(st.integers(2, 5)), size=m)]
     direction = g.normal(size=d)
     direction /= np.linalg.norm(direction)
     shape = draw(st.sampled_from(["blob", "copies", "far row", "two blobs"]))
@@ -1007,6 +1011,96 @@ class TestMedoidBound:
                                       axis=1) for i in range(0, m, 500)])
         assert medoid == int(np.argmin(full))
         assert 0 < sum(computed) < m * m / 3
+
+
+def exact_sums(points: np.ndarray) -> np.ndarray:
+    """Row sums of the distance matrix of `points` in np.longdouble: within
+    (m + d) 2**-63 of the true sums, relative, with x86's 64-bit
+    significand, and far inside every margin checked even as float64."""
+    P = points.astype(np.longdouble)
+    return np.array([np.sum(np.sqrt(np.sum((P - p) ** 2, axis=1)))
+                     for p in P])
+
+
+def _stage_case():
+    """Rows for the medoid filter's stages (`_prunable_rows`, some with a
+    few repeated points) and a tile side."""
+    return (st.booleans().flatmap(lambda few: _prunable_rows(few=few)),
+            st.sampled_from([8, 16]))
+
+
+class TestMedoidStages:
+    """The rigorous margins of the medoid filter, stage by stage, against
+    extended-precision distance sums T_i, in the filter's row order and
+    the cluster's scaled units."""
+
+    @staticmethod
+    def stages(points, side):
+        flt = clustering_module._filter_operands(points, side)
+        order = np.arange(len(points)) if flt.order is None else flt.order
+        exact = np.ldexp(exact_sums(points)[order].astype(float), -flt.e)
+        return flt, exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_stage_case())
+    def test_lower_bounds_stay_below_the_sums(self, points, side):
+        flt, exact = self.stages(points, side)
+        lb = clustering_module._lower_bounds(flt)
+        assert np.all(lb <= exact - 1.1 * flt.mb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_stage_case(), st.integers(0, 2 ** 32 - 1))
+    def test_filtered_sums_are_within_their_margins(self, points, side,
+                                                    seed):
+        # each group's first top[g] rows are filtered: their tiles cover
+        # every row, the others' only the filtered rows
+        flt, exact = self.stages(points, side)
+        g, ends = np.random.default_rng(seed), flt.ends
+        top = [s + g.integers(t - s + 1)
+               for s, t in zip(ends[:-1], ends[1:])]
+        sums = clustering_module._tile_sums(
+            flt, clustering_module._tiles(ends, top, side))
+        rows = np.concatenate([np.arange(s, t)
+                               for s, t in zip(ends[:-1], top)])
+        # the float32 roots and float64 sums' relative a of the margin
+        a = 2.0 ** -24 + 3 * len(points) * 2.0 ** -53
+        assert np.all(np.abs(sums[rows] - exact[rows])
+                      <= flt.err[rows] + a * exact[rows])
+
+    @settings(max_examples=40, deadline=None)
+    @given(*_stage_case())
+    def test_tile_sums_are_within_spill_of_their_terms(self, points, side):
+        flt = clustering_module._filter_operands(points, side)
+        tiles = clustering_module._tiles(flt.ends, flt.ends[1:], side)
+        sums = clustering_module._tile_sums(flt, tiles)
+        terms, size = np.zeros(len(points)), np.zeros(len(points))
+        for g, a, ea, h, b, eb, both in tiles:
+            scale, D, f = clustering_module._tile(flt, g, a, ea, h, b, eb)
+            D = D.astype(np.float64)  # every float32 is a float64
+            parts = [(slice(a, ea), 1, eb - b)]
+            if both:
+                parts.append((slice(b, eb), 0, ea - a))
+            for rows, axis, count in parts:
+                terms[rows] += scale * np.sum(D, axis=axis) + f * count
+                size[rows] += scale * np.sum(np.abs(D), axis=axis)
+        # the float64 sums of both sides round by a few U
+        assert np.all(np.abs(sums - terms)
+                      <= flt.spill * size + 2.0 ** -48 * np.abs(terms))
+
+    @settings(max_examples=40, deadline=None)
+    @given(*_stage_case())
+    def test_floors_stay_below_the_gaps(self, points, side):
+        # f <= t' <= every scaled distance between the groups' rows, less
+        # the float32 cast's move
+        flt = clustering_module._filter_operands(points, side)
+        order = np.arange(len(points)) if flt.order is None else flt.order
+        groups = np.split(order, flt.ends[1:-1])
+        d = points.shape[1]
+        for g, h in itertools.permutations(range(len(groups)), 2):
+            least = cdist(points[groups[g]], points[groups[h]]).min()
+            assert flt.gap[g, h] <= (np.ldexp(least, -flt.e)
+                                     - np.sqrt(d) * 2.0 ** -22)
+            assert flt.floor[g, h] <= max(flt.gap[g, h], 0)
 
 
 class TestReusedMedoids:
