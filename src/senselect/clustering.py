@@ -28,16 +28,18 @@ rigorous bounds on each state's total from its cluster sums
 (`_sum_bounds`), and exact costs only when the bounds cannot decide them
 (`refine`), so every result is that of exact costs.
 
-The z=1 medoids are exact (`_medoids`), each cluster one task on a pool
-with a thread per CPU this process may use (BLAS and ``cdist`` release the
-GIL).  A convexity lower bound (`_lower_bounds`) drops the rows that cannot
-be the medoid, float32 GEMM tiles (`_tile_sums`) sum the other rows'
-distances within rigorous margins (`_filter_operands`), which far-apart
-groups of rows (`_groups`) keep narrow, and ``cdist`` sums again every row
-within its margin of the least, so each medoid is its full matrix's row-sum
-argmin, bit for bit, whatever bits the GEMM gives.  A z=1 refinement
-recomputes only the medoids of clusters whose members changed since the
-last medoid pass.
+The z=1 medoids are exact (`_medoids`): one ``map`` over the clusters on a
+pool with a thread per CPU this process may use (BLAS and ``cdist`` release
+the GIL), each task one cluster's whole medoid (`_medoid`).  A convexity
+lower bound (`_lower_bounds`) drops the rows that cannot be the medoid,
+float32 GEMM tiles (`_tile_sums`) sum the other rows' distances within
+rigorous margins (`_filter_operands`), which far-apart groups of rows
+(`_groups`) keep narrow, and ``cdist`` sums again every row within its
+margin of the least, so each medoid is its full matrix's row-sum argmin,
+bit for bit, whatever bits the GEMM gives.  Tiles and re-check blocks are
+MEDOID_BLOCK rows on any CPU count, so a worker holds one tile plus one
+re-check block.  A z=1 refinement recomputes only the medoids of clusters
+whose members changed since the last medoid pass.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ REFINE_TOL = 1e-9
 #: `center_distances`
 BLOCK_ENTRIES = 2 ** 16
 
-#: rows of the medoid distance sums in flight at once, over all threads;
-#: bounds their memory to MEDOID_BLOCK x (cluster size) distances, and to
-#: MEDOID_BLOCK x MEDOID_BLOCK // threads in the medoid's filter step
-MEDOID_BLOCK = 512
+#: side of a medoid filter tile and rows of one medoid re-check block, on
+#: any CPU count: a medoid task holds one MEDOID_BLOCK x MEDOID_BLOCK tile
+#: and at most MEDOID_BLOCK x (cluster size) re-checked distances
+MEDOID_BLOCK = 256
 
 #: most far-apart groups the medoid's filter cuts one cluster into
 MEDOID_GROUPS = 8
@@ -375,28 +377,6 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
         chosen.append(nxt)
         mind = np.minimum(mind, powered_distances(X, X[nxt], z)[:, 0])
     return CenterList(X[chosen], np.asarray(chosen, dtype=np.intp))
-
-
-def _distance_sums(points: np.ndarray, spans, rows,
-                   pool: ThreadPoolExecutor | None = None,
-                   workers: int = 1) -> list[np.ndarray]:
-    """Per span (lo, hi), the row sums of the Euclidean distance matrix of
-    points[lo:hi] for its row offsets in `rows`, bit for bit those of the
-    full matrix.  All spans' rows go to `pool` at once in blocks of
-    MEDOID_BLOCK // workers rows; a single block is computed inline."""
-    block = max(1, MEDOID_BLOCK // workers)
-    jobs = [(lo, hi, r[start:start + block])
-            for (lo, hi), r in zip(spans, rows)
-            for start in range(0, r.size, block)]
-
-    def sum_rows(job) -> np.ndarray:
-        lo, hi, r = job
-        return np.sum(cdist(points[lo + r], points[lo:hi]), axis=1)
-
-    run = map if pool is None or len(jobs) == 1 else pool.map
-    sums = run(sum_rows, jobs)  # pool.map re-raises a block's exception
-    return [np.concatenate([next(sums) for _ in range(0, r.size, block)])
-            for r in rows]
 
 
 def _groups(P: np.ndarray, limit: int, side: int):
@@ -726,9 +706,20 @@ def _tile_sums(flt: _Filter, tiles: list) -> np.ndarray:
     return sums
 
 
-def _candidates(P: np.ndarray, side: int) -> np.ndarray:
-    """Row offsets, ascending, of the rows P of one cluster whose ``cdist``
-    row sum may be the least, with tiles of `side` rows (in the notation of
+def _row_sums(P: np.ndarray, rows, side: int) -> np.ndarray:
+    """The ``cdist`` distance sums of the rows P[rows] to every row of P, in
+    blocks of `side` rows; each row is summed alone, so its bits are those
+    of the full matrix's row sum whatever the block."""
+    sums = np.empty(len(rows))
+    for a in range(0, len(rows), side):
+        sums[a:a + side] = np.sum(cdist(P[rows[a:a + side]], P), axis=1)
+    return sums
+
+
+def _medoid(P: np.ndarray, side: int) -> int:
+    """Row offset of the medoid of the rows P of one cluster, ``argmin(
+    np.sum(cdist(P, P), axis=1))`` with ties to the lowest offset, with
+    tiles and re-check blocks of `side` rows (in the notation of
     `_filter_operands`).  A cluster of more than one tile keeps only rows
     whose lower bound (`_lower_bounds`) is at most (1 + 3c)(T~_j 2**-e +
     2 m b), T~_j the ``cdist`` sum of the row j of least bound: the
@@ -737,17 +728,20 @@ def _candidates(P: np.ndarray, side: int) -> np.ndarray:
     F (`_tile_sums`), row i is kept when F_i - err_i <= (1 + 5 (a + c)) F_j
     + err_j for the j that makes the right side least: T_i - T_j <= 2 m b +
     c (T_i + T_j) and T_i + T_j <= 2.01 (F_j + 1.01 k_j + m b), so F_i -
-    F_j <= 1.02 (k_i + k_j) + 2.01 m b + 2.03 (a + c) F_j."""
+    F_j <= 1.02 (k_i + k_j) + 2.01 m b + 2.03 (a + c) F_j.  ``cdist`` sums
+    each kept row again (`_row_sums`), save the cap's row, whose sum it
+    has, and the least sum wins."""
     m, d = P.shape
     flt = _filter_operands(P, side)
     top = flt.ends[1:]  # each group's filtered rows end at top[g]
+    row, total = -1, np.inf  # the cap's row and its sum (no cap: none)
     if m > side:
         lb = _lower_bounds(flt)
         j = int(np.argmin(lb))
-        row = j if flt.order is None else flt.order[j]
-        exact = np.ldexp(np.sum(cdist(P[row:row + 1], P)), -flt.e)
+        row = j if flt.order is None else int(flt.order[j])
+        [total] = _row_sums(P, [row], side)
         c = (m + d + 8) * 2.0 ** -53
-        keep = lb <= (1 + 3 * c) * (exact + 2 * flt.mb)
+        keep = lb <= (1 + 3 * c) * (np.ldexp(total, -flt.e) + 2 * flt.mb)
         spans = list(zip(flt.ends[:-1], top))
         top = [s + np.count_nonzero(keep[s:t]) for s, t in spans]
         # each group's kept rows first, in every per-row array
@@ -763,25 +757,24 @@ def _candidates(P: np.ndarray, side: int) -> np.ndarray:
     at = np.concatenate([np.arange(s, t) for s, t in zip(flt.ends[:-1], top)])
     rel = 5 * (2.0 ** -24 + (4 * m + d + 8) * 2.0 ** -53)
     at = at[sums[at] - err[at] <= np.min((1 + rel) * sums[at] + err[at])]
-    return at if flt.order is None else np.sort(flt.order[at])
+    rows = at if flt.order is None else np.sort(flt.order[at])
+    exact, again = np.full(rows.size, total), rows != row
+    exact[again] = _row_sums(P, rows[again], side)
+    return int(rows[np.argmin(exact)])
 
 
 def _medoids(points: np.ndarray, bounds: np.ndarray,
-             pool: ThreadPoolExecutor | None = None,
-             workers: int = 1) -> np.ndarray:
+             pool: ThreadPoolExecutor | None = None) -> np.ndarray:
     """Row of `points` that is the medoid of each cluster i, whose members
-    are points[bounds[i]:bounds[i + 1]] (at least one): ``argmin(np.sum(
-    cdist(P, P), axis=1))`` of its members P, ties to the lowest row.  Each
-    cluster is one task on `pool` (`_candidates`, tiles of MEDOID_BLOCK //
-    workers rows), and `_distance_sums` re-checks the rows each keeps."""
-    side = max(1, MEDOID_BLOCK // workers)
+    are points[bounds[i]:bounds[i + 1]] (at least one), ties to the lowest
+    row: one ``map`` over the clusters on `pool` (inline without one), each
+    cluster's whole medoid one task (`_medoid`, with tiles and re-check
+    blocks of MEDOID_BLOCK rows)."""
     spans = list(zip(bounds[:-1], bounds[1:]))
-    run = map if pool is None or len(spans) == 1 else pool.map
-    kept = list(run(_candidates, [points[lo:hi] for lo, hi in spans],
-                    [side] * len(spans)))
-    exact = _distance_sums(points, spans, kept, pool, workers)
-    return np.array([lo + r[np.argmin(e)]
-                     for (lo, _), r, e in zip(spans, kept, exact)])
+    run = map if pool is None else pool.map
+    found = run(_medoid, [points[lo:hi] for lo, hi in spans],
+                [MEDOID_BLOCK] * len(spans))
+    return np.array([lo + r for (lo, _), r in zip(spans, found)])
 
 
 def _members(labels: np.ndarray, k: int) -> tuple:
@@ -893,10 +886,11 @@ def refine(data: Dataset, centers: CenterList, z: float,
     needs it: a test that the bounds on both totals decide is decided, else
     it runs on both states' exact costs.  The returned clustering is always
     exact.  For z=1 one thread pool, with a thread per CPU this process may
-    use, serves every medoid of the call; while it exists BLAS runs on one
-    thread, so no idle BLAS worker spins on a CPU the pool needs.  A medoid
-    pass recomputes only the clusters that a row entered or left since the
-    previous pass; the labels of that pass are the previous state's.
+    use, serves every medoid of the call, one task per cluster; while it
+    exists BLAS runs on one thread, so no idle BLAS worker spins on a CPU
+    the pool needs.  A medoid pass recomputes only the clusters that a row
+    entered or left since the previous pass; the labels of that pass are
+    the previous state's.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -962,8 +956,7 @@ def refine(data: Dataset, centers: CenterList, z: float,
                             np.concatenate([order[bounds[i]:bounds[i + 1]]
                                             for i in redo]))
                     spans = np.concatenate(([0], np.cumsum(counts[redo])))
-                    indices[redo] = rows[_medoids(X[rows], spans, pool,
-                                                  workers)]
+                    indices[redo] = rows[_medoids(X[rows], spans, pool)]
                 positions[filled] = X[indices[filled]]
             mind = None  # per-point distance^z to the current centers
             for i in np.flatnonzero(counts == 0):

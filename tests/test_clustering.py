@@ -461,15 +461,17 @@ class TestSnapClaims:
                                reference_snap(data, clustering))
 
 
-def one_medoid(points, pool=None, workers=1) -> int:
+def one_medoid(points, pool=None) -> int:
     """The medoid of `points` as one cluster, by the all-cluster helper."""
     bounds = np.array([0, points.shape[0]])
-    return int(clustering_module._medoids(points, bounds, pool, workers)[0])
+    return int(clustering_module._medoids(points, bounds, pool)[0])
 
 
 class TestMedoid:
+    # one tile, and a cap around one and two tiles' boundaries
     @pytest.mark.parametrize("m", [1, MEDOID_BLOCK - 1, MEDOID_BLOCK,
-                                   MEDOID_BLOCK + 1])
+                                   MEDOID_BLOCK + 1, 2 * MEDOID_BLOCK - 1,
+                                   2 * MEDOID_BLOCK, 2 * MEDOID_BLOCK + 1])
     def test_blocked_equals_the_full_matrix(self, m):
         g = np.random.default_rng(m)
         for points in (g.normal(size=(m, 3)),
@@ -627,7 +629,7 @@ class TestRefineIsExact:
         got = refine(data, seeds, 1)
         monkeypatch.setattr(clustering_module, "cdist", real_cdist)
         assert_same_clustering(got, reference_refine(data, seeds, 1))
-        assert max(rows for _, rows in calls) <= MEDOID_BLOCK // workers
+        assert max(rows for _, rows in calls) <= MEDOID_BLOCK
         off_main = {t for t, _ in calls} - {threading.get_ident()}
         assert bool(off_main) == (workers > 1)
 
@@ -677,24 +679,69 @@ class TestCertifiedStop:
 class TestThreadedMedoid:
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_sums_equal_the_full_matrix(self, workers):
-        # the threads write disjoint slices of one array; a short switch
-        # interval makes a lost or misplaced block likelier to show
+        # three re-check blocks sum every row as the full matrix does, and
+        # three copies of the cluster are three tasks on the pool; a short
+        # switch interval makes a lost or misplaced result likelier to show
         g = np.random.default_rng(workers)
         m = 2 * MEDOID_BLOCK + 7
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for points in (g.normal(size=(m, 3)),
+                           # integer points: many exactly tied sums
                            g.integers(-2, 3, size=(m, 2)).astype(float)):
                 full = np.sum(cdist(points, points), axis=1)
-                with ThreadPoolExecutor(workers) as pool:
-                    [sums] = clustering_module._distance_sums(
-                        points, [(0, m)], [np.arange(m)], pool, workers)
-                    medoid = one_medoid(points, pool, workers)
+                sums = clustering_module._row_sums(points, np.arange(m),
+                                                   MEDOID_BLOCK)
                 np.testing.assert_array_equal(sums, full)
+                with ThreadPoolExecutor(workers) as pool:
+                    medoid = one_medoid(points, pool)
+                    copies = clustering_module._medoids(
+                        np.vstack([points] * 3), np.arange(4) * m, pool)
                 assert medoid == int(np.argmin(full))
+                assert copies.tolist() == [medoid, m + medoid,
+                                           2 * m + medoid]
         finally:
             sys.setswitchinterval(interval)
+
+    def test_one_pool_round_per_medoid_pass(self):
+        class Counting(ThreadPoolExecutor):
+            maps = 0
+
+            def map(self, *args, **kwargs):
+                Counting.maps += 1
+                return super().map(*args, **kwargs)
+
+        data = blobs(300, [[0, 0], [6, 0], [0, 6], [6, 6]], seed=2)
+        bounds = np.arange(5) * 300
+        with Counting(2) as pool:
+            got = clustering_module._medoids(data.rows, bounds, pool)
+        assert Counting.maps == 1
+        # the same medoids as four passes without a pool
+        assert got.tolist() == [lo + one_medoid(data.rows[lo:lo + 300])
+                                for lo in bounds[:-1]]
+
+    def test_each_row_summed_at_most_once(self, monkeypatch):
+        # the cap's row keeps its sum: no row of a 2,000-row cluster is a
+        # first ``cdist`` operand twice
+        points = np.random.default_rng(4).normal(size=(2000, 8))
+        at = {row.tobytes(): i for i, row in enumerate(points)}
+        seen = np.zeros(len(points), dtype=int)
+        real_cdist = clustering_module.cdist
+
+        def spy(XA, XB, *args, **kwargs):
+            for row in np.atleast_2d(XA):
+                if row.tobytes() in at:
+                    seen[at[row.tobytes()]] += 1
+            return real_cdist(XA, XB, *args, **kwargs)
+
+        monkeypatch.setattr(clustering_module, "cdist", spy)
+        medoid = one_medoid(points)
+        monkeypatch.undo()
+        assert seen.max() == 1
+        full = np.concatenate([np.sum(cdist(points[i:i + 500], points),
+                                      axis=1) for i in range(0, 2000, 500)])
+        assert medoid == int(np.argmin(full))
 
     def test_memory_stays_bounded_on_four_workers(self, monkeypatch):
         # one 6000-row cluster; the m x m matrix would take 288 MB
@@ -765,12 +812,14 @@ def _tied_points(draw):
 
 
 class TestExactMedoid:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    # tiles of 30 to 6 rows; the ids count the tiles that span 30 rows
+    @pytest.mark.parametrize("side", [30, 15, 10, 6],
+                             ids=["1", "2", "3", "5"])
     @settings(max_examples=150, deadline=None)
     @given(points=_medoid_points())
-    def test_equals_the_full_matrix_argmin(self, workers, points):
-        # tiles of 30 // workers rows, so the filter's sums are rounded in
-        # another order than the full matrix's row sums
+    def test_equals_the_full_matrix_argmin(self, side, points):
+        # tiles of `side` rows, so the filter's sums are rounded in another
+        # order than the full matrix's row sums
         real_medoids = clustering_module._medoids
         found = []
 
@@ -780,8 +829,7 @@ class TestExactMedoid:
             return medoids
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clustering_module, "MEDOID_BLOCK", 30)
-            mp.setattr(clustering_module, "_cpu_count", lambda: workers)
+            mp.setattr(clustering_module, "MEDOID_BLOCK", side)
             mp.setattr(clustering_module, "_medoids", spy)
             # one center: its cluster is every row, in row order
             refine(Dataset(points), CenterList(points[:1], [0]), 1,
@@ -802,25 +850,28 @@ def _partitions(draw):
 
 
 class TestAllClusterMedoids:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    # pools of 1 to 5 threads (the test ids), tiles of 30 to 6 rows
+    @pytest.mark.parametrize("workers, side", [
+        pytest.param(1, 30, id="1"), pytest.param(2, 15, id="2"),
+        pytest.param(3, 10, id="3"), pytest.param(5, 6, id="5")])
     @settings(max_examples=100, deadline=None)
     @given(case=_partitions())
-    def test_equal_the_per_cluster_full_matrix_argmin(self, workers, case):
+    def test_equal_the_per_cluster_full_matrix_argmin(self, workers, side,
+                                                      case):
         points, bounds = case
         want = [lo + int(np.argmin(np.sum(cdist(points[lo:hi],
                                                 points[lo:hi]), axis=1)))
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
-        # the threads write disjoint slots of one list; a short switch
-        # interval makes a lost or misplaced write likelier to show
+        # each cluster is one task; a short switch interval makes a lost or
+        # misplaced result likelier to show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with pytest.MonkeyPatch.context() as mp, \
                     ThreadPoolExecutor(workers) as pool:
-                # tiles of 30 // workers rows, so runs cut through clusters
-                mp.setattr(clustering_module, "MEDOID_BLOCK", 30)
-                got = clustering_module._medoids(points, bounds, pool,
-                                                 workers)
+                # tiles of `side` rows, so runs cut through clusters
+                mp.setattr(clustering_module, "MEDOID_BLOCK", side)
+                got = clustering_module._medoids(points, bounds, pool)
         finally:
             sys.setswitchinterval(interval)
         assert got.tolist() == want
@@ -908,30 +959,30 @@ def _far_groups(draw):
 
 class TestMedoidFilterMargin:
     @staticmethod
-    def check(points, bounds, workers):
+    def check(points, bounds, side):
         want = [lo + int(np.argmin(np.sum(cdist(points[lo:hi],
                                                 points[lo:hi]), axis=1)))
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with pytest.MonkeyPatch.context() as mp, \
-                ThreadPoolExecutor(workers) as pool:
-            # tiles of 16 // workers rows, so clusters span several tiles
-            mp.setattr(clustering_module, "MEDOID_BLOCK", 16)
-            got = clustering_module._medoids(points, bounds, pool, workers)
+        with pytest.MonkeyPatch.context() as mp:
+            # tiles of `side` rows, so clusters span several tiles
+            mp.setattr(clustering_module, "MEDOID_BLOCK", side)
+            got = clustering_module._medoids(points, bounds)
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    # the ids count the tiles that span 16 rows
+    @pytest.mark.parametrize("side", [16, 8], ids=["1", "2"])
     @settings(max_examples=150, deadline=None)
     @given(case=_filter_stress())
-    def test_equals_the_full_matrix_argmin(self, workers, case):
-        self.check(*case, workers)
+    def test_equals_the_full_matrix_argmin(self, side, case):
+        self.check(*case, side)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("side", [16, 8], ids=["1", "2"])
     @settings(max_examples=80, deadline=None)
     @given(case=_far_groups())
-    def test_far_groups_equal_the_full_matrix_argmin(self, workers, case):
+    def test_far_groups_equal_the_full_matrix_argmin(self, side, case):
         # the filter cuts such clusters into groups, and tiles between two
         # groups take the distance-aware bound
-        self.check(*case, workers)
+        self.check(*case, side)
 
 
 class TestMedoidGroups:
@@ -947,20 +998,20 @@ class TestMedoidGroups:
         shift[0] = 1200.0
         points = np.vstack([g.normal(size=(2000, 8)),
                             shift + g.normal(size=(2000, 8))])
-        checked = []
-        real = clustering_module._distance_sums
+        checked = []  # rows each ``cdist`` sum call sums, the cap's first
+        real = clustering_module._row_sums
 
-        def spy(points, spans, rows, *args):
-            checked.append(sum(r.size for r in rows))
-            return real(points, spans, rows, *args)
+        def spy(P, rows, side):
+            checked.append(len(rows))
+            return real(P, rows, side)
 
-        monkeypatch.setattr(clustering_module, "_distance_sums", spy)
+        monkeypatch.setattr(clustering_module, "_row_sums", spy)
         with ThreadPoolExecutor(workers) as pool:
-            medoid = one_medoid(points, pool, workers)
+            medoid = one_medoid(points, pool)
         full = np.concatenate([np.sum(cdist(points[i:i + 500], points),
                                       axis=1) for i in range(0, 4000, 500)])
         assert medoid == int(np.argmin(full))
-        assert len(checked) == 1 and checked[0] <= 10
+        assert len(checked) == 2 and sum(checked) <= 10
 
     def test_compact_rows_stay_one_group(self):
         points = np.random.default_rng(0).normal(size=(2000, 8))
@@ -983,10 +1034,10 @@ class TestMedoidGroups:
 class TestMedoidBound:
     def test_compact_cluster_filters_under_a_third_of_its_rows(
             self, monkeypatch):
-        # one 2000-row d=8 unit blob on two workers: its upper triangle is
-        # m**2 / 2 float32 distances, while the lower bound leaves about a
-        # sixth of the rows to sum against every row, plus m x 64 distances
-        # to the cells' means
+        # one 2000-row d=8 unit blob on a two-thread pool: its upper
+        # triangle is m**2 / 2 float32 distances, while the lower bound
+        # leaves about a sixth of the rows to sum against every row, plus
+        # m x 64 distances to the cells' means
         m = 2000
         points = np.random.default_rng(0).normal(size=(m, 8))
         computed = []
@@ -1005,7 +1056,7 @@ class TestMedoidBound:
 
         monkeypatch.setattr(clustering_module, "np", Counting())
         with ThreadPoolExecutor(2) as pool:
-            medoid = one_medoid(points, pool, 2)
+            medoid = one_medoid(points, pool)
         monkeypatch.undo()
         full = np.concatenate([np.sum(cdist(points[i:i + 500], points),
                                       axis=1) for i in range(0, m, 500)])
