@@ -32,14 +32,14 @@ The z=1 medoids are exact (`_medoids`): one ``map`` over the clusters on a
 pool with a thread per CPU this process may use (BLAS and ``cdist`` release
 the GIL), each task one cluster's whole medoid (`_medoid`).  A convexity
 lower bound (`_lower_bounds`) drops the rows that cannot be the medoid,
-float32 GEMM tiles (`_tile_sums`) sum the other rows' distances within
-rigorous margins (`_filter_operands`), which far-apart groups of rows
-(`_groups`) keep narrow, and ``cdist`` sums again every row within its
-margin of the least, so each medoid is its full matrix's row-sum argmin,
-bit for bit, whatever bits the GEMM gives.  Tiles and re-check blocks are
-MEDOID_BLOCK rows on any CPU count, so a worker holds one tile plus one
-re-check block.  A z=1 refinement recomputes only the medoids of clusters
-whose members changed since the last medoid pass.
+float32 GEMM tiles (`_tile_sums`) sum each other row's distances to every
+row within rigorous margins (`_filter_operands`), which far-apart groups
+of rows (`_groups`) keep narrow, and ``cdist`` sums again every row within
+its margin of the least, so each medoid is its full matrix's row-sum
+argmin, bit for bit, whatever bits the GEMM gives.  Tiles and re-check
+blocks are MEDOID_BLOCK rows on any CPU count, so a worker holds one tile
+plus one re-check block.  A z=1 refinement recomputes only the medoids of
+clusters whose members changed since the last medoid pass.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -72,11 +72,13 @@ MEDOID_BLOCK = 256
 #: most far-apart groups the medoid's filter cuts one cluster into
 MEDOID_GROUPS = 8
 
-#: cells per group of the medoid filter's lower bound on a row's sum
+#: fewest cells per group of the medoid filter's lower bound on a row's sum
 MEDOID_CELLS = 64
 
-#: largest diagonal tile the medoid's filter computes in full, both halves
-MEDOID_DIAGONAL = 64
+#: rows per cell of that bound in a group of more than MEDOID_CELLS x
+#: MEDOID_CELL_ROWS rows: every row the bound keeps is summed against the
+#: whole cluster, so a large group is worth more cells
+MEDOID_CELL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -150,48 +152,35 @@ def _blocks(n: int, width: int) -> list:
 
 @dataclass(frozen=True)
 class _Frame:
-    """The assignment kernel's coordinates: points less `mu`, times 2**-e.
-    With `rows` set the float32 operands of every row (`_operands`), one
-    column a row, and their `norms` are kept; else each block is cast when
-    it is scored."""
+    """The assignment kernel's coordinates: points less `mu`, times 2**-e,
+    and the float32 operands [q, 1] of every row, one column a row, with
+    the rows' float64 `norms` in the frame before the cast."""
 
     mu: np.ndarray
     e: int
-    rows: np.ndarray | None = None
-    norms: np.ndarray | None = None
+    rows: np.ndarray
+    norms: np.ndarray
 
 
-def _frame(X: np.ndarray, C: np.ndarray, keep: bool = False) -> _Frame:
+def _frame(X: np.ndarray, C: np.ndarray) -> _Frame:
     """The frame centred on the mean of the rows X, scaled so that every
     entry of a row or of a center C is below 1 in magnitude (e is clamped
-    to [-1000, 1000], so 2**-e stays a normal power of two); with `keep`
-    its operands are cast once, block by block."""
+    to [-1000, 1000], so 2**-e stays a normal power of two), its operands
+    cast block by block."""
     (n, d), mu = X.shape, np.ones(X.shape[0]) @ X / X.shape[0]
     far = max(float(X.max() - mu.min()), float(mu.max() - X.min()),
               float(np.max(np.abs(C - mu))))
-    frame = _Frame(mu, min(max(int(np.frexp(far)[1]), -1000), 1000))
-    if not keep:
-        return frame
+    e = min(max(int(np.frexp(far)[1]), -1000), 1000)
     rows, norms = np.empty((d + 1, n), dtype=np.float32), np.empty(n)
     blocks = _blocks(n, d)
-    scratch = np.empty((blocks[0][1] - blocks[0][0]) * d)
+    scratch = np.empty((blocks[0][1] - blocks[0][0], d))
     for lo, hi in blocks:
-        norms[lo:hi] = _operands(X, frame, lo, hi, rows[:, lo:hi], scratch)
-    return _Frame(mu, frame.e, rows, norms)
-
-
-def _operands(X: np.ndarray, frame: _Frame, lo: int, hi: int,
-              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Writes the float32 operands [q, 1] of rows lo:hi of X into the
-    columns of `out`, q the row in the frame, and returns the float64 norms
-    of the rows in the frame before the cast; `scratch` holds at least
-    that many rows."""
-    R = scratch[:(hi - lo) * X.shape[1]].reshape(hi - lo, X.shape[1])
-    np.subtract(X[lo:hi], frame.mu, out=R)
-    R *= np.ldexp(1.0, -frame.e)
-    out[:-1] = R.T
-    out[-1] = 1
-    return np.sqrt(np.einsum("ij,ij->i", R, R))
+        R = np.subtract(X[lo:hi], mu, out=scratch[:hi - lo])
+        R *= np.ldexp(1.0, -e)
+        rows[:d, lo:hi] = R.T
+        norms[lo:hi] = np.sqrt(np.einsum("ij,ij->i", R, R))
+    rows[d] = 1
+    return _Frame(mu, e, rows, norms)
 
 
 def _nearest_labels(X: np.ndarray, C: np.ndarray,
@@ -253,32 +242,17 @@ def _nearest_labels(X: np.ndarray, C: np.ndarray,
     square = (2.02 * _gamma(d + 2, u) + 8 * u + 5 * c
               if (d + 2) * u <= 2.0 ** -4 else np.inf)
     linear = np.sqrt(d) * (4.1 * np.ldexp(1.0, -537 - frame.e) + 2.0 ** -122)
-
-    def margin(norms: np.ndarray) -> np.ndarray:
-        r = (1 + 2.1 * u) * (norms + reach) + np.sqrt(d) * 2.0 ** -124
-        return (square * r + linear) * r + (d + 2) * 2.0 ** -122
-
+    r = (1 + 2.1 * u) * (frame.norms + reach) + np.sqrt(d) * 2.0 ** -124
+    margins = (square * r + linear) * r + (d + 2) * 2.0 ** -122
     tally = np.array([np.ones(k), np.arange(k)], dtype=np.float32)
     labels = np.empty(n, dtype=np.intp)
-    if frame.rows is None:
-        blocks = _blocks(n, max(k, d + 1))
-        size = blocks[0][1] - blocks[0][0]
-        cast = np.empty(size * (d + 1), dtype=np.float32)
-        scratch = np.empty(size * d)
-    else:
-        blocks, margins = _blocks(n, k), margin(frame.norms)
-        size = blocks[0][1] - blocks[0][0]
-    tile = np.empty(k * size, dtype=np.float32)
+    blocks = _blocks(n, k)
+    tile = np.empty(k * (blocks[0][1] - blocks[0][0]), dtype=np.float32)
     with np.errstate(over="ignore"):  # an inf threshold keeps every center
         for lo, hi in blocks:
-            m = hi - lo
-            if frame.rows is None:
-                rows = cast[:(d + 1) * m].reshape(d + 1, m)
-                gap = margin(_operands(X, frame, lo, hi, rows, scratch))
-            else:
-                rows, gap = frame.rows[:, lo:hi], margins[lo:hi]
-            S = np.matmul(centers, rows, out=tile[:k * m].reshape(k, m))
-            top = S.min(axis=0) + gap
+            S = np.matmul(centers, frame.rows[:, lo:hi],
+                          out=tile[:k * (hi - lo)].reshape(k, hi - lo))
+            top = S.min(axis=0) + margins[lo:hi]
             np.less_equal(S, top.astype(np.float32), out=S)
             count, labels[lo:hi] = tally @ S
             again = lo + np.flatnonzero(count != 1)
@@ -388,13 +362,15 @@ def _groups(P: np.ndarray, limit: int, side: int):
     Rows of more than `side` (a tile's side) are cut at half the projection
     of the row farthest from their mean, on the direction to it, and each
     part again.  A part's ball is centred near its mean and reaches its
-    farthest member by ``cdist``; a cut holds when the balls are disjoint.
-    A ``cdist`` distance t is within (d/2 + 3) U t + b of the true one,
-    b = sqrt(d) 2**-537 (see `_filter_operands`), so the gap is at least
-    delta (1 - c) - (r_A + r_B)(1 + c) - 4 b for the measured centre
+    farthest member by ``cdist``; a cut holds when the gap between the
+    balls exceeds the larger radius, so a high-dimensional blob, whose
+    farthest row clears the rest's ball by a hair, is not peeled row by
+    row.  A ``cdist`` distance t is within (d/2 + 3) U t + b of the true
+    one, b = sqrt(d) 2**-537 (see `_filter_operands`), so the gap is at
+    least delta (1 - c) - (r_A + r_B)(1 + c) - 4 b for the measured centre
     distance delta and radii r, c = 2 g_(d+3) (`_gamma`), whose spare half
     covers the rounding of this sum when it is positive."""
-    (m, d), gap = P.shape, 0.0
+    (m, d), gap, radius = P.shape, 0.0, 0.0
     if limit > 1 and m > side:
         total = np.ones(m) @ P
         far = P[np.argmax(cdist(total[None] / m, P)[0])] - total / m
@@ -404,11 +380,12 @@ def _groups(P: np.ndarray, limit: int, side: int):
             part = first @ P
             centres = np.array([part / count, (total - part) / (m - count)])
             dist, c = cdist(centres, P), 2 * _gamma(d + 3)
+            radii = (np.max(dist[0], where=first, initial=0),
+                     np.max(dist[1], where=~first, initial=0))
+            radius = max(radii)
             gap = (cdist(centres[:1], centres[1:])[0, 0] * (1 - c)
-                   - (np.max(dist[0], where=first, initial=0)
-                      + np.max(dist[1], where=~first, initial=0)) * (1 + c)
-                   - 4 * np.sqrt(d) * 2.0 ** -537)
-    if not gap > 0:
+                   - sum(radii) * (1 + c) - 4 * np.sqrt(d) * 2.0 ** -537)
+    if not gap > radius:
         return None, [m], np.zeros((1, 1))
     order, sizes, blocks = [], [], []
     for rows in (np.flatnonzero(first), np.flatnonzero(~first)):
@@ -548,13 +525,14 @@ def _filter_operands(P: np.ndarray, side: int) -> _Filter:
 
 
 def _cells(left: np.ndarray, right: np.ndarray, frames, side: int) -> list:
-    """Cuts rows (operands left, right) into cells around evenly strided
+    """Cuts rows (operands left, right) into one cell per MEDOID_CELL_ROWS
+    rows, at least MEDOID_CELLS (or one a row), around evenly strided
     pivot rows, each row to the least float32 score, in row blocks of at
     most side**2 scores; per frame (the rows' float32 coordinates and
     norms), the cells' (right operand, float32 counts, sum of count x norm
     and of count x norm**2, delta of `_lower_bounds`)."""
     m, d = left.shape[0], left.shape[1] - 2
-    count = min(MEDOID_CELLS, m)
+    count = min(max(MEDOID_CELLS, m // MEDOID_CELL_ROWS), m)
     pivots = right[np.arange(count) * m // count]
     block = max(1, side * side // count)
     labels = np.concatenate([
@@ -580,13 +558,13 @@ def _cells(left: np.ndarray, right: np.ndarray, frames, side: int) -> list:
 
 def _lower_bounds(flt: _Filter) -> np.ndarray:
     """lb_i, at most T_i - 1.1 m b, for the distance sum T_i of each row of
-    the filter, in the cluster's units.  Each group is cut into at most
-    MEDOID_CELLS cells (`_cells`).  For a cell c of n_c rows with mean
-    mu_c, convexity (Jensen) gives sum over j in c of |x_i - x_j| >= n_c
-    |x_i - mu_c|, so lb_i is the sum over every cell of the cluster of
-    n_c |x_i - mu_c|, less a rounding term: one float32 product of the
-    rows' operands with the cells' means, in row blocks of at most side**2
-    entries (cells of other groups in the cluster's frame).
+    the filter, in the cluster's units.  Each group is cut into cells
+    (`_cells`).  For a cell c of n_c rows with mean mu_c, convexity
+    (Jensen) gives sum over j in c of |x_i - x_j| >= n_c |x_i - mu_c|, so
+    lb_i is the sum over every cell of the cluster of n_c |x_i - mu_c|,
+    less a rounding term: one float32 product of the rows' operands with
+    the cells' means, in row blocks of at most side**2 entries (cells of
+    other groups in the cluster's frame).
 
     The bound is rigorous.  In the frame of the cells' scores (row i's
     group's for its own cells, times 2**(e_G - e); the cluster's for the
@@ -647,62 +625,33 @@ def _lower_bounds(flt: _Filter) -> np.ndarray:
             - 2.0 ** -1022)
 
 
-def _diagonal(g: int, a: int, ea: int) -> list:
-    """A diagonal tile, cut into two diagonal halves and the block between
-    them while it is larger than MEDOID_DIAGONAL rows."""
-    if ea - a <= MEDOID_DIAGONAL:
-        return [(g, a, ea, g, a, ea, False)]
-    mid = (a + ea) // 2
-    return [*_diagonal(g, a, mid), (g, a, mid, g, mid, ea, True),
-            *_diagonal(g, mid, ea)]
-
-
-def _tiles(ends: np.ndarray, top, side: int) -> list:
-    """Tiles (g, a, ea, h, b, eb, both) of rows a:ea of group g against b:eb
-    of group h, where group g's rows ends[g]:ends[g + 1] are filtered up to
-    top[g]: the upper triangle among filtered rows (`_diagonal` tiles on the
-    diagonal), summed by row and, with `both`, by column, and filtered rows
-    against the others by row only."""
-    tiles = []
-    for g in range(ends.size - 1):
-        for a in range(ends[g], top[g], side):
-            ea = min(a + side, top[g])
-            for h in range(g, ends.size - 1):
-                for b in range(a if g == h else ends[h], top[h], side):
-                    tiles += (_diagonal(g, a, ea) if a == b else
-                              [(g, a, ea, h, b, min(b + side, top[h]), True)])
-            for h in range(ends.size - 1):
-                for b in range(top[h], ends[h + 1], side):
-                    tiles.append((g, a, ea, h, b, min(b + side, ends[h + 1]),
-                                  False))
-    return tiles
-
-
-def _tile(flt: _Filter, g: int, a: int, ea: int, h: int, b: int,
-          eb: int) -> tuple:
-    """(scale, D, f): the float32 distances D between rows a:ea of group g
-    and b:eb of group h less the tile's floor f, and D's scale."""
-    s_a, scale, left, _, _ = flt.ops[g if g == h else -1]
-    s_b, _, _, right, _ = flt.ops[h if g == h else -1]
-    D = left[a - s_a:ea - s_a] @ right[b - s_b:eb - s_b].T
-    np.sqrt(np.maximum(D, 0, out=D), out=D)
-    f = flt.floor[g, h]
-    if f:
-        D -= f
-    return scale, D, float(f)
-
-
-def _tile_sums(flt: _Filter, tiles: list) -> np.ndarray:
-    """The filtered row sums F over `tiles`, in list order: float32 products
-    with a ones vector, and each tile's floor added back in float64."""
-    ones = np.ones(flt.side, dtype=np.float32)
-    sums = np.zeros(flt.err.size)
-    for g, a, ea, h, b, eb, both in tiles:
-        scale, D, f = _tile(flt, g, a, ea, h, b, eb)
-        sums[a:ea] += scale * (D @ ones[:eb - b]) + f * (eb - b)
-        if both:
-            sums[b:eb] += scale * (ones[:ea - a] @ D) + f * (ea - a)
-        del D  # before the next tile's is computed
+def _tile_sums(flt: _Filter, rows: np.ndarray) -> np.ndarray:
+    """The filtered sums F_i of the given rows (ascending offsets in the
+    filter's order) against every row of the cluster.  Each group's given
+    rows, in blocks of up to `side` rows gathered once per block and group,
+    meet each group's rows in column blocks of `side`: one float32 product
+    of their operands (a group's own within it, the cluster's between two
+    groups), clamped at 0 and square-rooted, less the tile's floor, summed
+    by a float32 product with a ones vector, the floor added back in
+    float64."""
+    ends, side = flt.ends, flt.side
+    ones = np.ones(side, dtype=np.float32)
+    sums = np.zeros(rows.size)
+    cut = np.searchsorted(rows, ends)  # group g's: rows[cut[g]:cut[g + 1]]
+    for g, h in itertools.product(range(ends.size - 1), repeat=2):
+        s_a, scale, left, _, _ = flt.ops[g if g == h else -1]
+        s_b, _, _, right, _ = flt.ops[h if g == h else -1]
+        f = float(flt.floor[g, h])
+        for a in range(cut[g], cut[g + 1], side):
+            L = left[rows[a:min(a + side, cut[g + 1])] - s_a]
+            for b in range(ends[h], ends[h + 1], side):
+                D = L @ right[b - s_b:min(b + side, ends[h + 1]) - s_b].T
+                np.sqrt(np.maximum(D, 0, out=D), out=D)
+                if f:
+                    D -= f
+                sums[a:a + L.shape[0]] += (scale * (D @ ones[:D.shape[1]])
+                                           + f * D.shape[1])
+                del D  # before the next tile's is computed
     return sums
 
 
@@ -724,39 +673,29 @@ def _medoid(P: np.ndarray, side: int) -> int:
     whose lower bound (`_lower_bounds`) is at most (1 + 3c)(T~_j 2**-e +
     2 m b), T~_j the ``cdist`` sum of the row j of least bound: the
     ``cdist`` argmin i has T~_i <= T~_j, so lb_i <= T_i <= (1 + 2c)(T~_j +
-    m b), the spare c covering the cap's rounding.  Of their filtered sums
-    F (`_tile_sums`), row i is kept when F_i - err_i <= (1 + 5 (a + c)) F_j
-    + err_j for the j that makes the right side least: T_i - T_j <= 2 m b +
-    c (T_i + T_j) and T_i + T_j <= 2.01 (F_j + 1.01 k_j + m b), so F_i -
-    F_j <= 1.02 (k_i + k_j) + 2.01 m b + 2.03 (a + c) F_j.  ``cdist`` sums
-    each kept row again (`_row_sums`), save the cap's row, whose sum it
-    has, and the least sum wins."""
+    m b), the spare c covering the cap's rounding; a cluster of one tile
+    keeps every row.  Of the kept rows' filtered sums F against every row
+    (`_tile_sums`), row i is re-checked when F_i - err_i <= (1 + 5 (a +
+    c)) F_j + err_j for the j that makes the right side least: T_i - T_j
+    <= 2 m b + c (T_i + T_j) and T_i + T_j <= 2.01 (F_j + 1.01 k_j + m b),
+    so F_i - F_j <= 1.02 (k_i + k_j) + 2.01 m b + 2.03 (a + c) F_j.
+    ``cdist`` sums each re-checked row again (`_row_sums`), save the cap's
+    row, whose sum it has, and the least sum wins."""
     m, d = P.shape
     flt = _filter_operands(P, side)
-    top = flt.ends[1:]  # each group's filtered rows end at top[g]
     row, total = -1, np.inf  # the cap's row and its sum (no cap: none)
+    kept = np.arange(m)
     if m > side:
         lb = _lower_bounds(flt)
         j = int(np.argmin(lb))
         row = j if flt.order is None else int(flt.order[j])
         [total] = _row_sums(P, [row], side)
         c = (m + d + 8) * 2.0 ** -53
-        keep = lb <= (1 + 3 * c) * (np.ldexp(total, -flt.e) + 2 * flt.mb)
-        spans = list(zip(flt.ends[:-1], top))
-        top = [s + np.count_nonzero(keep[s:t]) for s, t in spans]
-        # each group's kept rows first, in every per-row array
-        perm = np.concatenate([s + np.flatnonzero(part) for s, t in spans
-                               for part in (keep[s:t], ~keep[s:t])])
-        many = len(spans) > 1  # else the group's operands are the cluster's
-        ops = [(s, scale, *(x[perm[s:s + x.shape[0]] - s] for x in arrays))
-               for s, scale, *arrays in flt.ops[:len(spans) + many]]
-        order = perm if flt.order is None else flt.order[perm]
-        flt = replace(flt, order=order, ops=ops if many else ops * 2,
-                      err=flt.err[perm])
-    sums, err = _tile_sums(flt, _tiles(flt.ends, top, side)), flt.err
-    at = np.concatenate([np.arange(s, t) for s, t in zip(flt.ends[:-1], top)])
+        kept = np.flatnonzero(
+            lb <= (1 + 3 * c) * (np.ldexp(total, -flt.e) + 2 * flt.mb))
+    sums, err = _tile_sums(flt, kept), flt.err[kept]
     rel = 5 * (2.0 ** -24 + (4 * m + d + 8) * 2.0 ** -53)
-    at = at[sums[at] - err[at] <= np.min((1 + rel) * sums[at] + err[at])]
+    at = kept[sums - err <= np.min((1 + rel) * sums + err)]
     rows = at if flt.order is None else np.sort(flt.order[at])
     exact, again = np.full(rows.size, total), rows != row
     exact[again] = _row_sums(P, rows[again], side)
@@ -907,7 +846,7 @@ def refine(data: Dataset, centers: CenterList, z: float,
             sq = np.einsum("ij,ij->i", X, X)
             norms = float(np.sum(sq)), float(np.sum(np.sqrt(sq)))
             del sq
-            frame = _frame(X, centers.positions, keep=True)
+            frame = _frame(X, centers.positions)
 
         def step(centers: CenterList) -> _Step:
             if z == 1:

@@ -354,13 +354,11 @@ class TestAssignKernel:
             centers.positions[clustering.assignment], data.rows)
 
     @settings(max_examples=150, deadline=None)
-    @given(_near_tie_instance(), st.sampled_from([4, 64, 2 ** 16]),
-           st.booleans())
-    def test_labels_are_the_cdist_argmin(self, case, block, keep):
+    @given(_near_tie_instance(), st.sampled_from([4, 64, 2 ** 16]))
+    def test_labels_are_the_cdist_argmin(self, case, block):
         X, C = case
         with mock.patch.object(clustering_module, "BLOCK_ENTRIES", block):
-            frame = clustering_module._frame(X, C, keep=keep)
-            got = clustering_module._nearest_labels(X, C, frame)
+            got = clustering_module._nearest_labels(X, C)
         np.testing.assert_array_equal(got, np.argmin(cdist(X, C), axis=1))
 
     @settings(max_examples=150, deadline=None)
@@ -1018,6 +1016,19 @@ class TestMedoidGroups:
         order, sizes, _ = clustering_module._groups(points, 8, 256)
         assert order is None and sizes == [2000]
 
+    def test_high_dimensional_blob_keeps_its_far_rows(self):
+        # in d=32 the balls around a blob and its farthest row are
+        # disjoint by a hair, and without the radius test the blob lost a
+        # row at every cut; a row 10**3 away is still a group of its own
+        points = np.random.default_rng(0).normal(size=(400, 32))
+        order, sizes, _ = clustering_module._groups(points, 8, 256)
+        assert order is None and sizes == [400]
+        far = np.zeros((1, 32))
+        far[0, 0] = 1e3
+        order, sizes, _ = clustering_module._groups(
+            np.vstack([points, far]), 8, 256)
+        assert sizes == [1, 400] and order[0] == 400
+
     def test_gaps_bound_every_distance_between_groups(self):
         g = np.random.default_rng(1)
         points = np.vstack([g.normal(size=(30, 3)) + [0, 0, 0],
@@ -1034,10 +1045,10 @@ class TestMedoidGroups:
 class TestMedoidBound:
     def test_compact_cluster_filters_under_a_third_of_its_rows(
             self, monkeypatch):
-        # one 2000-row d=8 unit blob on a two-thread pool: its upper
-        # triangle is m**2 / 2 float32 distances, while the lower bound
-        # leaves about a sixth of the rows to sum against every row, plus
-        # m x 64 distances to the cells' means
+        # one 2000-row d=8 unit blob on a two-thread pool: the lower bound
+        # leaves about a sixth of the rows, each summed against all m rows,
+        # after m x 64 distances to the cells' means; a quarter of the rows
+        # would be m * (m / 4 + 64) float32 distances
         m = 2000
         points = np.random.default_rng(0).normal(size=(m, 8))
         computed = []
@@ -1061,7 +1072,26 @@ class TestMedoidBound:
         full = np.concatenate([np.sum(cdist(points[i:i + 500], points),
                                       axis=1) for i in range(0, m, 500)])
         assert medoid == int(np.argmin(full))
-        assert 0 < sum(computed) < m * m / 3
+        assert 0 < sum(computed) < m * (m / 4 + 64)
+
+    def test_large_group_keeps_fewer_rows_than_with_64_cells(
+            self, monkeypatch):
+        # a 10,000-row d=16 unit blob: one cell per MEDOID_CELL_ROWS rows
+        # gives a tighter bound than 64 cells, so fewer rows are summed
+        # against all 10,000
+        points = np.random.default_rng(0).normal(size=(10000, 16))
+        kept = []
+        real = clustering_module._tile_sums
+
+        def spy(flt, rows):
+            kept.append(rows.size)
+            return real(flt, rows)
+
+        monkeypatch.setattr(clustering_module, "_tile_sums", spy)
+        medoid = one_medoid(points)
+        monkeypatch.setattr(clustering_module, "MEDOID_CELL_ROWS", 10 ** 9)
+        assert one_medoid(points) == medoid
+        assert kept[0] < kept[1]
 
 
 def exact_sums(points: np.ndarray) -> np.ndarray:
@@ -1103,37 +1133,41 @@ class TestMedoidStages:
     @given(*_stage_case(), st.integers(0, 2 ** 32 - 1))
     def test_filtered_sums_are_within_their_margins(self, points, side,
                                                     seed):
-        # each group's first top[g] rows are filtered: their tiles cover
-        # every row, the others' only the filtered rows
+        # any subset of the rows, as the lower bound leaves one, each
+        # summed against every row
         flt, exact = self.stages(points, side)
-        g, ends = np.random.default_rng(seed), flt.ends
-        top = [s + g.integers(t - s + 1)
-               for s, t in zip(ends[:-1], ends[1:])]
-        sums = clustering_module._tile_sums(
-            flt, clustering_module._tiles(ends, top, side))
-        rows = np.concatenate([np.arange(s, t)
-                               for s, t in zip(ends[:-1], top)])
+        g, m = np.random.default_rng(seed), len(points)
+        rows = np.sort(g.choice(m, size=g.integers(m + 1), replace=False))
+        sums = clustering_module._tile_sums(flt, rows)
         # the float32 roots and float64 sums' relative a of the margin
-        a = 2.0 ** -24 + 3 * len(points) * 2.0 ** -53
-        assert np.all(np.abs(sums[rows] - exact[rows])
+        a = 2.0 ** -24 + 3 * m * 2.0 ** -53
+        assert np.all(np.abs(sums - exact[rows])
                       <= flt.err[rows] + a * exact[rows])
 
     @settings(max_examples=40, deadline=None)
     @given(*_stage_case())
     def test_tile_sums_are_within_spill_of_their_terms(self, points, side):
+        # every row's sums, from the same float32 tiles as `_tile_sums`:
+        # rows a:ea of group g against rows b:eb of group h
         flt = clustering_module._filter_operands(points, side)
-        tiles = clustering_module._tiles(flt.ends, flt.ends[1:], side)
-        sums = clustering_module._tile_sums(flt, tiles)
-        terms, size = np.zeros(len(points)), np.zeros(len(points))
-        for g, a, ea, h, b, eb, both in tiles:
-            scale, D, f = clustering_module._tile(flt, g, a, ea, h, b, eb)
-            D = D.astype(np.float64)  # every float32 is a float64
-            parts = [(slice(a, ea), 1, eb - b)]
-            if both:
-                parts.append((slice(b, eb), 0, ea - a))
-            for rows, axis, count in parts:
-                terms[rows] += scale * np.sum(D, axis=axis) + f * count
-                size[rows] += scale * np.sum(np.abs(D), axis=axis)
+        m, ends = len(points), flt.ends
+        sums = clustering_module._tile_sums(flt, np.arange(m))
+        terms, size = np.zeros(m), np.zeros(m)
+        for g, h in itertools.product(range(ends.size - 1), repeat=2):
+            s_a, scale, left, _, _ = flt.ops[g if g == h else -1]
+            s_b, _, _, right, _ = flt.ops[h if g == h else -1]
+            f = float(flt.floor[g, h])
+            for a in range(ends[g], ends[g + 1], side):
+                ea = min(a + side, ends[g + 1])
+                for b in range(ends[h], ends[h + 1], side):
+                    eb = min(b + side, ends[h + 1])
+                    D = left[np.arange(a, ea) - s_a] @ right[b - s_b:
+                                                             eb - s_b].T
+                    np.sqrt(np.maximum(D, 0, out=D), out=D)
+                    D -= f
+                    D = D.astype(np.float64)  # every float32 is a float64
+                    terms[a:ea] += scale * np.sum(D, axis=1) + f * (eb - b)
+                    size[a:ea] += scale * np.sum(np.abs(D), axis=1)
         # the float64 sums of both sides round by a few U
         assert np.all(np.abs(sums - terms)
                       <= flt.spill * size + 2.0 ** -48 * np.abs(terms))
