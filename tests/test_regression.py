@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from senselect.core import RngStream
 from senselect.hoelder import INFINITY
@@ -113,6 +114,14 @@ class TestRegressionSampleSize:
             regression_sample_size(2, 0.5, delta=1e-320)
 
 
+class CountedTargets(np.ndarray):
+    """Targets that record the rows of every read, in `reads`."""
+
+    def __getitem__(self, key):
+        self.reads.append(np.arange(self.size)[key])
+        return np.asarray(self)[key]
+
+
 class TestRegressionSelect:
     def test_distance_only_mode(self):
         # rows (0, 1, -3): the medoid is row 0 (distance sum 4), so the
@@ -169,6 +178,29 @@ class TestRegressionSelect:
                                      RngStream(2, "ro"), s=20)
         np.testing.assert_array_equal(plan.p, plan2.p)
         np.testing.assert_allclose(plan.x0, plan2.x0)
+
+    @pytest.mark.filterwarnings("ignore:degenerate normalizer")
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+           st.integers(1, 300), st.integers(1, 12),
+           st.sampled_from([1.0, INFINITY]))
+    def test_duplicate_rows_give_k_distinct_medoids_and_k_reads(
+            self, seed, distinct, n, k, lam):
+        # every row is one of a few points, so clusters tie and empty ones
+        # are reseeded; past 64 rows a cluster's medoid is sampled
+        g = np.random.default_rng(seed)
+        A = g.integers(-3, 4, size=(distinct, 2)).astype(float)[
+            g.integers(distinct, size=max(n, k))]
+        inst = RegressionInstance(A, g.normal(size=A.shape[0]))
+        targets = inst.b.view(CountedTargets)
+        targets.reads = []
+        object.__setattr__(inst, "b", targets)
+        _, plan = regression_select(inst, k, 0.5, lam, RngStream(seed, "dup"),
+                                    s=20)
+        medoids = plan.clustering.centers.indices
+        assert len(set(medoids.tolist())) == k
+        [read] = targets.reads
+        np.testing.assert_array_equal(read, medoids)
 
     def test_default_sample_count(self):
         rng = np.random.default_rng(26)

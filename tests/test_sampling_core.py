@@ -350,8 +350,8 @@ def _selection_bytes(rows, losses, targets, k, z, seed):
 @settings(max_examples=8, deadline=None)
 @given(blas_case(), st.sampled_from([1, 2]))
 def test_blas_cap_changes_no_output(case, z):
-    """The cap a process oracle and the medoid pool take on BLAS threads
-    leaves samples, clusterings and plans bit-identical."""
+    """The cap a process oracle takes on BLAS threads leaves samples,
+    clusterings and plans bit-identical."""
     rows, losses, targets, k, seed = case
     free = _selection_bytes(rows, losses, targets, k, z, seed)
     with core.blas_threads(1):
