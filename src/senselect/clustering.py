@@ -35,8 +35,10 @@ MEDOID_REFERENCE evenly strided members (in the style of Med-dit, Bagaria
 et al. 2018, and BanditPAM, Tiwari et al. 2020).  A cluster of at most
 MEDOID_CANDIDATES rows gets its exact medoid, its full matrix's row-sum
 argmin; a larger one costs O(m d) plus a fixed 64 x 512 block of
-distances, not O(m^2 d).  A z=1 refinement recomputes only the medoids of
-clusters whose members changed since the last medoid pass.
+distances, not O(m^2 d).  A z=1 refinement recomputes, one cluster at a
+time, only the medoids of clusters whose members changed since the last
+medoid pass.  Both powers share one refinement step, whose labels come from
+rows cast to the kernel's operands once per `refine` call.
 """
 
 from __future__ import annotations
@@ -358,23 +360,14 @@ def _medoid(P: np.ndarray) -> int:
     return int(cand[np.argmin(np.sum(cdist(P[cand], ref), axis=1))])
 
 
-def _medoids(points: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Row of `points` that is the sampled medoid (`_medoid`) of each
-    cluster i, whose members are points[bounds[i]:bounds[i + 1]] (at least
-    one)."""
-    return np.array([lo + _medoid(points[lo:hi])
-                     for lo, hi in zip(bounds[:-1], bounds[1:])])
-
-
 def _members(labels: np.ndarray, k: int) -> tuple:
-    """(counts, bounds, order): cluster i's members, in ascending row order,
-    are order[bounds[i]:bounds[i + 1]].  A stable sort gives the same
+    """(bounds, order): cluster i's members, in ascending row order, are
+    order[bounds[i]:bounds[i + 1]].  A stable sort gives the same
     permutation for any key dtype, and numpy radix-sorts 8- and 16-bit
     keys."""
-    counts = np.bincount(labels, minlength=k)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
     order = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")
-    return counts, bounds, order
+    return bounds, order
 
 
 def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -390,7 +383,7 @@ def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     mean sums it."""
     n, d = X.shape
     if d == 1:
-        _, bounds, order = _members(labels, k)
+        bounds, order = _members(labels, k)
         grouped = X[order]
         return np.array([grouped[lo:hi].sum(axis=0)
                          for lo, hi in zip(bounds[:-1], bounds[1:])])
@@ -435,8 +428,8 @@ def _sum_bounds(sums: np.ndarray, counts: np.ndarray, C: np.ndarray,
 @dataclass
 class _Step:
     """A refinement state; lo <= T <= hi bound the total cost T that `assign`
-    reports for it, and lo = hi = T once `exact` holds its clustering.  A
-    z=2 state also holds its clusters' member counts and sums."""
+    reports for it, and lo = hi = T once `exact` holds its clustering.  It
+    holds its clusters' member counts, and a z=2 state their sums."""
 
     centers: CenterList
     labels: np.ndarray
@@ -467,17 +460,19 @@ def refine(data: Dataset, centers: CenterList, z: float,
     keeping k fixed.
 
     Each iteration makes one n x k pass of the assignment kernel
-    (`_nearest_labels`).  For z=2 the call casts the rows to the kernel's
-    float32 operands once, and frees them before the final exact cost pass;
-    each state's step also sums its clusters (`_cluster_sums`), which give
-    the next update's means and rigorous bounds on the state's total
-    (`_sum_bounds`).  The exact O(n d) cost pass runs only when a stop test
-    needs it: a test that the bounds on both totals decide is decided, else
-    it runs on both states' exact costs.  The returned clustering is always
-    exact.  For z=1 each center is its cluster's sampled medoid (`_medoid`),
-    which depends only on the cluster's members, so a medoid pass recomputes
-    only the clusters that a row entered or left since the previous pass;
-    the labels of that pass are the previous state's.
+    (`_nearest_labels`) and counts each cluster's members.  The call casts
+    the rows to the kernel's float32 operands once, as every later center
+    is a row or a mean of rows, and frees them before a final exact cost
+    pass.  A z=1 state takes its exact costs.  A z=2 state sums its
+    clusters (`_cluster_sums`), which give the next update's means and
+    rigorous bounds on its total (`_sum_bounds`); its exact O(n d) cost
+    pass runs only when a stop test needs it: a test that the bounds on
+    both totals decide is decided, else it runs on both states' exact
+    costs.  The returned clustering is always exact.  For z=1 each center
+    is its cluster's sampled medoid (`_medoid`), which depends only on the
+    cluster's members, so a medoid pass recomputes, one cluster at a time,
+    only those that a row entered or left since the previous pass; the
+    labels of that pass are the previous state's.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -488,15 +483,15 @@ def refine(data: Dataset, centers: CenterList, z: float,
         sq = np.einsum("ij,ij->i", X, X)
         norms = float(np.sum(sq)), float(np.sum(np.sqrt(sq)))
         del sq
-        frame = _frame(X, centers.positions)
+    frame = _frame(X, centers.positions)
 
     def step(centers: CenterList) -> _Step:
-        if z == 1:
-            exact = assign(data, centers, z)
-            cost = exact.total_cost
-            return _Step(centers, exact.assignment, cost, cost, exact)
         labels = _nearest_labels(X, centers.positions, frame)
         counts = np.bincount(labels, minlength=len(centers))
+        if z == 1:
+            exact = _clustering(X, centers, labels, 1)
+            cost = exact.total_cost
+            return _Step(centers, labels, cost, cost, exact, counts)
         sums = _cluster_sums(X, labels, len(centers))
         lo, hi = _sum_bounds(sums, counts, centers.positions, norms)
         return _Step(centers, labels, lo, hi, counts=counts, sums=sums)
@@ -512,30 +507,25 @@ def refine(data: Dataset, centers: CenterList, z: float,
 
     current, prev = step(centers), None
     for _ in range(max_iters):
-        labels, k = current.labels, len(current.centers)
+        labels, counts = current.labels, current.counts
+        filled = np.flatnonzero(counts)
         positions = current.centers.positions.copy()
         if z == 2:
-            counts, indices = current.counts, None
-            filled = np.flatnonzero(counts)
+            indices = None
             positions[filled] = current.sums[filled] / counts[filled, None]
         else:
-            counts, bounds, order = _members(labels, k)
-            filled = np.flatnonzero(counts)
-            # a cluster with the members its medoid came from keeps it;
-            # the others read their members' rows from one gathered copy
+            # a cluster with the members its medoid came from keeps it
             if prev is None:
-                indices, redo = np.empty(k, dtype=np.intp), filled
+                indices, redo = np.empty(len(counts), dtype=np.intp), filled
             else:
                 indices = current.centers.indices.copy()
                 moved = labels != prev.labels
                 redo = np.union1d(labels[moved], prev.labels[moved])
                 redo = redo[counts[redo] > 0]
-            if redo.size:
-                rows = (order if redo.size == filled.size else
-                        np.concatenate([order[bounds[i]:bounds[i + 1]]
-                                        for i in redo]))
-                spans = np.concatenate(([0], np.cumsum(counts[redo])))
-                indices[redo] = rows[_medoids(X[rows], spans)]
+            bounds, order = _members(labels, len(counts))
+            for i in redo:
+                rows = order[bounds[i]:bounds[i + 1]]
+                indices[i] = rows[_medoid(X[rows])]
             positions[filled] = X[indices[filled]]
         mind = None  # per-point distance^z to the current centers
         for i in np.flatnonzero(counts == 0):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .core import Dataset, LossOracle, LossTable, as_generator
-from .clustering import Clustering, center_distances
+from .clustering import Clustering, _members, center_distances
 
 #: symbolic "distance-only" mode for regression selection
 INFINITY = math.inf
@@ -114,9 +114,10 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
     g = as_generator(rng)
     filled, rows = _filled(clustering)
     dist = center_distances(data.rows, clustering)
+    bounds, order = _members(clustering.assignment, clustering.k)
     picks = []
     for i in range(clustering.k):
-        members = np.flatnonzero(clustering.assignment == i)
+        members = order[bounds[i]:bounds[i + 1]]
         if members.size == 0:
             picks.append(members)
             continue

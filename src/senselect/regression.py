@@ -20,13 +20,14 @@ from .selection import (ProxyLoss, WeightedSample, _plan_from_scores, draw,
 
 @dataclass(frozen=True)
 class RegressionInstance:
-    """Rows a_i of A paired with targets b_i."""
+    """Rows a_i of A paired with targets b_i.  A is stored C-contiguous, and
+    `Dataset` marks it read-only when `regression_select` clusters it."""
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
+        A = np.atleast_2d(np.ascontiguousarray(self.A, dtype=np.float64))
         b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if A.shape[0] != b.size:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.size}")

@@ -216,7 +216,8 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
     sample_size(epsilon)  # and a bad epsilon
     clustering = cluster(data, k, z, rng)
     # the batch fetches the uncached rows of centers with members first
-    centers = set(_filled(clustering)[1].tolist())
+    filled, rows = _filled(clustering)
+    centers = set(rows.tolist())
     queries_proxy = oracle.queries_used + len(centers - oracle.cache.keys())
     if auto:
         lam = estimate_lambda(data, clustering, oracle,
@@ -225,7 +226,7 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
                                         z, rng.child("draw"), s)
     report = {
         "k": k,
-        "k_effective": int(np.unique(clustering.assignment).size),
+        "k_effective": int(filled.size),
         "lambda_mode": AUTO if auto else "supplied",
         "lambda": [float(v) for v in lam],
         "queries_proxy": queries_proxy,

@@ -628,18 +628,42 @@ class TestFixedPointStop:
         # refinement stops there instead of rebuilding the same medoids
         data = blobs(200, [[0, 0], [1e4, 0], [0, 1e4], [1e4, 1e4]], seed=1)
         passes = []
-        real_assign = clustering_module.assign
+        real_labels = clustering_module._nearest_labels
 
-        def counting_assign(*args, **kwargs):
+        def counting_labels(*args, **kwargs):
             passes.append(1)
-            return real_assign(*args, **kwargs)
+            return real_labels(*args, **kwargs)
 
-        monkeypatch.setattr(clustering_module, "assign", counting_assign)
+        monkeypatch.setattr(clustering_module, "_nearest_labels",
+                            counting_labels)
         clustering = kmedoids(data, 4, RngStream(0, "blobs"))
         blob = np.repeat(np.arange(4), 200)
         assert sorted(blob[clustering.centers.indices]) == [0, 1, 2, 3]
-        # one assignment of the seeds plus one per iteration
+        # one label pass for the seeds plus one per iteration
         assert len(passes) == 2
+
+
+class TestOneFrame:
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_rows_cast_once_per_refinement(self, monkeypatch, z):
+        # Lloyd makes several passes on blobs 6 spreads apart; every pass
+        # scores the rows in the operands cast at the start, and no pass
+        # goes through `assign`
+        data = blobs(100, [[0, 0], [6, 0], [0, 6], [6, 6]], seed=1)
+        seeds = dz_seed(data, 4, z, RngStream(0, "frame"))
+        calls = {"_frame": 0, "_nearest_labels": 0, "assign": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(clustering_module,
+                                                       name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(clustering_module, name, counted)
+        got = refine(data, seeds, z)
+        assert calls["_nearest_labels"] > 2
+        assert calls["_frame"] == 1 and calls["assign"] == 0
+        monkeypatch.undo()
+        assert_same_clustering(got, reference_refine(data, seeds, z))
 
 
 class TestCertifiedStop:
@@ -767,10 +791,16 @@ def full_argmin(points: np.ndarray, bounds: np.ndarray) -> list:
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def medoids(points: np.ndarray, bounds) -> np.ndarray:
+    """Row of `points` that is the sampled medoid of each cluster i, whose
+    members are points[bounds[i]:bounds[i + 1]]."""
+    return np.array([lo + clustering_module._medoid(points[lo:hi])
+                     for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
 def one_medoid(points) -> int:
     """The medoid of `points` as one cluster, by the all-cluster helper."""
-    bounds = np.array([0, points.shape[0]])
-    return int(clustering_module._medoids(points, bounds)[0])
+    return int(medoids(points, [0, points.shape[0]])[0])
 
 
 def brute_medoid(points: np.ndarray) -> int:
@@ -847,7 +877,7 @@ class TestMedoid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering_module, "MEDOID_CANDIDATES", candidates)
             mp.setattr(clustering_module, "MEDOID_REFERENCE", reference)
-            got = clustering_module._medoids(points, bounds)
+            got = medoids(points, bounds)
             want = [brute_medoid(points[lo:hi])
                     for lo, hi in zip(bounds[:-1], bounds[1:])]
         for r, w, lo, hi in zip(got, want, bounds[:-1], bounds[1:]):
@@ -860,21 +890,22 @@ class TestExactMedoid:
     @settings(max_examples=100, deadline=None)
     @given(points=_medoid_points())
     def test_equals_the_full_matrix_argmin(self, seeds, points):
-        calls = []  # (rows, bounds, medoids) of every medoid pass
-        real_medoids = clustering_module._medoids
+        calls = []  # (rows, medoid) of every cluster of the medoid pass
+        real_medoid = clustering_module._medoid
 
-        def spy(rows, bounds):
-            medoids = real_medoids(rows, bounds)
-            calls.append((rows.copy(), np.array(bounds), medoids))
-            return medoids
+        def spy(rows):
+            medoid = real_medoid(rows)
+            calls.append((rows.copy(), medoid))
+            return medoid
 
         first = np.arange(min(seeds, len(points)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clustering_module, "_medoids", spy)
+            mp.setattr(clustering_module, "_medoid", spy)
             refine(Dataset(points), CenterList(points[first], first), 1,
                    max_iters=1)
-        [(rows, bounds, medoids)] = calls
-        assert medoids.tolist() == full_argmin(rows, bounds)
+        assert calls
+        for rows, medoid in calls:
+            assert medoid == full_argmin(rows, [0, len(rows)])[0]
 
 
 class TestAllClusterMedoids:
@@ -887,7 +918,7 @@ class TestAllClusterMedoids:
         points, bounds = case
         m, want = len(points), full_argmin(points, bounds)
         starts = np.arange(copies) * m
-        got = clustering_module._medoids(
+        got = medoids(
             np.vstack([points] * copies),
             np.append((starts[:, None] + bounds[:-1]).ravel(), copies * m))
         assert got.tolist() == [c + w for c in starts for w in want]
@@ -895,7 +926,7 @@ class TestAllClusterMedoids:
 
 class TestThreadedMedoid:
     # medoid passes run on the calling thread, one cluster after another;
-    # the ids count copies of one cluster in a single `_medoids` call
+    # the ids count copies of one cluster in a single `medoids` call
     @pytest.mark.parametrize("copies", [1, 2, 3, 5])
     def test_sums_equal_the_full_matrix(self, copies):
         # a cluster of more than MEDOID_CANDIDATES and at most
@@ -922,7 +953,7 @@ class TestThreadedMedoid:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(clustering_module, "cdist", spy)
                 medoid = one_medoid(points)
-                got = clustering_module._medoids(
+                got = medoids(
                     np.vstack([points] * copies), np.arange(copies + 1) * m)
             rows, reference, block = blocks[1]
             np.testing.assert_array_equal(rows, points[cand])
@@ -951,11 +982,8 @@ class TestThreadedMedoid:
         assert seen.max() == 1 and seen.sum() == MEDOID_CANDIDATES
         assert medoid == brute_medoid(points)
 
-    def test_memory_stays_bounded_on_four_workers(self, monkeypatch):
-        # one 6000-row cluster on a host that reports four CPUs, so a
-        # worker count taken from it would show in the peak; the m x m
-        # matrix would take 288 MB
-        monkeypatch.setattr(core_module, "_cpu_count", lambda: 4)
+    def test_memory_stays_bounded_on_four_workers(self):
+        # one 6000-row cluster; the m x m matrix would take 288 MB
         data = Dataset(np.random.default_rng(0).normal(size=(6000, 2)))
         tracemalloc.start()
         try:
@@ -1025,7 +1053,7 @@ class TestMedoidFilterMargin:
         # filter keeps every row and the margin of its cut plays no part
         m, want = len(points), full_argmin(points, bounds)
         starts = np.arange(copies) * m
-        got = clustering_module._medoids(
+        got = medoids(
             np.vstack([points] * copies),
             np.append((starts[:, None] + bounds[:-1]).ravel(), copies * m))
         assert got.tolist() == [c + w for c in starts for w in want]
@@ -1118,7 +1146,8 @@ class TestReusedMedoids:
         # two overlapping blobs whose seeds both sit in the first, and two
         # blobs far from them: after the first medoid pass rows move
         # between clusters 0 and 1 only, so the second pass gathers only
-        # their rows and clusters 2 and 3 keep their medoids
+        # their rows, one cluster at a time, and clusters 2 and 3 keep
+        # their medoids
         data = blobs(50, [[0, 0], [3, 0], [100, 0], [0, 100]], seed=1)
         rows = [0, 1, 100, 150]
         seeds = CenterList(data.rows[rows], rows)
@@ -1126,23 +1155,27 @@ class TestReusedMedoids:
         second = reference_refine(data, seeds, 1, max_iters=1).assignment
         moved = np.flatnonzero(first != second)
         changed = np.union1d(first[moved], second[moved])
-        calls = []
-        real = clustering_module._medoids
+        passes = []  # the rows of each medoid, after each label pass
+        real_labels = clustering_module._nearest_labels
+        real_medoid = clustering_module._medoid
 
-        def spy(points, bounds, *args):
-            calls.append((points.copy(), np.array(bounds)))
-            return real(points, bounds, *args)
+        def labels_spy(*args):
+            passes.append([])
+            return real_labels(*args)
 
-        monkeypatch.setattr(clustering_module, "_medoids", spy)
+        def medoid_spy(points):
+            passes[-1].append(points.copy())
+            return real_medoid(points)
+
+        monkeypatch.setattr(clustering_module, "_nearest_labels", labels_spy)
+        monkeypatch.setattr(clustering_module, "_medoid", medoid_spy)
         got = refine(data, seeds, 1)
         monkeypatch.undo()
         assert_same_clustering(got, reference_refine(data, seeds, 1))
         assert changed.tolist() == [0, 1]
-        points, bounds = calls[1]
-        np.testing.assert_array_equal(
-            points, np.vstack([data.rows[second == i] for i in changed]))
-        np.testing.assert_array_equal(
-            bounds, np.cumsum([0, *(np.sum(second == i) for i in changed)]))
+        assert len(passes[0]) == 4 and len(passes[1]) == len(changed)
+        for points, i in zip(passes[1], changed):
+            np.testing.assert_array_equal(points, data.rows[second == i])
 
 
 @st.composite
@@ -1181,7 +1214,7 @@ class TestRefineBlasCap:
                      lambda n: lib.__setitem__("count", n)),)
         monkeypatch.setattr(core_module, "_openblas_controls",
                             lambda: controls)
-        for name in ("_nearest_labels", "_medoids"):
+        for name in ("_nearest_labels", "_medoid"):
             def spy(*args, real=getattr(clustering_module, name)):
                 lib["seen"].append(lib["count"])
                 return real(*args)
@@ -1198,7 +1231,7 @@ class TestRefineBlasCap:
         def fail(*args):
             raise MemoryError("medoid")
 
-        monkeypatch.setattr(clustering_module, "_medoids", fail)
+        monkeypatch.setattr(clustering_module, "_medoid", fail)
         data = blobs(60, [[0, 0], [5, 0]], seed=3)
         with pytest.raises(MemoryError):
             refine(data, dz_seed(data, 2, 1, RngStream(1, "cap")), 1)

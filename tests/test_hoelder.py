@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from senselect.core import (BudgetExceededError, Dataset, LossOracle,
                             LossTable, RngStream)
-from senselect.clustering import CenterList, assign
+from senselect.clustering import CenterList, assign, center_distances
 from senselect.hoelder import (default_sample_count, estimate_lambda,
                                holder_percentiles, holder_ratios)
 
@@ -151,6 +151,35 @@ class TestEstimateLambda:
         oracle = LossOracle.from_table(rng.random(50), budget=3)
         with pytest.raises(BudgetExceededError):
             estimate_lambda(data, clustering, oracle, 4, RngStream(1, "q"))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_queries_equal_per_cluster_member_scans(self, seed):
+        # row 7 copies row 3, so the cluster of center row 7 is empty; the
+        # clusters are unequal, some smaller than t; the members, grouped
+        # by one stable sort, are those of a scan of the labels per
+        # cluster, so the queried rows are too
+        g = np.random.default_rng(seed)
+        rows = np.vstack([g.normal(size=(40, 2)), 5 + g.normal(size=(4, 2))])
+        rows[7] = rows[3]
+        data = Dataset(rows)
+        clustering = row_clustering(data, [3, 7, 20, 41], 2)
+        assert np.bincount(clustering.assignment, minlength=4)[1] == 0
+        oracle = LossOracle.from_table(g.random(data.n))
+        queried = []
+        real = oracle.query_many
+        oracle.query_many = lambda indices: (queried.append(list(indices)),
+                                             real(indices))[1]
+        estimate_lambda(data, clustering, oracle, 6, RngStream(seed, "scan"))
+        draws = RngStream(seed, "scan").generator()
+        dist = center_distances(data.rows, clustering)
+        want = [3, 20, 41]
+        for i in range(clustering.k):
+            members = np.flatnonzero(clustering.assignment == i)
+            if members.size:
+                picked = draws.choice(members, size=6,
+                                      replace=members.size < 6)
+                want += picked[dist[picked] > 0].tolist()
+        assert queried == [want]
 
     def test_rejects_bad_t(self):
         data = Dataset([[0.0], [1.0]])

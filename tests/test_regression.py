@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from senselect import regression as regression_module
 from senselect.core import RngStream
 from senselect.hoelder import INFINITY
 from senselect.regression import (ConstantTargetError, RegressionInstance,
@@ -161,6 +162,25 @@ class TestRegressionSelect:
                                     RngStream(0, "tiny"), s=50)
         assert plan.clustering.centers.indices[0] == 0
         np.testing.assert_allclose(plan.p, [0, 0, 1 / 6.5, 3 / 6.5, 2.5 / 6.5])
+
+    def test_column_slice_clustered_without_a_copy(self, monkeypatch):
+        # A as a column slice of a loaded matrix, as the CLI passes it: the
+        # instance stores it contiguous once, and a call clusters those
+        # very rows instead of an n x d copy of them
+        M = np.random.default_rng(3).normal(size=(300, 5))
+        inst = RegressionInstance(M[:, :-1], M[:, -1])
+        clustered = []
+        real = regression_module.kmedoids
+
+        def spy(data, *args):
+            clustered.append(data.rows)
+            return real(data, *args)
+
+        monkeypatch.setattr(regression_module, "kmedoids", spy)
+        regression_select(inst, 3, 0.5, 1.0, RngStream(0, "slice"), s=20)
+        [rows] = clustered
+        assert rows is inst.A and inst.A.flags.c_contiguous
+        np.testing.assert_array_equal(inst.A, M[:, :-1])
 
     def test_targets_read_only_at_medoids(self):
         # non-medoid targets can be garbage without changing the plan
