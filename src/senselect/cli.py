@@ -106,6 +106,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.budget is not None and args.k is not None:
+        raise sio.DataFormatError("give --k or --budget, not both")
     if args.budget is not None:
         k = math.ceil(0.2 * _count(args.budget, int, "--budget"))
         s = args.budget - k

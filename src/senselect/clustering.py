@@ -11,9 +11,10 @@ center whose score is within a rigorous rounding margin of the row's least
 is a candidate, a row with one candidate takes it, and ``cdist`` measures
 again the few rows with more.  Each point's cost is then computed exactly
 from the residual to its assigned center, ||x - c||^z, so a point that
-coincides with its center costs exactly 0.  Seeding keeps ``cdist``;
-snapping measures again with ``cdist`` every row a GEMM filter cannot rule
-out (`snap_centers`).  Every n x d or n x k temporary is built in row
+coincides with its center costs exactly 0.  Seeding keeps ``cdist``, and
+so does snapping (`snap_centers`), which measures each center against its
+own cluster's members only, one cluster at a time: it builds no n x k
+array and runs no GEMM.  Every n x d or n x k temporary is built in row
 blocks of at most BLOCK_ENTRIES entries; each row's arithmetic is its own,
 so no result depends on the block size.
 
@@ -554,46 +555,29 @@ def refine(data: Dataset, centers: CenterList, z: float,
 
 
 def snap_centers(data: Dataset, clustering: Clustering) -> Clustering:
-    """Replace each center with the nearest dataset row (ties to the lowest
-    row index) and recompute assignment and costs.
-
-    Centers are processed in order and each takes the nearest row not
-    already claimed, so the snapped centers are k distinct rows and a
-    selection run queries exactly k distinct losses.  Each is the argmin of
-    ``cdist(data.rows, C)[:, i]`` over the unclaimed rows, bit for bit, ties
-    to the lowest row (row 0 when k > n leaves none).
-
-    Filter: one GEMM scores each row x for each center c as
-    L = ||c||^2 - 2 c.x + (1 - g) ||x||^2, g = 5 g_(d+3) (`_gamma`); claimed
-    rows score inf.  With j the least-scored row, ``cdist`` measures again
-    every row scored at most (1 + 3a)(L_j + 2 g ||x_j||^2 + g ||c||^2)
-    + g ||c||^2 + 5b, a = g_(d+5), b = 4 d 2**-1022.  Rigorous: with
-    t = ||x - c||^2, t - 1.5 g ||x||^2 - 0.5 g ||c||^2 - b <= L <=
-    t + 0.5 g ||c||^2 + b (L is within 2.01 g_(d+3) (||x||^2 + ||c||^2) + b
-    of t - g ||x||^2), and a squared ``cdist`` distance is within a t + b of
-    t, so the winner w, no farther than j by ``cdist``, has
-    t_w <= (1 + 2.01 a) t_j + 2.01 b, and L_w is below the threshold, whose
-    spare halves of g and 3a cover its own rounding.
+    """Replace each center with a dataset row and recompute assignment and
+    costs.  A cluster with members takes the member nearest its center by
+    ``cdist``, ties to the lowest row; clusters are disjoint, so no two
+    take the same row.  Then each empty cluster, in order, takes the
+    nearest row by ``cdist`` that no center has taken, ties to the lowest
+    row (row 0 when k > n leaves none).  So for k <= n the snapped centers
+    are k distinct rows and a selection run queries k distinct losses.
     """
     X, C = data.rows, clustering.centers.positions
-    d = X.shape[1]
-    g, a, b = 5 * _gamma(d + 3), _gamma(d + 5), 4 * d * 2.0 ** -1022
-    q = np.einsum("ij,ij->i", X, X)
-    h = np.einsum("ij,ij->i", C, C)
-    L = (-2.0 * C) @ X.T
-    L += (1 - g) * q
-    L += h[:, None]
+    bounds, order = _members(clustering.assignment, clustering.k)
+    counts = np.diff(bounds)
     idx = np.zeros(clustering.k, dtype=np.intp)
-    for i in range(clustering.k):
-        j = int(np.argmin(L[i]))
-        top = ((1 + 3 * a) * (L[i, j] + 2 * g * q[j] + g * h[i])
-               + g * h[i] + 5 * b)
-        if top == np.inf:  # every row is claimed
-            continue
-        near = np.flatnonzero(L[i] <= top)
-        idx[i] = near[np.argmin(cdist(C[i:i + 1], X[near])[0])]
-        L[i + 1:, idx[i]] = np.inf
-    del L  # before `assign` makes its own n x k scores
+    for i in np.flatnonzero(counts):
+        lo, hi = bounds[i], bounds[i + 1]
+        idx[i] = order[lo + np.argmin(cdist(C[i:i + 1], X[order[lo:hi]])[0])]
+    del order  # before `assign` makes its own n x k scores
+    taken = np.zeros(data.n, dtype=bool)
+    taken[idx[counts > 0]] = True
+    for i in np.flatnonzero(counts == 0):
+        # every row taken leaves every distance inf, and argmin row 0
+        idx[i] = np.argmin(np.where(taken, np.inf, cdist(C[i:i + 1], X)[0]))
+        taken[idx[i]] = True
+    del taken
     return assign(data, CenterList(X[idx], idx), clustering.z)
 
 

@@ -180,7 +180,10 @@ def draw(plan: SamplingPlan, rng) -> WeightedSample:
 
 def cluster(data: Dataset, k: int, z: float, rng: RngStream) -> Clustering:
     """k centers on data rows: D^z seeding from ``rng.child("seed")``,
-    refinement, then snapping to distinct rows."""
+    refinement, then snapping to distinct rows, each cluster with members
+    to its member nearest its center (`snap_centers`).  The bound reads the
+    clustering only through its costs and holds for any row centers, so a
+    member stands for its cluster."""
     seeds = dz_seed(data, k, z, rng.child("seed"))
     return snap_centers(data, refine(data, seeds, z))
 
@@ -249,6 +252,9 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
     ``lam`` is a scalar or a length-(k*rounds) vector giving per-prefix-cluster
     constants.  Returns a list of (sample, report) pairs.
     """
+    if k < 1 or rounds < 1:
+        raise ValueError(f"k and rounds must be >= 1, got k={k}, "
+                         f"rounds={rounds}")
     if k * rounds > data.n:
         raise ValueError(f"k*rounds = {k * rounds} exceeds n = {data.n}")
     lam = _lambda_vector(lam, k * rounds)

@@ -79,6 +79,36 @@ class TestDataErrors:
                      "--out-sample", str(tmp_path / "s.csv")])
         assert code == 2
 
+    def test_select_takes_k_or_budget_not_both(self, pairs, tmp_path,
+                                               capsys):
+        # --k is not silently dropped for --budget's k, and no input is read
+        _, losses = pairs
+        out = tmp_path / "s.csv"
+        code = main(["select", "--data", str(tmp_path / "missing.csv"),
+                     "--k", "3", "--budget", "10", "--epsilon", "1",
+                     "--lambda", "1", "--losses", str(losses),
+                     "--out-sample", str(out)])
+        assert code == 2
+        _one_data_error(capsys, "give --k or --budget, not both")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k, rounds", [("-2", "-1"), ("2", "-1"),
+                                           ("0", "2")])
+    def test_select_rounds_needs_k_and_rounds_of_1_or_more(
+            self, pairs, tmp_path, capsys, k, rounds):
+        data, losses = pairs
+        report = tmp_path / "r.json"
+        code = main(["select-rounds", "--data", str(data), "--k", k,
+                     "--rounds", rounds, "--epsilon", "1", "--lambda", "1",
+                     "--losses", str(losses),
+                     "--out-prefix", str(tmp_path / "out"),
+                     "--out-report", str(report)])
+        assert code == 2
+        _one_data_error(capsys, f"k and rounds must be >= 1, got k={k}, "
+                                f"rounds={rounds}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv",
+                                                               "losses.txt"]
+
     @pytest.mark.parametrize("z", ["3", "0.5", "-1", "nan"])
     @pytest.mark.parametrize("command", [
         ["cluster"],

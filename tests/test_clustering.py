@@ -440,13 +440,26 @@ class TestRefineKernel:
 
 
 def reference_snap(data, clustering):
-    """Snap with every center's argmin taken over the rows not yet claimed."""
+    """Snap from the full distance matrix: each cluster with members takes
+    its member nearest the center, then each empty cluster, in order, the
+    nearest row no center has taken (row 0 once every row is taken); ties
+    to the lowest row."""
     D = cdist(data.rows, clustering.centers.positions)
-    idx = np.empty(clustering.k, dtype=np.intp)
+    idx = np.zeros(clustering.k, dtype=np.intp)
     taken = np.zeros(data.n, dtype=bool)
+    empty = []
     for i in range(clustering.k):
-        idx[i] = int(np.argmin(np.where(taken, np.inf, D[:, i])))
-        taken[idx[i]] = True
+        members = np.flatnonzero(clustering.assignment == i)
+        if members.size:
+            idx[i] = members[np.argmin(D[members, i])]
+            taken[idx[i]] = True
+        else:
+            empty.append(i)
+    for i in empty:
+        free = np.flatnonzero(~taken)
+        if free.size:
+            idx[i] = free[np.argmin(D[free, i])]
+            taken[idx[i]] = True
     return assign(data, CenterList(data.rows[idx], idx), clustering.z)
 
 
@@ -454,26 +467,57 @@ class TestSnapClaims:
     @settings(max_examples=150, deadline=None)
     @given(_grid_instance())
     def test_matches_the_masked_loop(self, case):
-        # rows repeat and centers sit on rows, so centers collide on a row
-        # and duplicated rows tie
+        # rows repeat and centers sit on rows, so centers collide on a row,
+        # clusters are left empty, duplicated rows tie, and k may exceed n
         data, C, z = case
         clustering = assign(data, CenterList(C), z)
-        assert_same_clustering(snap_centers(data, clustering),
-                               reference_snap(data, clustering))
+        snapped = snap_centers(data, clustering)
+        assert_same_clustering(snapped, reference_snap(data, clustering))
+        if clustering.k <= data.n:
+            assert np.unique(snapped.centers.indices).size == clustering.k
 
     @settings(max_examples=40, deadline=None)
     @given(_gaussian_instance(st.sampled_from([1e-3, 1.0, 1e3])),
            st.sampled_from([0.0, 1e4, 1e6, 1e8]), st.booleans())
     def test_matches_the_masked_loop_far_from_the_origin(self, case, offset,
                                                          on_rows):
-        # far offsets make ||x||^2 dwarf the squared distances, which widens
-        # the filter's margin; midpoints of two rows put centers off the data
+        # far offsets make ||x||^2 dwarf the squared distances; midpoints of
+        # two rows put centers off the data
         data, C = case
         data = Dataset(data.rows + offset)
         C = (C if on_rows else 0.5 * (C + C[::-1])) + offset
         clustering = assign(data, CenterList(C), 2)
         assert_same_clustering(snap_centers(data, clustering),
                                reference_snap(data, clustering))
+
+    def test_builds_no_k_by_n_array(self):
+        n, d, k = 20000, 8, 32
+        g = np.random.default_rng(5)
+        data = Dataset(g.normal(size=(n, d)))
+        clustering = assign(data, CenterList(g.normal(size=(k, d))), 2)
+        tracemalloc.start()
+        try:
+            snap_centers(data, clustering)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * k * n * 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(_grid_instance(), st.integers(0, 2 ** 32 - 1))
+    def test_z1_snaps_each_medoid_to_its_lowest_copy(self, case, seed):
+        # a z=1 center with members is a medoid, a member at distance 0, so
+        # the cluster keeps the lowest row holding the medoid's coordinates
+        data, C, _ = case
+        k = min(len(C), data.n)
+        refined = refine(data, dz_seed(data, k, 1, RngStream(seed, "z1")), 1)
+        snapped = snap_centers(data, refined)
+        counts = np.bincount(refined.assignment, minlength=k)
+        for i in np.flatnonzero(counts):
+            copies = np.flatnonzero(np.all(
+                data.rows == refined.centers.positions[i], axis=1))
+            assert snapped.centers.indices[i] == copies[0]
+        assert np.unique(snapped.centers.indices).size == k
 
 
 class TestDzSeedDistinct:

@@ -334,6 +334,15 @@ class TestDataSelectRounds:
             estimate = np.sum(sample.weights * losses[sample.indices])
             assert estimate == pytest.approx(np.sum(losses), rel=1e-9)
 
+    @pytest.mark.parametrize("k, rounds", [(-2, -1), (0, 2), (2, 0),
+                                           (2, -1), (-1, 1)])
+    def test_rejects_k_or_rounds_below_1_before_any_query(self, k, rounds):
+        oracle = LossOracle.from_table([0.0] * 4)
+        with pytest.raises(ValueError, match="k and rounds must be >= 1"):
+            data_select_rounds(PAIRS, k, rounds, 1.0, 1.0, oracle, 2,
+                               RngStream(0, "r"))
+        assert oracle.queries_used == 0
+
     def test_rejects_overlong_prefix(self):
         oracle = LossOracle.from_table([0.0] * 4)
         with pytest.raises(ValueError):
