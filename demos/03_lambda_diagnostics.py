@@ -19,7 +19,7 @@ inst = planted_holder(n=1000, d=6, k=K, z=2, separation=20.0,
                       lambda_true=0.7, rng=RngStream(0, "lam/instance"))
 
 # full-table diagnostic: every ratio equals the planted constant
-ratios = holder_ratios(inst.data, inst.clustering, inst.losses)
+ratios = holder_ratios(inst.clustering, inst.losses)
 print("ratio percentiles over the full table:")
 for p, v in holder_percentiles(ratios).items():
     print(f"  {p:>4.0f}%: {v:.3f}")
@@ -27,7 +27,7 @@ for p, v in holder_percentiles(ratios).items():
 # query-budgeted estimate: t draws per cluster, scaled by ln(n)
 t = default_sample_count(K)
 oracle = LossOracle.from_table(inst.losses)
-lam = estimate_lambda(inst.data, inst.clustering, oracle, t,
+lam = estimate_lambda(inst.clustering, oracle, t,
                       RngStream(1, "lam/estimate"))
 print(f"\nbudgeted estimate with t={t} draws/cluster "
       f"({oracle.queries_used} queries total):")

@@ -188,7 +188,7 @@ def cmd_lambda_estimate(args) -> int:
     # an oracle process starts up while the data are clustered
     with _make_oracle(args, data.n) as oracle:
         clustering = cluster(data, args.k, args.z, args.rng)
-        lam = estimate_lambda(data, clustering, oracle, t,
+        lam = estimate_lambda(clustering, oracle, t,
                               args.rng.child("estimate"))
     result = {"lambda": [float(v) for v in lam], "t": t,
               "queries_used": oracle.queries_used, "k": args.k, "z": args.z,
@@ -200,7 +200,7 @@ def cmd_holder_diagnose(args) -> int:
     data = sio.load_matrix(args.data)
     table = sio.load_losses(args.losses, n=data.n)
     clustering = cluster(data, args.k, args.z, args.rng)
-    ratios = holder_ratios(data, clustering, table)
+    ratios = holder_ratios(clustering, table)
     percentiles = [float(p) for p in args.percentiles.split(",")]
     result = {"percentiles": holder_percentiles(ratios, percentiles),
               "ratio_count": int(ratios.size), "k": args.k, "z": args.z,

@@ -9,8 +9,9 @@ thread count runs the arithmetic.  `_nearest_labels` computes it with one
 float32 GEMM per tile of rows and centers centred on the data mean: every
 center whose score is within a rigorous rounding margin of the row's least
 is a candidate, a row with one candidate takes it, and ``cdist`` measures
-again the few rows with more.  Each point's cost is then computed exactly
-from the residual to its assigned center, ||x - c||^z, so a point that
+again the few rows with more.  One pass over the residuals to the assigned
+centers (`_clustering`) then gives each point's distance ||x - c|| and
+cost ||x - c||^z, the only ones the samplers read, so a point that
 coincides with its center costs exactly 0.  Seeding keeps ``cdist``, and
 so does snapping (`snap_centers`), which measures each center against its
 own cluster's members only, one cluster at a time: it builds no n x k
@@ -56,8 +57,8 @@ from .core import Dataset, as_generator
 REFINE_TOL = 1e-9
 
 #: most entries in one row block of an n-sized temporary: the assignment
-#: kernel's float32 score tile, and the residuals of the cost pass and of
-#: `center_distances`
+#: kernel's float32 score tile, and the residuals of the distance and cost
+#: pass (`_clustering`)
 BLOCK_ENTRIES = 2 ** 16
 
 #: rows nearest a cluster's coordinate-wise median that may be its medoid
@@ -98,12 +99,13 @@ class CenterList:
 class Clustering:
     """k centers plus the induced nearest-center partition and per-cluster
     costs; cluster_cost[i] is the power-z cost of cluster i about its own
-    center."""
+    center, and distances[e] the distance of point e to its center."""
 
     centers: CenterList
     assignment: np.ndarray
     cluster_cost: np.ndarray
     z: float
+    distances: np.ndarray
 
     @property
     def k(self) -> int:
@@ -259,43 +261,29 @@ def _residuals(X: np.ndarray, C: np.ndarray, labels: np.ndarray):
         yield lo, hi, np.subtract(X[lo:hi], R, out=R)
 
 
-def center_distances(rows: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """||x - c|| of every row to its own center, by ``np.linalg.norm``'s
-    arithmetic on residual row blocks, squared in place; rounds differently
-    from `_point_cost`, which feeds the cluster costs.  A row whose squared
-    residual underflows to 0 although the residual is nonzero gets its norm
-    again from the residual scaled by its largest entry; every other
-    distance keeps the plain norm's bits."""
-    centers, labels = clustering.centers.positions, clustering.assignment
-    dist = np.empty(rows.shape[0])
-    for lo, hi, R in _residuals(rows, centers, labels):
-        dist[lo:hi] = np.sqrt(np.add.reduce(np.multiply(R, R, out=R), axis=1))
-    zero = np.flatnonzero(dist == 0)
-    tiny = zero[np.any(rows[zero] != centers[labels[zero]], axis=1)]
-    if tiny.size:
-        R = rows[tiny] - centers[labels[tiny]]
-        scale = np.max(np.abs(R), axis=1)
-        dist[tiny] = scale * np.linalg.norm(R / scale[:, None], axis=1)
-    return dist
-
-
-def _point_cost(X: np.ndarray, C: np.ndarray, labels: np.ndarray,
-                z: float) -> np.ndarray:
-    """||x - c||^z of every point to its labelled center, from the residual,
-    in row blocks."""
-    sq = np.empty(X.shape[0])
-    for lo, hi, R in _residuals(X, C, labels):
-        sq[lo:hi] = np.einsum("ij,ij->i", R, R)
-    return sq if z == 2 else np.sqrt(sq) ** z
-
-
 def _clustering(X: np.ndarray, centers: CenterList, labels: np.ndarray,
                 z: float) -> Clustering:
-    """The clustering of `labels` with its per-cluster costs."""
-    point_cost = _point_cost(X, centers.positions, labels, z)
-    cluster_cost = np.bincount(labels, weights=point_cost,
-                               minlength=len(centers))
-    return Clustering(centers, labels, cluster_cost, float(z))
+    """The clustering of `labels`, from one pass over the residuals in row
+    blocks: a point's cost is its sum of squares at z=2, else that sum's
+    square root to the z, and its distance that square root.  A point whose
+    square underflows to 0 although it differs from its center (its cost
+    stays 0) is measured again from its residual scaled by its largest
+    entry, so only a point equal to its center is at distance 0."""
+    C, dist = centers.positions, np.empty(X.shape[0])
+    for lo, hi, R in _residuals(X, C, labels):
+        dist[lo:hi] = np.einsum("ij,ij->i", R, R)
+    if z == 2:
+        cluster_cost = np.bincount(labels, weights=dist, minlength=len(C))
+    np.sqrt(dist, out=dist)
+    if z != 2:
+        cluster_cost = np.bincount(labels, weights=dist ** z, minlength=len(C))
+    zero = np.flatnonzero(dist == 0)
+    tiny = zero[np.any(X[zero] != C[labels[zero]], axis=1)]
+    if tiny.size:
+        R = X[tiny] - C[labels[tiny]]
+        scale = np.max(np.abs(R), axis=1)
+        dist[tiny] = scale * np.linalg.norm(R / scale[:, None], axis=1)
+    return Clustering(centers, labels, cluster_cost, float(z), dist)
 
 
 def assign(data: Dataset, centers: CenterList, z: float) -> Clustering:
@@ -310,8 +298,8 @@ def weighted_cost(clustering: Clustering, lam) -> float:
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
     if lam.size != clustering.k:
         raise ValueError(f"lambda length {lam.size} != k {clustering.k}")
-    if np.any(lam < 0):
-        raise ValueError("lambda entries must be >= 0")
+    if np.any(~np.isfinite(lam)) or np.any(lam < 0):
+        raise ValueError("lambda must be finite and >= 0")
     with np.errstate(over="ignore"):
         return float(np.dot(lam, clustering.cluster_cost))
 
@@ -467,13 +455,14 @@ def refine(data: Dataset, centers: CenterList, z: float,
     pass.  A z=1 state takes its exact costs.  A z=2 state sums its
     clusters (`_cluster_sums`), which give the next update's means and
     rigorous bounds on its total (`_sum_bounds`); its exact O(n d) cost
-    pass runs only when a stop test needs it: a test that the bounds on
-    both totals decide is decided, else it runs on both states' exact
-    costs.  The returned clustering is always exact.  For z=1 each center
-    is its cluster's sampled medoid (`_medoid`), which depends only on the
-    cluster's members, so a medoid pass recomputes, one cluster at a time,
-    only those that a row entered or left since the previous pass; the
-    labels of that pass are the previous state's.
+    pass runs only when a stop test or a reseed, which reads the state's
+    distances, needs it: a test that the bounds on both totals decide is
+    decided, else it runs on both states' exact costs.  The returned
+    clustering is always exact.  For z=1 each center is its cluster's
+    sampled medoid (`_medoid`), which depends only on the cluster's
+    members, so a medoid pass recomputes, one cluster at a time, only those
+    that a row entered or left since the previous pass; the labels of that
+    pass are the previous state's.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -508,6 +497,8 @@ def refine(data: Dataset, centers: CenterList, z: float,
 
     current, prev = step(centers), None
     for _ in range(max_iters):
+        if prev is not None:  # only its labels are read again
+            prev.exact = None
         labels, counts = current.labels, current.counts
         filled = np.flatnonzero(counts)
         positions = current.centers.positions.copy()
@@ -531,7 +522,7 @@ def refine(data: Dataset, centers: CenterList, z: float,
         mind = None  # per-point distance^z to the current centers
         for i in np.flatnonzero(counts == 0):
             if mind is None:
-                mind = _point_cost(X, current.centers.positions, labels, z)
+                mind = current.settle(X, z).distances ** z
                 if indices is not None:  # -1 marks a row that is a center
                     mind[indices[filled]] = -1
             far = int(np.argmax(mind))

@@ -9,8 +9,8 @@ import sys
 
 import numpy as np
 
-from .core import Dataset, LossOracle, LossTable, as_generator
-from .clustering import Clustering, _members, center_distances
+from .core import LossOracle, LossTable, as_generator
+from .clustering import Clustering, _members
 
 #: symbolic "distance-only" mode for regression selection
 INFINITY = math.inf
@@ -35,17 +35,16 @@ def _filled(clustering: Clustering) -> tuple[np.ndarray, np.ndarray]:
     return ids, _require_row_centers(clustering)[ids]
 
 
-def holder_ratios(data: Dataset, clustering: Clustering,
-                  losses: LossTable) -> np.ndarray:
-    """Ratio |loss(e) - loss(center)| / ||e - center||^clustering.z for every
-    point not coinciding with its center, capped at the largest double.
+def holder_ratios(clustering: Clustering, losses: LossTable) -> np.ndarray:
+    """Ratio |loss(e) - loss(c)| / distances[e]^z for every point e at a
+    positive distance from its center c, capped at the largest double.
 
     Diagnostic-only path: it reads the full loss table.
     """
     idx = _require_row_centers(clustering)
     values = losses.values if isinstance(losses, LossTable) else np.asarray(losses)
     center_loss = values[idx][clustering.assignment]
-    dist = center_distances(data.rows, clustering)
+    dist = clustering.distances
     mask = dist > 0
     return _ratios(values[mask] - center_loss[mask],
                    dist[mask] ** clustering.z)
@@ -95,13 +94,14 @@ def default_sample_count(k: int, p: float = 0.2) -> int:
     return _count(p, lambda p: math.log(100 * k) / -math.log1p(-p), "p")
 
 
-def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
-                    t: int, rng) -> np.ndarray:
+def estimate_lambda(clustering: Clustering, oracle: LossOracle, t: int,
+                    rng) -> np.ndarray:
     """Upper-bound estimate of the per-cluster smoothness constants.
 
     Per cluster: query the center loss, draw t member points uniformly
     (without replacement when the cluster is large enough), take the max
-    observed ratio, and scale by ln(n), capped at the largest double.
+    ratio over those at a positive distance from the center, and scale by
+    ln(n), capped at the largest double.
     Spends at most t queries per cluster plus one per center, all in one
     oracle batch.
 
@@ -113,7 +113,7 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
         raise ValueError(f"t must be >= 1, got {t}")
     g = as_generator(rng)
     filled, rows = _filled(clustering)
-    dist = center_distances(data.rows, clustering)
+    dist = clustering.distances
     bounds, order = _members(clustering.assignment, clustering.k)
     picks = []
     for i in range(clustering.k):
@@ -129,7 +129,7 @@ def estimate_lambda(data: Dataset, clustering: Clustering, oracle: LossOracle,
     center = np.zeros(clustering.k)
     center[filled] = losses[:filled.size]
     offset = filled.size
-    log_n = math.log(data.n)
+    log_n = math.log(dist.size)
     lam = np.zeros(clustering.k)
     for i, picked in enumerate(picks):
         picked_losses = losses[offset:offset + picked.size]

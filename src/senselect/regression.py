@@ -12,10 +12,10 @@ import numpy as np
 import scipy.linalg
 
 from .core import Dataset, RngStream
-from .clustering import Clustering, center_distances, kmedoids
+from .clustering import Clustering, kmedoids
 from .hoelder import INFINITY, _count
-from .selection import (ProxyLoss, WeightedSample, _plan_from_scores, draw,
-                        sensitivity_plan)
+from .selection import (ProxyLoss, WeightedSample, _plan_from_scores,
+                        _sample_count, draw, sensitivity_plan)
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,9 @@ def leverage_scores(A) -> np.ndarray:
 
 def leverage_select(instance: RegressionInstance, s: int, rng) -> WeightedSample:
     """s i.i.d. rows with probability proportional to leverage score."""
+    s = _sample_count(s)
     tau = leverage_scores(instance.A)
-    return draw(_plan_from_scores(tau, float(np.sum(tau)), int(s)), rng)
+    return draw(_plan_from_scores(tau, float(np.sum(tau)), s), rng)
 
 
 def regression_sample_size(d: int, epsilon: float, delta: float = 0.1) -> int:
@@ -116,13 +117,15 @@ def regression_select(instance: RegressionInstance, k: int, epsilon: float,
     the clustering only through its cost, for any row centers.  The
     reference solution x0 is the cluster-size-weighted fit on the medoid
     rows, and the plan is the sensitivity plan with the medoid's residual
-    at x0 as lhat and the row's distance to its medoid as v.  Targets b are
-    read only at the k distinct medoid rows, in one indexing.
+    at x0 as lhat and the row's distance to its medoid, read from the
+    clustering's `distances`, as v.  Targets b are read only at the k
+    distinct medoid rows, in one indexing.
 
     ``lam`` may be a scalar, a per-cluster vector, or INFINITY for the
     distance-only mode where p_i is proportional to ||a_i - medoid_i||.
-    Returns (sample, plan).
+    ``s`` overrides the sample count.  Returns (sample, plan).
     """
+    s = _sample_count(s) or regression_sample_size(instance.d, epsilon, delta)
     data = Dataset(instance.A)
     clustering = kmedoids(data, k, rng.child("cluster"))
     idx = clustering.centers.indices
@@ -130,11 +133,9 @@ def regression_select(instance: RegressionInstance, k: int, epsilon: float,
     b_hat_centers = instance.b[idx]
     x0 = solve_least_squares(instance.A[idx], b_hat_centers, weights=sizes)
     resid_sq = (instance.A[idx] @ x0 - b_hat_centers) ** 2
-    dist = center_distances(instance.A, clustering)
-    if s is None:
-        s = regression_sample_size(instance.d, epsilon, delta)
+    dist = clustering.distances
     if np.isscalar(lam) and lam == INFINITY:
-        plan = _plan_from_scores(dist, float(np.sum(dist)), int(s))
+        plan = _plan_from_scores(dist, float(np.sum(dist)), s)
     else:
         proxy = ProxyLoss(resid_sq[clustering.assignment], dist)
         plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)

@@ -8,14 +8,15 @@ sum(lhat)) and `draw`; regression's sampler and baseline use them too."""
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Dataset, LossOracle, RngStream, as_generator
-from .clustering import (Clustering, assign, center_distances, dz_seed,
-                         refine, snap_centers, weighted_cost)
+from .clustering import (Clustering, assign, dz_seed, refine, snap_centers,
+                         weighted_cost)
 from .hoelder import _count, _filled, default_sample_count, estimate_lambda
 
 AUTO = "auto"
@@ -59,15 +60,14 @@ class WeightedSample:
         return self.indices.size
 
 
-def proxy_losses(data: Dataset, clustering: Clustering,
-                 oracle: LossOracle) -> ProxyLoss:
+def proxy_losses(clustering: Clustering, oracle: LossOracle) -> ProxyLoss:
     """Query the oracle on the center rows of the clusters that have members
-    (all k unless snapped centers share a position), as one batch, and
-    extend to proxies for every point."""
+    (all k unless snapped centers share a position), as one batch: lhat is
+    a point's center loss, v its `Clustering.distances` to the z."""
     filled, rows = _filled(clustering)
     lhat = np.zeros(clustering.k)
     lhat[filled] = oracle.query_many(rows)
-    v = center_distances(data.rows, clustering) ** clustering.z
+    v = clustering.distances ** clustering.z
     return ProxyLoss(lhat[clustering.assignment], v)
 
 
@@ -84,6 +84,13 @@ def uniform_sample_size(epsilon: float) -> int:
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return 1 if epsilon > 1 else _count(epsilon, lambda e: 1 / e ** 2)
+
+
+def _sample_count(s) -> int | None:
+    """None, or s as an int if it is an integer >= 1, else ValueError."""
+    if s is not None and not (isinstance(s, numbers.Integral) and s >= 1):
+        raise ValueError(f"sample count must be an integer >= 1, got {s!r}")
+    return None if s is None else int(s)
 
 
 def _plan_from_scores(scores: np.ndarray, denom: float, s: int) -> SamplingPlan:
@@ -128,13 +135,13 @@ def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
     finite, or when a subnormal normalizer leaves p not summing to 1.
     ``s`` draws, by default sample_size(epsilon)."""
     lam = _lambda_vector(lam, clustering.k)
+    draws = sample_size(epsilon)  # checks epsilon even when s is given
+    s = _sample_count(s) or draws
     if np.any(~np.isfinite(proxy.lhat)) or np.any(~np.isfinite(proxy.v)):
         raise ValueError("non-finite proxy values")
     with np.errstate(over="ignore"):  # an overflow is rescaled below
         scores = proxy.lhat + lam[clustering.assignment] * proxy.v
         denom = float(weighted_cost(clustering, lam) + np.sum(proxy.lhat))
-    draws = sample_size(epsilon)  # checks epsilon even when s is given
-    s = draws if s is None else int(s)
     if math.isfinite(denom) and np.all(np.isfinite(scores)):
         try:
             return _plan_from_scores(scores, denom, s)
@@ -188,11 +195,11 @@ def cluster(data: Dataset, k: int, z: float, rng: RngStream) -> Clustering:
     return snap_centers(data, refine(data, seeds, z))
 
 
-def _select_once(data: Dataset, clustering: Clustering, epsilon: float, lam,
+def _select_once(clustering: Clustering, epsilon: float, lam,
                  oracle: LossOracle, z: float, rng, s: int | None = None):
     """proxy -> plan -> draw on one clustering with a checked lam vector;
     returns the sample, the plan and the report fields both pipelines write."""
-    proxy = proxy_losses(data, clustering, oracle)
+    proxy = proxy_losses(clustering, oracle)
     plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
     sample = draw(plan, rng)
     return sample, plan, {"epsilon": epsilon, "z": z, "s": plan.s,
@@ -210,23 +217,24 @@ def data_select(data: Dataset, k: int, epsilon: float, lam, oracle: LossOracle,
     the query-based estimator.  The oracle gets one batch: the center rows
     of the k_effective clusters that have members (k unless there are fewer
     than k distinct rows), followed under AUTO by the estimator's member
-    picks.  ``s``
-    overrides the sample count.  Returns (sample, report, clustering, plan).
+    picks.  ``s`` overrides the sample count.  Returns (sample, report,
+    clustering, plan).
     """
     auto = isinstance(lam, str) and lam == AUTO
     if not auto:
         lam = _lambda_vector(lam, k)  # reject a bad lam before any query
     sample_size(epsilon)  # and a bad epsilon
+    s = _sample_count(s)  # and a bad sample count
     clustering = cluster(data, k, z, rng)
     # the batch fetches the uncached rows of centers with members first
     filled, rows = _filled(clustering)
     centers = set(rows.tolist())
     queries_proxy = oracle.queries_used + len(centers - oracle.cache.keys())
     if auto:
-        lam = estimate_lambda(data, clustering, oracle,
-                              default_sample_count(k), rng.child("lambda"))
-    sample, plan, fields = _select_once(data, clustering, epsilon, lam, oracle,
-                                        z, rng.child("draw"), s)
+        lam = estimate_lambda(clustering, oracle, default_sample_count(k),
+                              rng.child("lambda"))
+    sample, plan, fields = _select_once(clustering, epsilon, lam, oracle, z,
+                                        rng.child("draw"), s)
     report = {
         "k": k,
         "k_effective": int(filled.size),
@@ -263,8 +271,8 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
     results = []
     for i in range(1, rounds + 1):
         clustering = assign(data, ordering.prefix(i * k), z)
-        sample, _, fields = _select_once(data, clustering, epsilon,
-                                         lam[: i * k], oracle, z,
+        sample, _, fields = _select_once(clustering, epsilon, lam[: i * k],
+                                         oracle, z,
                                          rng.child(f"draw-round-{i}"))
         results.append((sample, {"round": i, "k": k, **fields}))
     return results
@@ -272,8 +280,7 @@ def data_select_rounds(data: Dataset, k: int, rounds: int, epsilon: float,
 
 def uniform_select(data: Dataset, s: int, rng) -> WeightedSample:
     """s uniform draws with replacement, every weight n/s."""
-    if s < 1:
-        raise ValueError(f"uniform sample count must be >= 1, got {s}")
+    s = _sample_count(s)
     g = as_generator(rng)
     idx = g.integers(data.n, size=s)
     return WeightedSample(idx, np.full(s, data.n / s))

@@ -40,7 +40,7 @@ def test_criterion_1_exact_unbiasedness():
         losses = rng.random(n) + 0.1  # strictly positive => full support
         centers = rng.choice(n, size=k, replace=False)
         clustering = assign(data, CenterList(data.rows[centers], centers), 2)
-        proxy = proxy_losses(data, clustering, LossOracle.from_table(losses))
+        proxy = proxy_losses(clustering, LossOracle.from_table(losses))
         plan = sensitivity_plan(proxy, clustering, rng.random(k) + 0.1,
                                 float(rng.uniform(0.1, 1.0)))
         assert np.all(plan.p > 0)
@@ -123,7 +123,7 @@ def test_criterion_5_lambda_estimate_coverage():
     hits = 0
     never_exceeds = True
     for seed in range(400):
-        est = estimate_lambda(data, clustering, LossOracle.from_table(losses),
+        est = estimate_lambda(clustering, LossOracle.from_table(losses),
                               t, RngStream(seed, "lem"))[0]
         never_exceeds &= est <= lam_true * ln_n + 1e-12
         hits += est >= lam_true
@@ -185,7 +185,7 @@ def test_criterion_8_r2_comparison():
 def test_criterion_9_ratio_percentiles():
     t0 = time.perf_counter()
     inst = planted_holder(1000, 6, 4, 2, 20.0, 0.7, RngStream(0, "tab"))
-    ratios = holder_ratios(inst.data, inst.clustering, inst.losses)
+    ratios = holder_ratios(inst.clustering, inst.losses)
     clean = holder_percentiles(ratios)
     clean_ok = all(v <= 0.7 + 1e-9 for v in clean.values())
     # inject 5% loss outliers away from the centers
@@ -200,7 +200,7 @@ def test_criterion_9_ratio_percentiles():
         axis=1)
     vals[bad] += 10.0 * dist[bad] ** 2
     tainted = holder_percentiles(
-        holder_ratios(inst.data, inst.clustering, LossTable(vals)))
+        holder_ratios(inst.clustering, LossTable(vals)))
     factor = tainted[99.0] / tainted[80.0]
     elapsed = time.perf_counter() - t0
     _check(9, clean_ok and factor >= 2 and elapsed < 5,

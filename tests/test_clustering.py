@@ -85,6 +85,9 @@ class TestWeightedCost:
             weighted_cost(clustering, [1])
         with pytest.raises(ValueError):
             weighted_cost(clustering, [1, -1])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                weighted_cost(clustering, [1, bad])
 
 
 class TestAssign:
@@ -558,8 +561,7 @@ def reference_refine(data, centers, z, max_iters=50):
                 positions[i] = X[m]
                 indices[i] = m
                 taken[m] = True
-        mind = clustering_module._point_cost(
-            X, current.centers.positions, current.assignment, z)
+        mind = current.distances ** z
         for i in empty:
             # the farthest row from the current centers that is no center
             far = int(np.argmax(np.where(taken, -np.inf, mind)))
@@ -716,7 +718,7 @@ class TestCertifiedStop:
         # bounds from the GEMM scores decide every stop test on their own
         data = blobs(100, [[0, 0], [6, 0], [0, 6], [6, 6]], seed=1)
         seeds = dz_seed(data, 4, 2, RngStream(0, "blobs"))
-        calls = {"_nearest_labels": 0, "_point_cost": 0}
+        calls = {"_nearest_labels": 0, "_clustering": 0}
         for name in calls:
             real = getattr(clustering_module, name)
 
@@ -726,7 +728,7 @@ class TestCertifiedStop:
 
             monkeypatch.setattr(clustering_module, name, counted)
         got = refine(data, seeds, 2)
-        assert calls["_nearest_labels"] > 5 and calls["_point_cost"] == 1
+        assert calls["_nearest_labels"] > 5 and calls["_clustering"] == 1
         monkeypatch.undo()
         assert_same_clustering(got, reference_refine(data, seeds, 2))
 
@@ -1288,36 +1290,43 @@ class TestRefineBlasCap:
 
 
 class TestCenterDistances:
-    def test_one_residual_array(self):
-        # the residual is a row block of at most BLOCK_ENTRIES entries,
-        # reused and squared in place: the distances plus one block
+    def test_one_residual_array(self, monkeypatch):
+        # with the labels given, `assign` holds the distances, squared in
+        # place, plus one residual row block of at most BLOCK_ENTRIES
+        # entries, reused: one n-vector plus one block
         n, d = 20000, 32
         rows = np.random.default_rng(0).normal(size=(n, d))
-        clustering = assign(Dataset(rows), CenterList(rows[:8]), 2)
+        centers = CenterList(rows[:8])
+        labels = clustering_module._nearest_labels(rows, centers.positions)
+        monkeypatch.setattr(clustering_module, "_nearest_labels",
+                            lambda X, C: labels)
         tracemalloc.start()
         try:
-            clustering_module.center_distances(rows, clustering)
+            clustering = assign(Dataset(rows), centers, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert clustering.distances.shape == (n,)
         assert peak < 8 * n + 1.25 * 8 * clustering_module.BLOCK_ENTRIES
 
     def test_underflowing_residuals_get_their_norm(self):
         # squared, these residuals are below the smallest subnormal
         rows = np.array([[0.0], [0.0], [1e-310], [3e-310], [2.5e-310]])
         clustering = assign(Dataset(rows), CenterList(rows[:1], [0]), 1)
-        dist = clustering_module.center_distances(rows, clustering)
-        np.testing.assert_array_equal(dist, np.abs(rows[:, 0]))
+        np.testing.assert_array_equal(clustering.distances,
+                                      np.abs(rows[:, 0]))
+        # the cost pass's squares stay: an underflowed point costs 0
+        assert clustering.total_cost == 0
 
     def test_underflow_in_several_dimensions(self):
         rows = np.array([[0.0, 0.0], [3e-200, 4e-200], [1.0, 0.0],
                          [-3e-170, 4e-170]])
         clustering = assign(Dataset(rows), CenterList(rows[:1], [0]), 1)
-        dist = clustering_module.center_distances(rows, clustering)
+        dist = clustering.distances
         np.testing.assert_allclose(dist, [0, 5e-200, 1, 5e-170],
                                    rtol=1e-15)
         # a distance whose square does not underflow keeps its bits
-        assert dist[2] == np.linalg.norm(rows[2])
+        assert dist[2] == math.sqrt(np.einsum("i,i", rows[2], rows[2]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-1e3, 1e3) | st.floats(-1e-160, 1e-160),
@@ -1327,8 +1336,9 @@ class TestCenterDistances:
         rows = np.array(values[:len(values) // d * d]).reshape(-1, d)
         clustering = assign(Dataset(rows), CenterList(rows[:2], [0, 1]), 2)
         R = rows - clustering.centers.positions[clustering.assignment]
-        plain = np.linalg.norm(R, axis=1)
-        got = clustering_module.center_distances(rows, clustering)
+        # the square root of the cost pass's sum of squares
+        plain = np.sqrt(np.einsum("ij,ij->i", R, R))
+        got = clustering.distances
         keep = (plain > 0) | np.all(R == 0, axis=1)
         assert got[keep].tobytes() == plain[keep].tobytes()
         np.testing.assert_allclose(

@@ -63,7 +63,7 @@ class TestPlantedHolder:
 
     def test_smoothness_ratios_equal_lambda_true(self):
         inst = planted_holder(100, 6, 4, 2, 20.0, 0.5, RngStream(1, "ph"))
-        ratios = holder_ratios(inst.data, inst.clustering, inst.losses)
+        ratios = holder_ratios(inst.clustering, inst.losses)
         np.testing.assert_allclose(ratios, 0.5, rtol=1e-9)
 
     def test_aggregate_properties(self):
@@ -172,7 +172,7 @@ class TestExactExpectationGap:
     def test_zero_for_real_plan(self):
         losses = [0.0, 5.0, 10.0, 7.0]
         clustering = pairs_clustering()
-        proxy = proxy_losses(PAIRS, clustering, LossOracle.from_table(losses))
+        proxy = proxy_losses(clustering, LossOracle.from_table(losses))
         plan = sensitivity_plan(proxy, clustering, [1.0, 1.0], 0.5)
         gap = exact_expectation_gap(plan.p, plan.w, plan.s, np.array(losses))
         assert gap < 1e-12

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from senselect.core import (BudgetExceededError, Dataset, LossOracle,
                             LossTable, RngStream)
-from senselect.clustering import CenterList, assign, center_distances
+from senselect.clustering import CenterList, assign
 from senselect.hoelder import (default_sample_count, estimate_lambda,
                                holder_percentiles, holder_ratios)
+from senselect.selection import proxy_losses
 
 
 def row_clustering(data, center_rows, z):
@@ -24,33 +25,33 @@ class TestHolderRatios:
     def test_linear_losses_give_constant_ratio(self):
         data = Dataset([[0.0], [1.0], [3.0]])
         clustering = row_clustering(data, [0], 1)
-        ratios = holder_ratios(data, clustering, LossTable([1, 2, 4]))
+        ratios = holder_ratios(clustering, LossTable([1, 2, 4]))
         np.testing.assert_allclose(ratios, [1.0, 1.0])
 
     def test_power_in_denominator(self):
         data = Dataset([[0.0], [1.0], [3.0]])
         clustering = row_clustering(data, [0], 2)
-        ratios = holder_ratios(data, clustering, LossTable([1, 2, 4]))
+        ratios = holder_ratios(clustering, LossTable([1, 2, 4]))
         np.testing.assert_allclose(ratios, [1.0, 1.0 / 3.0])
 
     def test_centers_excluded(self):
         data = Dataset([[0.0], [5.0], [10.0]])
         clustering = row_clustering(data, [0, 2], 2)
-        ratios = holder_ratios(data, clustering, LossTable([9, 1, 9]))
+        ratios = holder_ratios(clustering, LossTable([9, 1, 9]))
         assert ratios.shape == (1,)
 
     def test_requires_row_centers(self):
         data = Dataset([[0.0], [1.0]])
         clustering = assign(data, CenterList([[0.5]]), 2)
         with pytest.raises(ValueError):
-            holder_ratios(data, clustering, LossTable([0, 1]))
+            holder_ratios(clustering, LossTable([0, 1]))
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(5)
         data = Dataset(rng.normal(size=(40, 3)))
         losses = rng.random(40)
         clustering = row_clustering(data, [0, 17, 33], 2)
-        ratios = holder_ratios(data, clustering, LossTable(losses))
+        ratios = holder_ratios(clustering, LossTable(losses))
         naive = []
         for e in range(40):
             c = clustering.centers.indices[clustering.assignment[e]]
@@ -119,7 +120,7 @@ class TestEstimateLambda:
         data = Dataset([[0.0], [1.0], [2.0]])
         clustering = row_clustering(data, [0], 1)
         oracle = LossOracle.from_table([0.0, 1.0, 2.0])
-        lam = estimate_lambda(data, clustering, oracle, 3, RngStream(0, "l"))
+        lam = estimate_lambda(clustering, oracle, 3, RngStream(0, "l"))
         np.testing.assert_allclose(lam, [math.log(3)])
 
     def test_never_exceeds_true_max_ratio(self):
@@ -127,11 +128,11 @@ class TestEstimateLambda:
         data = Dataset(rng.normal(size=(30, 2)))
         losses = rng.random(30)
         clustering = row_clustering(data, [3, 20], 2)
-        true_ratios = holder_ratios(data, clustering, LossTable(losses))
+        true_ratios = holder_ratios(clustering, LossTable(losses))
         cap = np.max(true_ratios) * math.log(30)
         for seed in range(30):
             oracle = LossOracle.from_table(losses)
-            lam = estimate_lambda(data, clustering, oracle, 5,
+            lam = estimate_lambda(clustering, oracle, 5,
                                   RngStream(seed, "cap"))
             assert np.all(lam <= cap + 1e-12)
 
@@ -140,7 +141,7 @@ class TestEstimateLambda:
         data = Dataset(rng.normal(size=(50, 2)))
         clustering = row_clustering(data, [0, 25], 2)
         oracle = LossOracle.from_table(rng.random(50))
-        estimate_lambda(data, clustering, oracle, 4, RngStream(1, "q"))
+        estimate_lambda(clustering, oracle, 4, RngStream(1, "q"))
         # at most t member queries plus one center query per cluster
         assert oracle.queries_used <= 2 * (4 + 1)
 
@@ -150,7 +151,7 @@ class TestEstimateLambda:
         clustering = row_clustering(data, [0, 25], 2)
         oracle = LossOracle.from_table(rng.random(50), budget=3)
         with pytest.raises(BudgetExceededError):
-            estimate_lambda(data, clustering, oracle, 4, RngStream(1, "q"))
+            estimate_lambda(clustering, oracle, 4, RngStream(1, "q"))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_queries_equal_per_cluster_member_scans(self, seed):
@@ -169,9 +170,9 @@ class TestEstimateLambda:
         real = oracle.query_many
         oracle.query_many = lambda indices: (queried.append(list(indices)),
                                              real(indices))[1]
-        estimate_lambda(data, clustering, oracle, 6, RngStream(seed, "scan"))
+        estimate_lambda(clustering, oracle, 6, RngStream(seed, "scan"))
         draws = RngStream(seed, "scan").generator()
-        dist = center_distances(data.rows, clustering)
+        dist = clustering.distances
         want = [3, 20, 41]
         for i in range(clustering.k):
             members = np.flatnonzero(clustering.assignment == i)
@@ -185,8 +186,8 @@ class TestEstimateLambda:
         data = Dataset([[0.0], [1.0]])
         clustering = row_clustering(data, [0], 2)
         with pytest.raises(ValueError):
-            estimate_lambda(data, clustering, LossOracle.from_table([0, 1]),
-                            0, RngStream(0, "t"))
+            estimate_lambda(clustering, LossOracle.from_table([0, 1]), 0,
+                            RngStream(0, "t"))
 
 
 class TestUnderflowingDistancePower:
@@ -199,7 +200,7 @@ class TestUnderflowingDistancePower:
         clustering = row_clustering(data, [0], 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratios = holder_ratios(data, clustering, LossTable([1, 2, 1, 10]))
+            ratios = holder_ratios(clustering, LossTable([1, 2, 1, 10]))
         assert ratios.tolist() == [sys.float_info.max, 0.0, 1.0]
 
     def test_lambda_is_capped_at_the_largest_double(self):
@@ -208,6 +209,41 @@ class TestUnderflowingDistancePower:
         oracle = LossOracle.from_table([1, 2, 1, 10])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = estimate_lambda(data, clustering, oracle, 4,
-                                  RngStream(0, "uf"))
+            lam = estimate_lambda(clustering, oracle, 4, RngStream(0, "uf"))
         assert lam.tolist() == [sys.float_info.max]
+
+
+class TestClusteringDistances:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 1e-170, -3e-200])
+                    | st.floats(-1e3, 1e3) | st.floats(-1e-160, 1e-160),
+                    min_size=6, max_size=40),
+           st.integers(1, 3), st.sampled_from([1, 2]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_samplers_read_the_clusterings_distances(self, values, d, z,
+                                                     seed):
+        # repeated values put rows on their centers (rows 0 and 1 may
+        # coincide, leaving a cluster empty), and tiny ones leave residuals
+        # whose squares underflow to 0
+        rows = np.array(values[:len(values) // d * d]).reshape(-1, d)
+        clustering = row_clustering(Dataset(rows), [0, 1], z)
+        dist = clustering.distances
+        R = rows - clustering.centers.positions[clustering.assignment]
+        np.testing.assert_array_equal(dist > 0, np.any(R != 0, axis=1))
+        oracle = LossOracle.from_table(np.arange(rows.shape[0], dtype=float))
+        assert (proxy_losses(clustering, oracle).v.tobytes()
+                == (dist ** z).tobytes())
+        queried = []
+        real = oracle.query_many
+        oracle.query_many = lambda indices: (queried.append(list(indices)),
+                                             real(indices))[1]
+        estimate_lambda(clustering, oracle, 4, RngStream(seed, "skip"))
+        draws = RngStream(seed, "skip").generator()
+        filled = np.flatnonzero(np.bincount(clustering.assignment))
+        want = clustering.centers.indices[filled].tolist()
+        for i in filled:
+            members = np.flatnonzero(clustering.assignment == i)
+            picked = draws.choice(members, size=4, replace=members.size < 4)
+            # the picks equal to their center are skipped, no other
+            want += picked[np.any(R[picked] != 0, axis=1)].tolist()
+        assert queried == [want]

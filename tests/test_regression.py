@@ -91,6 +91,12 @@ class TestLeverageSelect:
         assert len(a) == 25
         assert np.all(a.weights > 0)
 
+    @pytest.mark.parametrize("s", [0, -3, 2.5])
+    def test_rejects_a_sample_count_that_is_no_integer_above_0(self, s):
+        inst = RegressionInstance([[0.0], [1.0], [-3.0]], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="sample count"):
+            leverage_select(inst, s, RngStream(0, "lev"))
+
 
 class TestRegressionSampleSize:
     def test_known_values(self):
@@ -228,6 +234,17 @@ class TestRegressionSelect:
         sample, plan = regression_select(inst, 4, 0.5, 1.0, RngStream(3, "s"),
                                          delta=0.1)
         assert plan.s == regression_sample_size(2, 0.5, 0.1) == len(sample)
+
+    @pytest.mark.parametrize("s", [0, -3, 2.5])
+    def test_bad_sample_count_rejected_before_clustering(self, monkeypatch,
+                                                         s):
+        def no_clustering(*args):
+            raise AssertionError("clustered before checking s")
+
+        monkeypatch.setattr(regression_module, "kmedoids", no_clustering)
+        inst = RegressionInstance([[0.0], [1.0], [-3.0]], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="sample count"):
+            regression_select(inst, 1, 1.0, 1.0, RngStream(0, "s"), s=s)
 
     def test_lambda_length_checked(self):
         inst = RegressionInstance([[0.0], [1.0], [-3.0]], [1.0, 2.0, 3.0])

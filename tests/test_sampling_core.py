@@ -120,7 +120,7 @@ def test_data_select_matches_the_reference(case):
     v = np.linalg.norm(rows - want.centers.positions[want.assignment],
                        axis=1) ** z
     if lam == AUTO:
-        lam_vec = estimate_lambda(data, want, LossOracle.from_table(losses),
+        lam_vec = estimate_lambda(want, LossOracle.from_table(losses),
                                   default_sample_count(k, 0.2),
                                   rng.child("lambda"))
     else:

@@ -59,7 +59,7 @@ class TestUniformSampleSize:
         with pytest.raises(ValueError, match="finite and > 0"):
             uniform_sample_size(eps)
 
-    @pytest.mark.parametrize("s", [0, -1])
+    @pytest.mark.parametrize("s", [0, -1, 2.5])
     def test_uniform_select_rejects_no_draws(self, s):
         with pytest.raises(ValueError, match=">= 1"):
             uniform_select(PAIRS, s, RngStream(0, "u"))
@@ -68,7 +68,7 @@ class TestUniformSampleSize:
 class TestProxyLosses:
     def test_pairs_example(self):
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
-        proxy = proxy_losses(PAIRS, pairs_clustering(), oracle)
+        proxy = proxy_losses(pairs_clustering(), oracle)
         np.testing.assert_allclose(proxy.lhat, [0, 0, 10, 10])
         np.testing.assert_allclose(proxy.v, [0, 1, 0, 1])
         assert oracle.queries_used == 2
@@ -76,7 +76,7 @@ class TestProxyLosses:
     def test_requires_row_centers(self):
         clustering = assign(PAIRS, CenterList([[0.5], [10.5]]), 2)
         with pytest.raises(ValueError):
-            proxy_losses(PAIRS, clustering, LossOracle.from_table([0] * 4))
+            proxy_losses(clustering, LossOracle.from_table([0] * 4))
 
 
 class TestSensitivityPlan:
@@ -84,7 +84,7 @@ class TestSensitivityPlan:
         # scores (0, 1, 10, 11); normalizer 1*1 + 1*1 + 2*0 + 2*10 = 22
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
         clustering = pairs_clustering()
-        proxy = proxy_losses(PAIRS, clustering, oracle)
+        proxy = proxy_losses(clustering, oracle)
         plan = sensitivity_plan(proxy, clustering, [1.0, 1.0], 1.0)
         assert plan.s == 3
         assert plan.denom == pytest.approx(22.0)
@@ -95,7 +95,7 @@ class TestSensitivityPlan:
     def test_scalar_lambda_broadcasts(self):
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
         clustering = pairs_clustering()
-        proxy = proxy_losses(PAIRS, clustering, oracle)
+        proxy = proxy_losses(clustering, oracle)
         a = sensitivity_plan(proxy, clustering, 2.0, 0.5)
         b = sensitivity_plan(proxy, clustering, [2.0, 2.0], 0.5)
         np.testing.assert_array_equal(a.p, b.p)
@@ -106,7 +106,7 @@ class TestSensitivityPlan:
         clustering = assign(
             data, CenterList(data.rows[[0, 20, 40]], [0, 20, 40]), 2)
         oracle = LossOracle.from_table(rng.random(50) + 0.1)
-        proxy = proxy_losses(data, clustering, oracle)
+        proxy = proxy_losses(clustering, oracle)
         plan = sensitivity_plan(proxy, clustering, rng.random(3), 0.3)
         assert np.sum(plan.p) == pytest.approx(1.0)
 
@@ -119,7 +119,7 @@ class TestSensitivityPlan:
         losses = rng.random(60) + 0.5
         clustering = assign(data, CenterList(data.rows[[5, 50]], [5, 50]), 2)
         oracle = LossOracle.from_table(losses)
-        proxy = proxy_losses(data, clustering, oracle)
+        proxy = proxy_losses(clustering, oracle)
         plan = sensitivity_plan(proxy, clustering, [0.7, 1.3], 0.4)
         assert np.all(plan.p > 0)
         expectation = plan.s * np.sum(plan.p * plan.w * losses)
@@ -128,7 +128,7 @@ class TestSensitivityPlan:
     def test_degenerate_normalizer_falls_back_to_uniform(self):
         oracle = LossOracle.from_table([0.0] * 4)
         clustering = pairs_clustering()
-        proxy = proxy_losses(PAIRS, clustering, oracle)
+        proxy = proxy_losses(clustering, oracle)
         with pytest.warns(UserWarning):
             plan = sensitivity_plan(proxy, clustering, [0.0, 0.0], 1.0)
         np.testing.assert_allclose(plan.p, [0.25] * 4)
@@ -137,17 +137,24 @@ class TestSensitivityPlan:
     def test_rejects_bad_lambda(self):
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
         clustering = pairs_clustering()
-        proxy = proxy_losses(PAIRS, clustering, oracle)
+        proxy = proxy_losses(clustering, oracle)
         for lam in ([1.0, 2.0, 3.0], [-1.0, 1.0], [np.inf, 1.0]):
             with pytest.raises(ValueError):
                 sensitivity_plan(proxy, clustering, lam, 1.0)
+
+    @pytest.mark.parametrize("s", [0, -3, 2.5])
+    def test_rejects_a_sample_count_that_is_no_integer_above_0(self, s):
+        clustering = pairs_clustering()
+        proxy = proxy_losses(clustering, LossOracle.from_table([1.0] * 4))
+        with pytest.raises(ValueError, match="sample count"):
+            sensitivity_plan(proxy, clustering, 1.0, 0.5, s)
 
 
 class TestDraw:
     def test_reproducible_and_on_support(self):
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
         clustering = pairs_clustering()
-        proxy = proxy_losses(PAIRS, clustering, oracle)
+        proxy = proxy_losses(clustering, oracle)
         plan = sensitivity_plan(proxy, clustering, [1.0, 1.0], 0.5)
         a = draw(plan, RngStream(3, "d"))
         b = draw(plan, RngStream(3, "d"))
@@ -182,6 +189,15 @@ class TestDataSelect:
         with pytest.raises(ValueError, match="epsilon"):
             data_select_rounds(PAIRS, 1, 2, eps, 1.0, oracle, 2,
                                RngStream(0, "run"))
+        assert oracle.queries_used == 0
+
+    @pytest.mark.parametrize("lam", [1.0, AUTO])
+    @pytest.mark.parametrize("s", [0, -3, 2.5])
+    def test_bad_sample_count_spends_no_query(self, lam, s):
+        oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
+        with pytest.raises(ValueError, match="sample count"):
+            data_select(PAIRS, 2, 1.0, lam, oracle, 2, RngStream(0, "run"),
+                        s=s)
         assert oracle.queries_used == 0
 
     def test_sample_count_override(self):
