@@ -32,6 +32,10 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_ORACLE = 0, 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # argparse would take --s for --seed; subparsers are _Parsers too
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -25,7 +25,10 @@ adds them, so each center is its members' mean bit for bit.
 
 Refinement stops at the Lloyd fixed point: once an update leaves the
 assignment unchanged and reseeds no cluster, the next pass would rebuild the
-same centers from the same rows, so it is skipped.  Its z=2 cost tests read
+same centers from the same rows, so it is skipped.  It also stops once a
+pass gains less than REFINE_TOL of the cost, a coarse 3e-4: the paper's
+bound reads the clustering only through its snapped cost, which the long
+tail of small Lloyd gains barely moves.  Its z=2 cost tests read
 rigorous bounds on each state's total from its cluster sums
 (`_sum_bounds`), and exact costs only when the bounds cannot decide them
 (`refine`), so every result is that of exact costs.
@@ -53,8 +56,11 @@ from scipy.spatial.distance import cdist
 
 from .core import Dataset, as_generator
 
-#: relative cost improvement below which refinement stops
-REFINE_TOL = 1e-9
+#: relative cost improvement below which refinement stops.  The bound
+#: reads a clustering only through its snapped cost, and the slow Lloyd
+#: tail past this gain moves that cost by under 0.5% in the median; at
+#: `select-large` shape refinement stops after ~24 of its 50 iterations
+REFINE_TOL = 3e-4
 
 #: most entries in one row block of an n-sized temporary: the assignment
 #: kernel's float32 score tile, and the residuals of the distance and cost
@@ -442,7 +448,9 @@ def refine(data: Dataset, centers: CenterList, z: float,
     cost improvement drops below REFINE_TOL, or at the fixed point: when an
     update reseeded no cluster and left the assignment it was built from
     unchanged, the next update would rebuild the same centers bit for bit.
-    The cost never increases.
+    The cost never increases.  REFINE_TOL cuts the slow tail: on overlapping
+    d=2 blobs and at `select-large` shape refinement would otherwise run
+    all `max_iters`, whose last half lowers the cost by a median 0.3%.
 
     A cluster left empty by an update is reseeded at the row farthest (in
     distance^z) from the current centers that is not a center already,

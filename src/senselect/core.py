@@ -422,17 +422,23 @@ class _ProcessBackend:
     def close(self):
         """End input and wait for the child to exit; kill it after
         CLOSE_TIMEOUT_S.  The wait is on the process, not on end of output,
-        which a grandchild may hold open."""
+        which a grandchild may hold open.  A helper thread blocks in the
+        wait, so the exit is seen at once: ``Popen.wait`` with a timeout
+        polls, at intervals that double up to 50 ms."""
         if self._proc is not None:
+            waiter = threading.Thread(target=self._proc.wait, daemon=True)
             try:
                 self._proc.stdin.close()
-                self._proc.wait(timeout=CLOSE_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                raise OracleProtocolError(
-                    f"oracle process still running {CLOSE_TIMEOUT_S} s after "
-                    "end of input; killed it") from None
+                waiter.start()
+                waiter.join(CLOSE_TIMEOUT_S)
+                if waiter.is_alive():
+                    raise OracleProtocolError(
+                        f"oracle process still running {CLOSE_TIMEOUT_S} s "
+                        "after end of input; killed it")
             finally:
                 self.kill()
+                if waiter.is_alive():  # the kill ends its wait
+                    waiter.join()
 
 
 def _parse_reply(line: bytes) -> float:

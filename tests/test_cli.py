@@ -43,6 +43,24 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         assert main(["cluster", "--data", "x", "--k", "2", "--frob"]) == 1
 
+    @pytest.mark.parametrize("command", ["select", "cluster"])
+    def test_abbreviated_flag_is_unknown(self, pairs, tmp_path, capsys,
+                                         command):
+        # argparse's prefix matching would run `--s 0` as `--seed 0`
+        data, losses = pairs
+        sample = tmp_path / "s.csv"
+        argv = {"select": ["select", "--data", str(data), "--losses",
+                           str(losses), "--k", "2", "--lambda", "1",
+                           "--epsilon", "1", "--out-sample", str(sample)],
+                "cluster": ["cluster", "--data", str(data), "--k", "2"]}
+        assert main(argv[command] + ["--s", "0"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.count("usage:") == 1
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --s 0")
+        assert "Traceback" not in err and not captured.out
+        assert not sample.exists()
+
 
 class TestDataErrors:
     def test_missing_data_file(self, tmp_path):

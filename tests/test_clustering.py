@@ -733,6 +733,55 @@ class TestCertifiedStop:
         assert_same_clustering(got, reference_refine(data, seeds, 2))
 
 
+class TestRefineStop:
+    """REFINE_TOL ends the slow Lloyd tail: the snapped cost the bound reads
+    stays, in the median, within half a percent of refining to the fixed
+    point or max_iters."""
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_snapped_cost_near_a_full_refinement(self, monkeypatch, d):
+        # without the tolerance d=2 blobs creep on for a median of ~40
+        # iterations and d=32 ones reach a fixed point in ~5; stopping
+        # early can land in another local optimum, so single seeds lose up
+        # to ~3% while the median stays within 0.2%.  REFINE_TOL = 1e-3
+        # fails here: its d=2 median is x1.0068
+        ratios = []
+        for seed in range(20):
+            centers = np.random.default_rng(seed).normal(0, 3, (32, d))
+            data = blobs(125, centers, seed=seed)
+            seeds = dz_seed(data, 16, 2, RngStream(seed, "stop"))
+            early = snap_centers(data, refine(data, seeds, 2))
+            with monkeypatch.context() as patch:
+                patch.setattr(clustering_module, "REFINE_TOL", 0.0)
+                full = snap_centers(data, refine(data, seeds, 2))
+            ratios.append(early.total_cost / full.total_cost)
+        assert np.median(ratios) <= 1.005 and max(ratios) <= 1.05, ratios
+
+    def test_benchmark_shape_stops_before_max_iters(self, monkeypatch):
+        # select-large's shape: 8,000 rows of 64 unit blobs in d=32 whose
+        # centers are N(0, 0.5^2), k=32; without the tolerance refinement
+        # runs all 50 iterations
+        data = blobs(125, np.random.default_rng(0).normal(0, 0.5, (64, 32)),
+                     seed=0)
+        seeds = dz_seed(data, 32, 2, RngStream(0, "stop"))
+        passes = []
+        real_labels = clustering_module._nearest_labels
+
+        def counting_labels(*args, **kwargs):
+            passes.append(1)
+            return real_labels(*args, **kwargs)
+
+        monkeypatch.setattr(clustering_module, "_nearest_labels",
+                            counting_labels)
+        refine(data, seeds, 2)
+        early = len(passes)
+        monkeypatch.setattr(clustering_module, "REFINE_TOL", 0.0)
+        passes.clear()
+        refine(data, seeds, 2)
+        # one label pass for the seeds plus one per iteration
+        assert len(passes) == 51 and early < 40, early
+
+
 @st.composite
 def _blob_rows(draw, most):
     """A unit Gaussian blob (d of 1, 2, 8 or 16, 30 to `most` rows) at an

@@ -274,12 +274,35 @@ class TestExternalOracle:
         """)
         oracle = LossOracle.from_command(command, n=10)
         oracle.query(0)
-        proc = oracle._backend._proc
+        proc, threads = oracle._backend._proc, threading.enumerate()
         start = time.perf_counter()
         with pytest.raises(OracleProtocolError, match="end of input"):
             oracle.close()
         assert time.perf_counter() - start < 10
-        assert proc.returncode is not None
+        assert proc.returncode is not None  # killed and reaped
+        assert threading.enumerate() == threads  # the waiter is joined
+
+    def test_close_sees_the_exit_at_once(self, tmp_path):
+        # Popen.wait(timeout) polls 0.5, 1.5, 3.5, 7.5, 15.5 and 31.5 ms in,
+        # so it would see a child that exits 20 ms after end of input only
+        # at 31.5 ms; the best of three closes allows for a busy host
+        command = _script(tmp_path, "lingering", """
+            import os, sys, time
+            for line in sys.stdin:
+                print(1.0, flush=True)
+            time.sleep(0.02)
+            os._exit(0)
+        """)
+        times = []
+        for _ in range(3):
+            oracle = LossOracle.from_command(command, n=10)
+            oracle.query(0)
+            proc = oracle._backend._proc
+            start = time.perf_counter()
+            oracle.close()
+            times.append(time.perf_counter() - start)
+            assert proc.returncode == 0
+        assert 0.02 <= min(times) < 0.03, times
 
     def test_close_does_not_wait_for_a_grandchild_holding_stdout(
             self, tmp_path):
@@ -396,9 +419,11 @@ class TestExternalOracle:
         def refuse(thread):
             raise AssertionError("the oracle started a thread")
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
         with LossOracle.from_command(echo_command, n=10) as oracle:
-            assert oracle.query_many(range(5)).tolist() == [0, 0.5, 1, 1.5, 2]
+            with monkeypatch.context() as patch:  # close waits in a thread
+                patch.setattr(threading.Thread, "start", refuse)
+                got = oracle.query_many(range(5))
+            assert got.tolist() == [0, 0.5, 1, 1.5, 2]
 
 
 #: oracle answering loss(i) = i / 7 that writes its pending replies in
