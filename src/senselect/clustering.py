@@ -34,16 +34,18 @@ rigorous bounds on each state's total from its cluster sums
 (`refine`), so every result is that of exact costs.
 
 The z=1 centers are sampled medoids (`_medoid`), deterministic and with no
-random draw: of the MEDOID_CANDIDATES rows nearest a cluster's
-coordinate-wise median, the one with the least distance sum to at most
-MEDOID_REFERENCE evenly strided members (in the style of Med-dit, Bagaria
+random draw.  A cluster's reference rows are at most MEDOID_REFERENCE
+evenly strided members; of the MEDOID_CANDIDATES rows nearest the
+reference rows' coordinate-wise median, the medoid is the one with the
+least distance sum to the reference rows (in the style of Med-dit, Bagaria
 et al. 2018, and BanditPAM, Tiwari et al. 2020).  A cluster of at most
 MEDOID_CANDIDATES rows gets its exact medoid, its full matrix's row-sum
-argmin; a larger one costs O(m d) plus a fixed 64 x 512 block of
-distances, not O(m^2 d).  A z=1 refinement recomputes, one cluster at a
-time, only the medoids of clusters whose members changed since the last
-medoid pass.  Both powers share one refinement step, whose labels come from
-rows cast to the kernel's operands once per `refine` call.
+argmin; a larger one of m rows costs the median of at most 512 rows, m
+distances to it and a fixed 64 x 512 block of distances, not O(m^2 d).  A
+z=1 refinement recomputes, one cluster at a time, only the medoids of
+clusters whose members changed since the last medoid pass.  Both powers
+share one refinement step, whose labels come from rows cast to the
+kernel's operands once per `refine` call.
 """
 
 from __future__ import annotations
@@ -67,10 +69,12 @@ REFINE_TOL = 3e-4
 #: pass (`_clustering`)
 BLOCK_ENTRIES = 2 ** 16
 
-#: rows nearest a cluster's coordinate-wise median that may be its medoid
+#: rows nearest a cluster's reference median that may be its medoid
 MEDOID_CANDIDATES = 64
 
-#: most rows of a cluster that each candidate's distance sum runs over
+#: most reference rows of a cluster: its every ceil(m / 512)-th row, whose
+#: coordinate-wise median picks the candidates and to which each
+#: candidate's distance sum runs
 MEDOID_REFERENCE = 512
 
 
@@ -105,13 +109,15 @@ class CenterList:
 class Clustering:
     """k centers plus the induced nearest-center partition and per-cluster
     costs; cluster_cost[i] is the power-z cost of cluster i about its own
-    center, and distances[e] the distance of point e to its center."""
+    center, and distances[e] the distance of point e to its center.  Both
+    are None only in a partition that ``refine(..., costs=False)`` returns
+    unmeasured."""
 
     centers: CenterList
     assignment: np.ndarray
-    cluster_cost: np.ndarray
+    cluster_cost: np.ndarray | None
     z: float
-    distances: np.ndarray
+    distances: np.ndarray | None
 
     @property
     def k(self) -> int:
@@ -323,7 +329,11 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
     for _ in range(k - 1):
         total = float(np.sum(mind))
         if total > 0:
-            nxt = int(g.choice(data.n, p=mind / total))
+            # g.choice(n, p=mind / total) without its validation passes:
+            # the steps it draws with, so the index and stream are its own
+            cdf = np.cumsum(mind / total)
+            cdf /= cdf[-1]
+            nxt = int(cdf.searchsorted(g.random(), side="right"))
         else:
             # every point already coincides with a center: any row not yet
             # chosen (k <= n leaves one)
@@ -335,23 +345,22 @@ def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:
 
 
 def _medoid(P: np.ndarray) -> int:
-    """Row offset of the sampled medoid of the rows P of one cluster: of the
-    MEDOID_CANDIDATES rows nearest the coordinate-wise median by ``cdist``
-    (ties to the lowest offset; every row of a smaller cluster), the one
-    whose ``cdist`` distance sum to the reference rows, P[::ceil(m /
-    MEDOID_REFERENCE)], is least, ties to the lowest offset.  A cluster of
-    at most MEDOID_CANDIDATES rows gets its full matrix's row-sum argmin,
-    bit for bit."""
+    """Row offset of the sampled medoid of the m rows P of one cluster.  Its
+    reference rows are P[::ceil(m / MEDOID_REFERENCE)], at most
+    MEDOID_REFERENCE of them.  Of the MEDOID_CANDIDATES rows of P nearest
+    the reference rows' coordinate-wise median by ``cdist`` (ties to the
+    lowest offset; every row of a smaller cluster), the medoid is the one
+    whose ``cdist`` distance sum to the reference rows is least, ties to
+    the lowest offset.  A cluster of at most MEDOID_CANDIDATES rows gets
+    its full matrix's row-sum argmin, bit for bit."""
     m, cand = P.shape[0], np.arange(P.shape[0])
+    ref = P[::-(-m // MEDOID_REFERENCE)]
     if m > MEDOID_CANDIDATES:
-        # np.median(P, axis=0), partitioned along contiguous rows: faster
-        centre = np.median(P.T.copy(), axis=1, overwrite_input=True)
-        near = cdist(centre[None], P)[0]
+        near = cdist(np.median(ref, axis=0)[None], P)[0]
         t = np.partition(near, MEDOID_CANDIDATES - 1)[MEDOID_CANDIDATES - 1]
         keep, tied = near < t, np.flatnonzero(near == t)
         keep[tied[:MEDOID_CANDIDATES - np.count_nonzero(keep)]] = True
         cand = np.flatnonzero(keep)
-    ref = P[::-(-m // MEDOID_REFERENCE)]
     return int(cand[np.argmin(np.sum(cdist(P[cand], ref), axis=1))])
 
 
@@ -442,7 +451,7 @@ class _Step:
 
 
 def refine(data: Dataset, centers: CenterList, z: float,
-           max_iters: int = 50) -> Clustering:
+           max_iters: int = 50, costs: bool = True) -> Clustering:
     """Lloyd-style alternation: assignment, then center update (cluster mean
     for z=2, sampled in-cluster medoid for z=1).  Stops when the relative
     cost improvement drops below REFINE_TOL, or at the fixed point: when an
@@ -466,11 +475,14 @@ def refine(data: Dataset, centers: CenterList, z: float,
     pass runs only when a stop test or a reseed, which reads the state's
     distances, needs it: a test that the bounds on both totals decide is
     decided, else it runs on both states' exact costs.  The returned
-    clustering is always exact.  For z=1 each center is its cluster's
-    sampled medoid (`_medoid`), which depends only on the cluster's
-    members, so a medoid pass recomputes, one cluster at a time, only those
-    that a row entered or left since the previous pass; the labels of that
-    pass are the previous state's.
+    clustering is exact; with ``costs=False`` a final state that no test
+    or reseed measured comes back unmeasured instead, its cluster_cost and
+    distances None and its centers and assignment those of the exact
+    result, which is all `snap_centers` reads.  For z=1 each center is its
+    cluster's sampled medoid (`_medoid`), which depends only on the
+    cluster's members, so a medoid pass recomputes, one cluster at a time,
+    only those that a row entered or left since the previous pass; the
+    labels of that pass are the previous state's.
     """
     if len(centers) == 0:
         raise ValueError("empty center list")
@@ -549,6 +561,9 @@ def refine(data: Dataset, centers: CenterList, z: float,
                   old - new < REFINE_TOL * max(base, 1e-300),
                   prev, current):
             break
+    if not costs and current.exact is None:
+        return Clustering(current.centers, current.labels, None, float(z),
+                          None)
     frame = None  # the float32 operands go before the exact cost pass
     return current.settle(X, z)
 

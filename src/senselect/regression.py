@@ -112,14 +112,16 @@ def regression_select(instance: RegressionInstance, k: int, epsilon: float,
 
     Rows are clustered by k-medoids (power 1, centers are rows): each
     center is its cluster's sampled medoid, deterministic and exact for
-    clusters of at most 64 rows (`clustering.kmedoids`), so a Lloyd pass
-    costs O(n k d), not O(m^2 d) for a cluster of m rows; the bound reads
-    the clustering only through its cost, for any row centers.  The
-    reference solution x0 is the cluster-size-weighted fit on the medoid
-    rows, and the plan is the sensitivity plan with the medoid's residual
-    at x0 as lhat and the row's distance to its medoid, read from the
-    clustering's `distances`, as v.  Targets b are read only at the k
-    distinct medoid rows, in one indexing.
+    clusters of at most 64 rows (`clustering.kmedoids`).  Its candidates
+    are the rows nearest the coordinate-wise median of at most 512 strided
+    reference rows, and the one with the least distance sum to those rows
+    wins, so a Lloyd pass costs O(n k d), not O(m^2 d) for a cluster of m
+    rows; the bound reads the clustering only through its cost, for any
+    row centers.  The reference solution x0 is the cluster-size-weighted
+    fit on the medoid rows, and the plan is the sensitivity plan with the
+    medoid's residual at x0 as lhat and the row's distance to its medoid,
+    read from the clustering's `distances`, as v.  Targets b are read only
+    at the k distinct medoid rows, in one indexing.
 
     ``lam`` may be a scalar, a per-cluster vector, or INFINITY for the
     distance-only mode where p_i is proportional to ||a_i - medoid_i||.

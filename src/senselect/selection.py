@@ -190,9 +190,10 @@ def cluster(data: Dataset, k: int, z: float, rng: RngStream) -> Clustering:
     refinement, then snapping to distinct rows, each cluster with members
     to its member nearest its center (`snap_centers`).  The bound reads the
     clustering only through its costs and holds for any row centers, so a
-    member stands for its cluster."""
+    member stands for its cluster.  The snap reads only the refined centers
+    and assignment, so refinement skips its final exact cost pass."""
     seeds = dz_seed(data, k, z, rng.child("seed"))
-    return snap_centers(data, refine(data, seeds, z))
+    return snap_centers(data, refine(data, seeds, z, costs=False))
 
 
 def _select_once(clustering: Clustering, epsilon: float, lam,

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from senselect import clustering as clustering_module
 from senselect.core import (BudgetExceededError, Dataset, LossOracle,
                             RngStream)
-from senselect.clustering import CenterList, assign
-from senselect.selection import (AUTO, data_select, data_select_rounds,
+from senselect.clustering import (CenterList, assign, dz_seed, refine,
+                                  snap_centers)
+from senselect.selection import (AUTO, cluster, data_select,
+                                 data_select_rounds,
                                  draw, proxy_losses, sample_size,
                                  sensitivity_plan, uniform_sample_size,
                                  uniform_select)
@@ -162,6 +165,52 @@ class TestDraw:
         assert len(a) == plan.s
         assert np.all(plan.p[a.indices] > 0)
         np.testing.assert_array_equal(a.weights, plan.w[a.indices])
+
+
+class TestCluster:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_z2_measures_costs_once(self, monkeypatch, seed):
+        # 10 overlapping d=4 blobs, whose refinement stops on bounds alone:
+        # the snap's assignment is the one exact cost pass, as refinement
+        # skips its own final one, whose costs the snap never reads
+        g = np.random.default_rng(seed)
+        data = Dataset(g.normal(0, 3, (10, 4))[g.integers(10, size=2000)]
+                       + g.normal(size=(2000, 4)))
+        rng = RngStream(seed, "cluster")
+        want = snap_centers(data, refine(
+            data, dz_seed(data, 10, 2, rng.child("seed")), 2))
+        calls = []
+        real = clustering_module._clustering
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(clustering_module, "_clustering", spy)
+        got = cluster(data, 10, 2, rng)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        for field in ("assignment", "cluster_cost", "distances"):
+            assert getattr(got, field).tobytes() == getattr(want,
+                                                            field).tobytes()
+        assert got.centers.indices.tolist() == want.centers.indices.tolist()
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_unmeasured_refinement_is_the_exact_partition(self, z):
+        g = np.random.default_rng(z)
+        data = Dataset(g.normal(size=(500, 3)))
+        seeds = dz_seed(data, 6, z, RngStream(z, "partition"))
+        exact, fast = (refine(data, seeds, z, costs=costs)
+                       for costs in (True, False))
+        np.testing.assert_array_equal(fast.assignment, exact.assignment)
+        np.testing.assert_array_equal(fast.centers.positions,
+                                      exact.centers.positions)
+        # a z=1 state is measured as it is made; this z=2 one never is
+        if z == 1:
+            np.testing.assert_array_equal(fast.cluster_cost,
+                                          exact.cluster_cost)
+        else:
+            assert fast.cluster_cost is None and fast.distances is None
 
 
 class TestDataSelect:
