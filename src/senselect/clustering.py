@@ -305,15 +305,29 @@ def assign(data: Dataset, centers: CenterList, z: float) -> Clustering:
     return _clustering(data.rows, centers, labels, z)
 
 
-def weighted_cost(clustering: Clustering, lam) -> float:
-    """Per-cluster weighted cost lam . Phi; inf when it overflows."""
+def checked_lambda(lam, k: int) -> np.ndarray:
+    """lam as a float64 vector of k finite, >= 0 entries; a scalar is not
+    broadcast."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    if lam.size != clustering.k:
-        raise ValueError(f"lambda length {lam.size} != k {clustering.k}")
+    if lam.size != k:
+        raise ValueError(f"lambda length {lam.size} != k {k}")
     if np.any(~np.isfinite(lam)) or np.any(lam < 0):
         raise ValueError("lambda must be finite and >= 0")
+    return lam
+
+
+def lambda_cost(lam: np.ndarray, cost: np.ndarray, exp: int = 0) -> float:
+    """2**exp * lam . cost, numpy's pairwise sum of the rounded products
+    times 2**exp: no BLAS thread count changes its bits, and a rescaling
+    that keeps every product normal scales it exactly; inf on overflow."""
     with np.errstate(over="ignore"):
-        return float(np.dot(lam, clustering.cluster_cost))
+        return float(np.sum(np.ldexp(lam * cost, exp)))
+
+
+def weighted_cost(clustering: Clustering, lam) -> float:
+    """Per-cluster weighted cost lam . Phi; inf when it overflows."""
+    return lambda_cost(checked_lambda(lam, clustering.k),
+                       clustering.cluster_cost)
 
 
 def dz_seed(data: Dataset, k: int, z: float, rng) -> CenterList:

@@ -3,7 +3,8 @@ and the uniform baseline; each returns a weighted sample.
 
 The core every importance sampler shares: `cluster` (seed, refine, snap),
 `sensitivity_plan` (p proportional to lhat + lam_i v, over lam . Phi +
-sum(lhat)) and `draw`; regression's sampler and baseline use them too."""
+sum(lhat), built at one power-of-two scale) and `draw`; regression's
+sampler and baseline use them too."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Dataset, LossOracle, RngStream, as_generator
-from .clustering import (Clustering, assign, dz_seed, refine, snap_centers,
-                         weighted_cost)
+from .clustering import (Clustering, assign, checked_lambda, dz_seed,
+                         lambda_cost, refine, snap_centers, weighted_cost)
 from .hoelder import _count, _filled, default_sample_count, estimate_lambda
 
 AUTO = "auto"
@@ -117,64 +118,43 @@ def _lambda_vector(lam, k: int) -> np.ndarray:
     """lam as a length-k vector (a scalar is broadcast) of finite, >= 0
     entries."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    if lam.size == 1:
-        lam = np.full(k, lam[0])
-    if lam.size != k:
-        raise ValueError(f"lambda length {lam.size} != k {k}")
-    if np.any(~np.isfinite(lam)) or np.any(lam < 0):
-        raise ValueError("lambda must be finite and >= 0")
-    return lam
+    return checked_lambda(np.full(k, lam[0]) if lam.size == 1 else lam, k)
+
+
+def _scale(x: float) -> int:
+    """-e for x = f * 2**e with f in [1/2, 1), so that x * 2**-e is in
+    [1/2, 1); 0 for x = 0."""
+    return -int(np.frexp(x)[1]) if x > 0 else 0
 
 
 def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
                      epsilon: float, s: int | None = None) -> SamplingPlan:
     """Importance-sampling plan with p(e) proportional to
-    lhat(e) + lam_i * v(e), normalized by lam . Phi + sum(lhat); falls back
-    to uniform when everything is zero, and is rebuilt at a scale where
-    nothing underflows or overflows when the normalizer or a score is not
-    finite, or when a subnormal normalizer leaves p not summing to 1.
-    ``s`` draws, by default sample_size(epsilon)."""
+    lhat(e) + lam_i * v(e), normalized by lam . Phi + sum(lhat); uniform
+    when everything is zero.  ``s`` draws, by default sample_size(epsilon).
+
+    The plan is built at one power-of-two scale, which leaves p unchanged:
+    lam is scaled by 2**a, a putting its largest entry in [1/2, 1); each
+    product lam_i v(e) and lam_i Phi_i by a further 2**(shift - a); and lhat
+    by 2**shift, shift putting the normalizer's largest term in [1/2, 1).
+    No term overflows, and wherever the plain formula neither overflows nor
+    underflows, p, w and the normalizer keep its bits.  The plan stores the
+    true normalizer, inf above the largest double."""
     lam = _lambda_vector(lam, clustering.k)
     draws = sample_size(epsilon)  # checks epsilon even when s is given
     s = _sample_count(s) or draws
     if np.any(~np.isfinite(proxy.lhat)) or np.any(~np.isfinite(proxy.v)):
         raise ValueError("non-finite proxy values")
-    with np.errstate(over="ignore"):  # an overflow is rescaled below
-        scores = proxy.lhat + lam[clustering.assignment] * proxy.v
-        denom = float(weighted_cost(clustering, lam) + np.sum(proxy.lhat))
-    if math.isfinite(denom) and np.all(np.isfinite(scores)):
-        try:
-            return _plan_from_scores(scores, denom, s)
-        except ValueError:  # p does not sum to 1
-            if denom >= np.finfo(np.float64).tiny:
-                raise
-    return _rescaled_plan(proxy, clustering, lam, s)
-
-
-def _rescaled_plan(proxy: ProxyLoss, clustering: Clustering, lam: np.ndarray,
-                   s: int) -> SamplingPlan:
-    """`sensitivity_plan` when its normalizer or a score overflowed, or the
-    normalizer is subnormal and its terms lost so much precision to
-    underflow that p does not sum to 1.  Scaling lhat and lam by one power
-    of two leaves p unchanged, so every term is rebuilt at the scale that
-    puts the normalizer's largest term in [1/4, 1), each product from its
-    factors' mantissas and rounded once.  The plan stores the true
-    normalizer, inf when it is above the largest double."""
-    lhat, cost, a = proxy.lhat, clustering.cluster_cost, clustering.assignment
-    _, lhat_exp = np.frexp(lhat)
-    lam_frac, lam_exp = np.frexp(lam)
-    cost_frac, cost_exp = np.frexp(cost)
-    v_frac, v_exp = np.frexp(proxy.v)
-    # binary exponents of the normalizer's positive terms
-    exps = np.concatenate([lhat_exp[lhat > 0],
-                           (lam_exp + cost_exp)[(lam > 0) & (cost > 0)]])
-    shift = -int(exps.max())
-    lhat = np.ldexp(lhat, shift)
-    scores = lhat + np.ldexp(lam_frac[a] * v_frac, lam_exp[a] + v_exp + shift)
-    denom = float(np.sum(np.ldexp(lam_frac * cost_frac,
-                                  lam_exp + cost_exp + shift)) + np.sum(lhat))
-    plan = _plan_from_scores(scores, denom, s)
-    with np.errstate(over="ignore"):
+    a = _scale(lam.max())
+    lam = np.ldexp(lam, a)
+    tops = [(proxy.lhat.max(), 0), (np.max(lam * clustering.cluster_cost), a)]
+    shift = min((_scale(x) + b for x, b in tops if x > 0), default=0)
+    with np.errstate(over="ignore"):  # inf only for a true normalizer
+        scores = np.ldexp(proxy.lhat, shift)
+        denom = (lambda_cost(lam, clustering.cluster_cost, shift - a)
+                 + float(np.sum(scores)))
+        scores += np.ldexp(lam[clustering.assignment] * proxy.v, shift - a)
+        plan = _plan_from_scores(scores, denom, s)
         return replace(plan, denom=float(np.ldexp(plan.denom, -shift)))
 
 

@@ -348,7 +348,7 @@ class TestSelect:
 
     def test_subnormal_lambda_with_zero_losses(self, tmp_path):
         # lam * v and the normalizer lam . Phi underflow apart; the plan is
-        # rebuilt at a scale where they do not, so p is v / Phi
+        # built at a scale where they do not, so p is v / Phi
         data = tmp_path / "data.csv"
         data.write_text("0,0\n" * 3 + "1,1\n" * 2)
         losses = tmp_path / "losses.txt"
@@ -368,7 +368,7 @@ class TestSelect:
     @pytest.mark.parametrize("losses_text", ["0\n" * 5, "0\n1\n2\n3\n4\n"],
                              ids=["zero-losses", "losses"])
     def test_huge_lambda(self, tmp_path, lam, losses_text):
-        # lam . Phi overflows; the plan is rebuilt at a scale where it does
+        # lam . Phi overflows; the plan is built at a scale where it does
         # not, the report holds the true normalizer (inf) and no numpy
         # warning escapes
         data = tmp_path / "data.csv"

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from senselect.clustering import (assign, dz_seed, kmedoids, refine,
-                                  snap_centers)
+from senselect.clustering import (CenterList, Clustering, assign, dz_seed,
+                                  kmedoids, refine, snap_centers,
+                                  weighted_cost)
 from senselect import core
 from senselect.core import Dataset, LossOracle, RngStream
 from senselect.evaluation import exact_expectation_gap
@@ -26,10 +27,12 @@ from senselect.hoelder import INFINITY, default_sample_count, estimate_lambda
 from senselect.regression import (RegressionInstance, leverage_scores,
                                   leverage_select, regression_sample_size,
                                   regression_select, solve_least_squares)
-from senselect.selection import (AUTO, data_select, data_select_rounds,
-                                 sample_size)
+from senselect.selection import (AUTO, ProxyLoss, data_select,
+                                 data_select_rounds, sample_size,
+                                 sensitivity_plan)
 
 EXAMPLES = 40
+TINY = np.finfo(np.float64).tiny
 
 
 def reference_plan(scores, denom, s):
@@ -46,8 +49,8 @@ def reference_plan(scores, denom, s):
 
 def sums_to_one(p):
     """The check every SamplingPlan makes.  Tiny (subnormal) lam can make
-    the reference plan fail it; the sampler then rebuilds the plan at a
-    scale where nothing underflows, and must return one that passes."""
+    the reference plan fail it; the sampler builds every plan at a scale
+    where nothing underflows, and must return one that passes."""
     return math.isclose(float(np.sum(p)), 1.0, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -126,7 +129,7 @@ def test_data_select_matches_the_reference(case):
     else:
         lam_vec = broadcast(lam, k)
     scores = lhat + lam_vec[want.assignment] * v
-    denom = float(np.dot(lam_vec, want.cluster_cost) + np.sum(lhat))
+    denom = float(np.sum(lam_vec * want.cluster_cost) + np.sum(lhat))
     draws = sample_size(epsilon) if s is None else s
     p, w = reference_plan(scores, denom, draws)
     if not sums_to_one(p):
@@ -181,7 +184,7 @@ def test_data_select_rounds_matches_the_reference(case):
             axis=1) ** z
         lam_i = lam_vec[: i * k]
         scores = lhat + lam_i[clustering.assignment] * v
-        denom = float(np.dot(lam_i, clustering.cluster_cost) + np.sum(lhat))
+        denom = float(np.sum(lam_i * clustering.cluster_cost) + np.sum(lhat))
         p, w = reference_plan(scores, denom, draws)
         if not sums_to_one(p):
             assert not isinstance(got, ValueError)
@@ -236,13 +239,20 @@ def test_regression_select_matches_the_reference(case):
     if lam == INFINITY:
         scores, denom = dist, float(np.sum(dist))
     else:
+        # scaling lam and the residuals by one power of two leaves p and w
+        # unchanged; a subnormal lam would make the plain products lose
+        # bits that the sampler's scaled build keeps, so the reference is
+        # then built at 2**600
         lam_vec = broadcast(lam, k)
+        j = 600 if np.any((0 < lam_vec) & (lam_vec < TINY)) else 0
+        lam_vec, resid = np.ldexp(lam_vec, j), np.ldexp(resid, j)
         scores = lam_vec[clustering.assignment] * dist + resid
-        denom = float(np.dot(lam_vec, clustering.cluster_cost)
+        denom = float(np.sum(lam_vec * clustering.cluster_cost)
                       + np.sum(resid))
     p, w = reference_plan(scores, denom, draws)
     if not sums_to_one(p):
-        # only the lam-weighted plan is rebuilt; distance-only is not
+        # only the lam-weighted plan is built at a scale where nothing
+        # underflows; distance-only is not
         assert isinstance(got, ValueError) == (lam == INFINITY)
         return
     drawn, weights = reference_draw(p, w, draws, rng.child("draw"))
@@ -313,6 +323,87 @@ def test_plans_are_valid_at_every_lambda_scale(case):
                             (reg.p, reg.w, reg.s, residuals)]:
         assert abs(float(np.sum(p)) - 1.0) <= 1e-9
         assert exact_expectation_gap(p, w, s, values) <= 1e-9
+
+
+def hand_clustering(assignment, v, k):
+    """A Clustering of points at powered distances v from their centers,
+    each cluster's cost the sum of its members' v."""
+    assignment = np.asarray(assignment, dtype=np.intp)
+    v = np.asarray(v, dtype=np.float64)
+    return Clustering(CenterList(np.zeros((k, 1))), assignment,
+                      np.bincount(assignment, weights=v, minlength=k), 2.0,
+                      np.sqrt(v))
+
+
+@st.composite
+def scale_case(draw):
+    """Proxies and lam of normal magnitudes from 1e-8 to 1e8, or 0."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 30))
+    assignment = draw(st.lists(st.integers(0, k - 1), min_size=n,
+                               max_size=n))
+    value = st.just(0.0) | st.floats(1e-8, 1e8)
+    v = draw(st.lists(value, min_size=n, max_size=n))
+    lhat = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+    lam = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+    return (hand_clustering(assignment, v, k),
+            ProxyLoss(lhat[assignment], np.array(v)), lam,
+            draw(st.integers(1, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scale_case(), st.data())
+def test_plan_is_invariant_under_power_of_two_scaling(case, data):
+    """Scaling lhat and lam by 2**j leaves p and w bit-identical and scales
+    the normalizer by 2**j, for every j that keeps each scaled input and
+    the normalizer normal and finite."""
+    clustering, proxy, lam, s = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-zero normalizer: uniform
+        plan = sensitivity_plan(proxy, clustering, lam, 0.5, s)
+        exps = [int(np.frexp(x)[1]) for x in [*proxy.lhat, *lam, plan.denom]
+                if x > 0]
+        # x 2**j, x = f 2**e with f in [1/2, 1), is normal and finite for
+        # -1021 - e <= j <= 1024 - e; j is drawn near either end as often
+        # as in between, where the plain formula's products underflow or
+        # overflow
+        lo = max([-1021 - e for e in exps], default=0)
+        hi = min([1024 - e for e in exps], default=0)
+        j = data.draw(st.integers(lo, hi) | st.integers(lo, min(lo + 64, hi))
+                      | st.integers(max(hi - 64, lo), hi))
+        scaled = sensitivity_plan(
+            ProxyLoss(np.ldexp(proxy.lhat, j), proxy.v), clustering,
+            np.ldexp(lam, j), 0.5, s)
+    assert_bits(scaled.p, plan.p)
+    assert_bits(scaled.w, plan.w)
+    assert scaled.denom == np.ldexp(plan.denom, j)
+
+
+@pytest.mark.skipif(not core._openblas_controls(),
+                    reason="no OpenBLAS loaded")
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_normalizer_is_independent_of_blas_threads(seed):
+    """At k = 20,000 OpenBLAS splits a dot product over threads; lam . Phi
+    and the plan built from it keep their bits on one thread and the
+    default."""
+    g = np.random.default_rng(seed)
+    k = 20_000
+    assignment = np.arange(2 * k) % k
+    v = g.gamma(2.0, size=2 * k)
+    clustering = hand_clustering(assignment, v, k)
+    proxy = ProxyLoss(g.gamma(2.0, size=k)[assignment], v)
+    lam = g.gamma(2.0, size=k)
+
+    def outputs():
+        plan = sensitivity_plan(proxy, clustering, lam, 0.5)
+        return (weighted_cost(clustering, lam), plan.denom, plan.p.tobytes(),
+                plan.w.tobytes())
+
+    free = outputs()
+    with core.blas_threads(1):
+        capped = outputs()
+    assert free == capped
 
 
 @st.composite
