@@ -11,10 +11,10 @@ from .clustering import (CenterList, Clustering, assign, dz_seed, kmedoids,
                          refine, snap_centers, weighted_cost)
 from .hoelder import (INFINITY, default_sample_count, estimate_lambda,
                       holder_percentiles, holder_ratios)
-from .selection import (AUTO, ProxyLoss, SamplingPlan, WeightedSample,
-                        cluster, data_select, data_select_rounds, draw,
-                        proxy_losses, sample_size, sensitivity_plan,
-                        uniform_sample_size, uniform_select)
+from .selection import (AUTO, SamplingPlan, WeightedSample, cluster,
+                        data_select, data_select_rounds, draw, proxy_losses,
+                        sample_size, sensitivity_plan, uniform_sample_size,
+                        uniform_select)
 from .regression import (ConstantTargetError, RegressionInstance,
                          RegressionPlan, coreset_objective_error,
                          leverage_scores, leverage_select, r2_score,

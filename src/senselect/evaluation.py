@@ -40,10 +40,11 @@ def delta_error(losses, sample: WeightedSample) -> float:
 
     Accepts a LossTable or a raw (possibly signed) vector; signed tables are
     for the lower-bound instance only and never pass through an oracle.
+    The sample sum is numpy's, not a BLAS dot: no thread count changes it.
     """
     values = losses.values if isinstance(losses, LossTable) else \
         np.asarray(losses, dtype=np.float64)
-    estimate = float(np.dot(sample.weights, values[sample.indices]))
+    estimate = float(np.sum(sample.weights * values[sample.indices]))
     return abs(float(np.sum(values)) - estimate)
 
 

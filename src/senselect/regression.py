@@ -1,7 +1,7 @@
 """Least-squares specialization: cluster-based row sampling, the leverage
 score and uniform baselines, and R^2 evaluation.  Both samplers draw
 through `selection.draw`; the cluster-based one builds its plan with
-`selection.sensitivity_plan`, medoid residuals standing in for losses."""
+`selection.sensitivity_plan`, k medoid residuals as its center losses."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import scipy.linalg
 from .core import Dataset, RngStream
 from .clustering import Clustering, kmedoids
 from .hoelder import INFINITY, _count
-from .selection import (ProxyLoss, WeightedSample, _plan_from_scores,
-                        _sample_count, draw, sensitivity_plan)
+from .selection import (WeightedSample, _plan_from_scores, _sample_count,
+                        draw, sensitivity_plan)
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,10 @@ def regression_select(instance: RegressionInstance, k: int, epsilon: float,
     wins, so a Lloyd pass costs O(n k d), not O(m^2 d) for a cluster of m
     rows; the bound reads the clustering only through its cost, for any
     row centers.  The reference solution x0 is the cluster-size-weighted
-    fit on the medoid rows, and the plan is the sensitivity plan with the
-    medoid's residual at x0 as lhat and the row's distance to its medoid,
-    read from the clustering's `distances`, as v.  Targets b are read only
-    at the k distinct medoid rows, in one indexing.
+    fit on the medoid rows.  The sensitivity plan takes the k medoid
+    residuals at x0 as its center losses and reads v, each row's distance
+    to its medoid, from the clustering's `distances`.  Targets b are read
+    only at the k distinct medoid rows, in one indexing.
 
     ``lam`` may be a scalar, a per-cluster vector, or INFINITY for the
     distance-only mode where p_i is proportional to ||a_i - medoid_i||.
@@ -135,23 +135,23 @@ def regression_select(instance: RegressionInstance, k: int, epsilon: float,
     b_hat_centers = instance.b[idx]
     x0 = solve_least_squares(instance.A[idx], b_hat_centers, weights=sizes)
     resid_sq = (instance.A[idx] @ x0 - b_hat_centers) ** 2
-    dist = clustering.distances
     if np.isscalar(lam) and lam == INFINITY:
+        dist = clustering.distances
         plan = _plan_from_scores(dist, float(np.sum(dist)), s)
     else:
-        proxy = ProxyLoss(resid_sq[clustering.assignment], dist)
-        plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
+        plan = sensitivity_plan(resid_sq, clustering, lam, epsilon, s)
     return (draw(plan, rng.child("draw")),
             RegressionPlan(clustering, x0, plan.p, plan.w, plan.s))
 
 
 def coreset_objective_error(instance: RegressionInstance,
                             sample: WeightedSample, x) -> float:
-    """|sum_s w(s) (<a_s, x> - b_s)^2  -  ||Ax - b||^2| at a fixed x."""
+    """|sum_s w(s) (<a_s, x> - b_s)^2  -  ||Ax - b||^2| at a fixed x; the
+    sample sum, like `evaluation.delta_error`'s, is no BLAS dot."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     full = float(np.sum((instance.A @ x - instance.b) ** 2))
     res = (instance.A[sample.indices] @ x - instance.b[sample.indices]) ** 2
-    return abs(float(np.dot(sample.weights, res)) - full)
+    return abs(float(np.sum(sample.weights * res)) - full)
 
 
 class ConstantTargetError(ValueError):

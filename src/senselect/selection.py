@@ -2,9 +2,9 @@
 and the uniform baseline; each returns a weighted sample.
 
 The core every importance sampler shares: `cluster` (seed, refine, snap),
-`sensitivity_plan` (p proportional to lhat + lam_i v, over lam . Phi +
-sum(lhat), built at one power-of-two scale) and `draw`; regression's
-sampler and baseline use them too."""
+`sensitivity_plan` (from the k center losses, with v read from
+`Clustering.distances`: p proportional to lhat + lam_i v, built at one
+power-of-two scale) and `draw`; regression's sampler and baseline use them too."""
 
 from __future__ import annotations
 
@@ -21,15 +21,6 @@ from .clustering import (Clustering, assign, checked_lambda, dz_seed,
 from .hoelder import _count, _filled, default_sample_count, estimate_lambda
 
 AUTO = "auto"
-
-
-@dataclass(frozen=True)
-class ProxyLoss:
-    """Per-point proxies built from k center losses: lhat(e) is the loss of
-    e's center, v(e) the distance^z of e to that center."""
-
-    lhat: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,15 +52,14 @@ class WeightedSample:
         return self.indices.size
 
 
-def proxy_losses(clustering: Clustering, oracle: LossOracle) -> ProxyLoss:
-    """Query the oracle on the center rows of the clusters that have members
-    (all k unless snapped centers share a position), as one batch: lhat is
-    a point's center loss, v its `Clustering.distances` to the z."""
+def proxy_losses(clustering: Clustering, oracle: LossOracle) -> np.ndarray:
+    """The k center losses, 0 for a cluster with no members: the oracle is
+    queried on the center rows of the clusters that have members (all k
+    unless snapped centers share a position), as one batch."""
     filled, rows = _filled(clustering)
-    lhat = np.zeros(clustering.k)
-    lhat[filled] = oracle.query_many(rows)
-    v = clustering.distances ** clustering.z
-    return ProxyLoss(lhat[clustering.assignment], v)
+    losses = np.zeros(clustering.k)
+    losses[filled] = oracle.query_many(rows)
+    return losses
 
 
 def sample_size(epsilon: float) -> int:
@@ -127,33 +117,40 @@ def _scale(x: float) -> int:
     return -int(np.frexp(x)[1]) if x > 0 else 0
 
 
-def sensitivity_plan(proxy: ProxyLoss, clustering: Clustering, lam,
+def sensitivity_plan(center_losses, clustering: Clustering, lam,
                      epsilon: float, s: int | None = None) -> SamplingPlan:
-    """Importance-sampling plan with p(e) proportional to
-    lhat(e) + lam_i * v(e), normalized by lam . Phi + sum(lhat); uniform
-    when everything is zero.  ``s`` draws, by default sample_size(epsilon).
+    """Importance-sampling plan from the k center losses and the clustering:
+    p(e) is proportional to lhat(e) + lam_i v(e), normalized by
+    lam . Phi + sum(lhat), where lhat(e) is the loss of e's center i and
+    v(e) = `Clustering.distances`[e] ** z; uniform when everything is zero.
+    ``s`` draws, by default sample_size(epsilon).
 
     The plan is built at one power-of-two scale, which leaves p unchanged:
     lam is scaled by 2**a, a putting its largest entry in [1/2, 1); each
-    product lam_i v(e) and lam_i Phi_i by a further 2**(shift - a); and lhat
-    by 2**shift, shift putting the normalizer's largest term in [1/2, 1).
-    No term overflows, and wherever the plain formula neither overflows nor
-    underflows, p, w and the normalizer keep its bits.  The plan stores the
-    true normalizer, inf above the largest double."""
+    product lam_i v(e) and lam_i Phi_i by a further 2**(shift - a); and the
+    center losses by 2**shift, shift putting the normalizer's largest term
+    in [1/2, 1).  No term overflows, and wherever the plain formula neither
+    overflows nor underflows, p, w and the normalizer keep its bits.  The
+    plan stores the true normalizer, inf above the largest double."""
     lam = _lambda_vector(lam, clustering.k)
     draws = sample_size(epsilon)  # checks epsilon even when s is given
     s = _sample_count(s) or draws
-    if np.any(~np.isfinite(proxy.lhat)) or np.any(~np.isfinite(proxy.v)):
+    center_losses = np.asarray(center_losses, dtype=np.float64)
+    if center_losses.shape != (clustering.k,):
+        raise ValueError(f"need {clustering.k} center losses")
+    v = clustering.distances ** clustering.z
+    if np.any(~np.isfinite(center_losses)) or np.any(~np.isfinite(v)):
         raise ValueError("non-finite proxy values")
     a = _scale(lam.max())
     lam = np.ldexp(lam, a)
-    tops = [(proxy.lhat.max(), 0), (np.max(lam * clustering.cluster_cost), a)]
+    tops = [(center_losses.max(), 0),
+            (np.max(lam * clustering.cluster_cost), a)]
     shift = min((_scale(x) + b for x, b in tops if x > 0), default=0)
     with np.errstate(over="ignore"):  # inf only for a true normalizer
-        scores = np.ldexp(proxy.lhat, shift)
+        scores = np.ldexp(center_losses, shift)[clustering.assignment]
         denom = (lambda_cost(lam, clustering.cluster_cost, shift - a)
                  + float(np.sum(scores)))
-        scores += np.ldexp(lam[clustering.assignment] * proxy.v, shift - a)
+        scores += np.ldexp(lam[clustering.assignment] * v, shift - a)
         plan = _plan_from_scores(scores, denom, s)
         return replace(plan, denom=float(np.ldexp(plan.denom, -shift)))
 
@@ -180,8 +177,8 @@ def _select_once(clustering: Clustering, epsilon: float, lam,
                  oracle: LossOracle, z: float, rng, s: int | None = None):
     """proxy -> plan -> draw on one clustering with a checked lam vector;
     returns the sample, the plan and the report fields both pipelines write."""
-    proxy = proxy_losses(clustering, oracle)
-    plan = sensitivity_plan(proxy, clustering, lam, epsilon, s)
+    plan = sensitivity_plan(proxy_losses(clustering, oracle), clustering,
+                            lam, epsilon, s)
     sample = draw(plan, rng)
     return sample, plan, {"epsilon": epsilon, "z": z, "s": plan.s,
                           "queries_used": oracle.queries_used,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from senselect import core
 from senselect.core import Dataset, LossOracle, LossTable, RngStream
 from senselect.clustering import CenterList, assign
 from senselect import evaluation
@@ -12,6 +13,7 @@ from senselect.evaluation import (TrialReport, delta_error,
                                   rademacher_instance, run_trials,
                                   theorem1_bound)
 from senselect.hoelder import holder_ratios
+from senselect.regression import RegressionInstance, coreset_objective_error
 from senselect.selection import (WeightedSample, proxy_losses,
                                  sensitivity_plan)
 
@@ -35,6 +37,29 @@ class TestDeltaError:
     def test_accepts_signed_values(self):
         sample = WeightedSample(np.array([0]), np.array([2.0]))
         assert delta_error(np.array([-1.0, 1.0]), sample) == pytest.approx(2)
+
+    @pytest.mark.skipif(not core._openblas_controls(),
+                        reason="no OpenBLAS loaded")
+    @pytest.mark.parametrize("seed", range(20))
+    def test_independent_of_blas_threads(self, seed):
+        # at s = 20,000 OpenBLAS splits a dot product over threads; the
+        # sample sums of delta_error and coreset_objective_error keep their
+        # bits on one thread and the default
+        g = np.random.default_rng(seed)
+        n, s = 50_000, 20_000
+        losses = g.gamma(2.0, size=n)
+        sample = WeightedSample(g.integers(n, size=s), g.gamma(2.0, size=s))
+        instance = RegressionInstance(g.normal(size=(n, 4)), losses)
+        x = g.normal(size=4)
+
+        def outputs():
+            return (delta_error(losses, sample),
+                    coreset_objective_error(instance, sample, x))
+
+        free = outputs()
+        with core.blas_threads(1):
+            capped = outputs()
+        assert free == capped
 
 
 class TestTheorem1Bound:

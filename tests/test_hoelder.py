@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from senselect.core import (BudgetExceededError, Dataset, LossOracle,
 from senselect.clustering import CenterList, assign
 from senselect.hoelder import (default_sample_count, estimate_lambda,
                                holder_percentiles, holder_ratios)
-from senselect.selection import proxy_losses
+from senselect.selection import proxy_losses, sensitivity_plan
 
 
 def row_clustering(data, center_rows, z):
@@ -231,8 +232,18 @@ class TestClusteringDistances:
         R = rows - clustering.centers.positions[clustering.assignment]
         np.testing.assert_array_equal(dist > 0, np.any(R != 0, axis=1))
         oracle = LossOracle.from_table(np.arange(rows.shape[0], dtype=float))
-        assert (proxy_losses(clustering, oracle).v.tobytes()
-                == (dist ** z).tobytes())
+        losses = proxy_losses(clustering, oracle)
+        # the plan's v is dist ** z bit for bit: its plan is that of a z=1
+        # clustering whose distances are dist ** z (lam = 1/2 is not
+        # rescaled, and halving keeps the bits of every normal v)
+        powered = replace(clustering, z=1, distances=dist ** z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # all-zero normalizer: uniform
+            plans = [sensitivity_plan(losses, c, 0.5, 0.5)
+                     for c in (clustering, powered)]
+        assert plans[0].p.tobytes() == plans[1].p.tobytes()
+        assert plans[0].w.tobytes() == plans[1].w.tobytes()
+        assert plans[0].denom == plans[1].denom
         queried = []
         real = oracle.query_many
         oracle.query_many = lambda indices: (queried.append(list(indices)),

@@ -27,9 +27,8 @@ from senselect.hoelder import INFINITY, default_sample_count, estimate_lambda
 from senselect.regression import (RegressionInstance, leverage_scores,
                                   leverage_select, regression_sample_size,
                                   regression_select, solve_least_squares)
-from senselect.selection import (AUTO, ProxyLoss, data_select,
-                                 data_select_rounds, sample_size,
-                                 sensitivity_plan)
+from senselect.selection import (AUTO, data_select, data_select_rounds,
+                                 sample_size, sensitivity_plan)
 
 EXAMPLES = 40
 TINY = np.finfo(np.float64).tiny
@@ -326,18 +325,19 @@ def test_plans_are_valid_at_every_lambda_scale(case):
 
 
 def hand_clustering(assignment, v, k):
-    """A Clustering of points at powered distances v from their centers,
-    each cluster's cost the sum of its members' v."""
+    """A z=1 Clustering of points at distances v from their centers, so
+    that the plan's v, distances ** z, is exactly v; each cluster's cost is
+    the sum of its members' v."""
     assignment = np.asarray(assignment, dtype=np.intp)
     v = np.asarray(v, dtype=np.float64)
     return Clustering(CenterList(np.zeros((k, 1))), assignment,
-                      np.bincount(assignment, weights=v, minlength=k), 2.0,
-                      np.sqrt(v))
+                      np.bincount(assignment, weights=v, minlength=k), 1, v)
 
 
 @st.composite
 def scale_case(draw):
-    """Proxies and lam of normal magnitudes from 1e-8 to 1e8, or 0."""
+    """Distances, center losses and lam of normal magnitudes from 1e-8 to
+    1e8, or 0."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(k, 30))
     assignment = draw(st.lists(st.integers(0, k - 1), min_size=n,
@@ -346,22 +346,21 @@ def scale_case(draw):
     v = draw(st.lists(value, min_size=n, max_size=n))
     lhat = np.array(draw(st.lists(value, min_size=k, max_size=k)))
     lam = np.array(draw(st.lists(value, min_size=k, max_size=k)))
-    return (hand_clustering(assignment, v, k),
-            ProxyLoss(lhat[assignment], np.array(v)), lam,
+    return (hand_clustering(assignment, v, k), lhat, lam,
             draw(st.integers(1, 40)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(scale_case(), st.data())
 def test_plan_is_invariant_under_power_of_two_scaling(case, data):
-    """Scaling lhat and lam by 2**j leaves p and w bit-identical and scales
-    the normalizer by 2**j, for every j that keeps each scaled input and
-    the normalizer normal and finite."""
-    clustering, proxy, lam, s = case
+    """Scaling the center losses and lam by 2**j leaves p and w
+    bit-identical and scales the normalizer by 2**j, for every j that keeps
+    each scaled input and the normalizer normal and finite."""
+    clustering, lhat, lam, s = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # all-zero normalizer: uniform
-        plan = sensitivity_plan(proxy, clustering, lam, 0.5, s)
-        exps = [int(np.frexp(x)[1]) for x in [*proxy.lhat, *lam, plan.denom]
+        plan = sensitivity_plan(lhat, clustering, lam, 0.5, s)
+        exps = [int(np.frexp(x)[1]) for x in [*lhat, *lam, plan.denom]
                 if x > 0]
         # x 2**j, x = f 2**e with f in [1/2, 1), is normal and finite for
         # -1021 - e <= j <= 1024 - e; j is drawn near either end as often
@@ -371,9 +370,8 @@ def test_plan_is_invariant_under_power_of_two_scaling(case, data):
         hi = min([1024 - e for e in exps], default=0)
         j = data.draw(st.integers(lo, hi) | st.integers(lo, min(lo + 64, hi))
                       | st.integers(max(hi - 64, lo), hi))
-        scaled = sensitivity_plan(
-            ProxyLoss(np.ldexp(proxy.lhat, j), proxy.v), clustering,
-            np.ldexp(lam, j), 0.5, s)
+        scaled = sensitivity_plan(np.ldexp(lhat, j), clustering,
+                                  np.ldexp(lam, j), 0.5, s)
     assert_bits(scaled.p, plan.p)
     assert_bits(scaled.w, plan.w)
     assert scaled.denom == np.ldexp(plan.denom, j)
@@ -392,11 +390,11 @@ def test_normalizer_is_independent_of_blas_threads(seed):
     assignment = np.arange(2 * k) % k
     v = g.gamma(2.0, size=2 * k)
     clustering = hand_clustering(assignment, v, k)
-    proxy = ProxyLoss(g.gamma(2.0, size=k)[assignment], v)
+    lhat = g.gamma(2.0, size=k)
     lam = g.gamma(2.0, size=k)
 
     def outputs():
-        plan = sensitivity_plan(proxy, clustering, lam, 0.5)
+        plan = sensitivity_plan(lhat, clustering, lam, 0.5)
         return (weighted_cost(clustering, lam), plan.denom, plan.p.tobytes(),
                 plan.w.tobytes())
 

@@ -71,9 +71,8 @@ class TestUniformSampleSize:
 class TestProxyLosses:
     def test_pairs_example(self):
         oracle = LossOracle.from_table([0.0, 5.0, 10.0, 7.0])
-        proxy = proxy_losses(pairs_clustering(), oracle)
-        np.testing.assert_allclose(proxy.lhat, [0, 0, 10, 10])
-        np.testing.assert_allclose(proxy.v, [0, 1, 0, 1])
+        losses = proxy_losses(pairs_clustering(), oracle)
+        np.testing.assert_array_equal(losses, [0, 10])
         assert oracle.queries_used == 2
 
     def test_requires_row_centers(self):
@@ -144,6 +143,12 @@ class TestSensitivityPlan:
         for lam in ([1.0, 2.0, 3.0], [-1.0, 1.0], [np.inf, 1.0]):
             with pytest.raises(ValueError):
                 sensitivity_plan(proxy, clustering, lam, 1.0)
+
+    @pytest.mark.parametrize("losses", [[1.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_rejects_center_losses_not_one_per_cluster(self, losses):
+        # four values are one per point, not per cluster
+        with pytest.raises(ValueError, match="2 center losses"):
+            sensitivity_plan(losses, pairs_clustering(), 1.0, 0.5)
 
     @pytest.mark.parametrize("s", [0, -3, 2.5])
     def test_rejects_a_sample_count_that_is_no_integer_above_0(self, s):
